@@ -124,38 +124,6 @@ StatusOr<double> run_point(hetsim::Backend backend, std::size_t servers,
   config.window = 8;
   TC_ASSIGN_OR_RETURN(auto engine,
                       workloads::WorkloadEngine::create(*cluster, config));
-  // TC_WORKLOADS_OPS_DEBUG=1: print both interpreter charge bases per
-  // completed op for this point — retired ops (dispatches; fused windows
-  // count as one) and constituent instrs (fusion-invariant; what
-  // interp_op_ns multiplies) — to stderr. The gap between them times
-  // interp_dispatch_ns is what fusion refunds.
-  if (std::getenv("TC_WORKLOADS_OPS_DEBUG") != nullptr &&
-      cluster->has_ifunc_runtimes()) {
-    auto dbg = measure(*engine, lanes, queries,
-                       backend != hetsim::Backend::kSim);
-    if (dbg.is_ok()) {
-      std::uint64_t ops = 0, instrs = 0, execs = 0, completed = 0;
-      for (fabric::NodeId n = 0; n < cluster->node_count(); ++n) {
-        const auto& stats = cluster->runtime(n).stats();
-        ops += stats.interp_ops.load();
-        instrs += stats.interp_instrs.load();
-        execs += stats.interp_executions.load();
-        completed += stats.results_received.load();
-      }
-      if (completed > 0) {
-        std::fprintf(stderr,
-                     "ops-debug %s x=%zu: interp_ops/completed=%.1f "
-                     "interp_instrs/completed=%.1f invokes/completed=%.2f "
-                     "ops/invoke=%.1f\n",
-                     series_label(workload, mode).c_str(), servers,
-                     double(ops) / double(completed),
-                     double(instrs) / double(completed),
-                     double(execs) / double(completed),
-                     execs > 0 ? double(ops) / double(execs) : 0.0);
-      }
-    }
-    return dbg;
-  }
   return measure(*engine, lanes, queries,
                  backend != hetsim::Backend::kSim);
 }

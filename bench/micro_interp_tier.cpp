@@ -9,19 +9,12 @@
 // Builds with or without LLVM; without it only the interpreter tier and its
 // steady-state cost are reported.
 //
-// The Dispatch×Fusion section measures the execution-core rewrite layer by
-// layer: {switch, threaded} dispatch × {raw, Ld*Br-only, fully fused}
-// programs on the three traversal kernels the workload suite runs
-// (hash-probe chain walk, skip-list descent, BFS frontier expansion),
-// against self-contained hook environments so the numbers isolate the
-// interpreter inner loop. The `bytecode_ops` counter is the retired-op
-// (dispatch) rate, `bytecode_instrs` the constituent-instruction rate, and
-// `inline_slots` the rate of tail slots run inside the inlined Ld*Br
-// handlers; hetsim charges virtual time per constituent instruction and
-// refunds the calibrated dispatch share only for inline slots, so the
-// fuse:1-vs-fuse:0 wall-clock delta over inline_slots here is exactly the
-// measurement that fit `interp_dispatch_ns` (hetsim/profiles.cpp), and the
-// fuse:2 column documents why kFusedLdiRun earns no refund.
+// The Dispatch section runs the three traversal kernels the workload suite
+// ships (hash-probe chain walk, skip-list descent, BFS frontier expansion)
+// through the {switch, threaded} dispatch loops, against self-contained
+// hook environments so the numbers isolate the interpreter inner loop. The
+// `bytecode_instrs` counter is the executed-instruction rate — the
+// quantity hetsim charges virtual time for.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -31,7 +24,6 @@
 #include "core/context.hpp"
 #include "ir/kernels.hpp"
 #include "vm/bytecode.hpp"
-#include "vm/fuse.hpp"
 #include "vm/interp.hpp"
 #include "vm/lower.hpp"
 
@@ -88,7 +80,7 @@ void BM_SteadyState_Interpreter(benchmark::State& state) {
 }
 BENCHMARK(BM_SteadyState_Interpreter)->Arg(64)->Arg(4096);
 
-// --- dispatch-mode × fusion-mode matrix on the traversal kernels ---------------
+// --- dispatch modes on the traversal kernels -----------------------------------
 
 /// Minimal hook environment for the workload kernels: counters instead of
 /// vectors so the hooks cost nothing in steady state, single peer so the
@@ -231,79 +223,47 @@ Scenario bfs_scenario() {
   return s;
 }
 
-void run_dispatch_fusion(benchmark::State& state, Scenario scenario) {
-  // fuse: 0 = off, 1 = Ld*Br windows only (the runtime default), 2 = also
-  // kFusedLdiRun. The 1-vs-0 wall-clock delta over inline_slots fits the
-  // Ld*Br dispatch refund; the 2-vs-1 delta shows what the interpretive run
-  // loop costs (historically: nothing saved, often a loss).
-  const int fuse_level = static_cast<int>(state.range(0));
-  const bool want_threaded = state.range(1) != 0;
-  vm::FuseStats stats;
-  const vm::Program program =
-      fuse_level > 0
-          ? vm::fuse_program(
-                scenario.program, &stats,
-                vm::FuseOptions{/*ld_br=*/true, /*ldi_runs=*/fuse_level > 1})
-          : scenario.program;
+void run_dispatch(benchmark::State& state, Scenario scenario) {
+  const bool want_threaded = state.range(0) != 0;
   vm::InterpOptions options;
   options.dispatch =
       want_threaded ? vm::Dispatch::kThreaded : vm::Dispatch::kSwitch;
   vm::HookTable hooks = shard_hooks(scenario.env);
   Bytes payload = scenario.payload;
-  std::uint64_t total_ops = 0;
   std::uint64_t total_instrs = 0;
-  std::uint64_t total_inline_slots = 0;
   for (auto _ : state) {
     scenario.reset();
     std::memcpy(payload.data(), scenario.payload.data(), payload.size());
-    auto r = vm::execute(program, hooks, payload.data(), payload.size(),
-                         options);
-    if (!r.is_ok()) state.SkipWithError(r.status().to_string().c_str());
-    total_ops += r->ops;
+    auto r = vm::execute(scenario.program, hooks, payload.data(),
+                         payload.size(), options);
+    if (!r.is_ok()) {
+      state.SkipWithError(r.status().to_string().c_str());
+      break;
+    }
     total_instrs += r->instrs;
-    total_inline_slots += r->inline_fused_slots;
     benchmark::DoNotOptimize(payload.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  // bytecode_ops is the retired-op (dispatch) rate; bytecode_instrs is the
-  // constituent-instruction rate, identical across fusion modes;
-  // inline_slots is the rate of tail slots run inside inlined Ld*Br
-  // handlers. The fuse:1-vs-fuse:0 wall-clock delta divided by the inline
-  // slots is how hetsim's interp_dispatch_ns is fit — see
-  // hetsim/profiles.cpp.
-  state.counters["bytecode_ops"] = benchmark::Counter(
-      static_cast<double>(total_ops), benchmark::Counter::kIsRate);
   state.counters["bytecode_instrs"] = benchmark::Counter(
       static_cast<double>(total_instrs), benchmark::Counter::kIsRate);
-  state.counters["inline_slots"] = benchmark::Counter(
-      static_cast<double>(total_inline_slots), benchmark::Counter::kIsRate);
-  state.counters["fused_windows"] =
-      benchmark::Counter(static_cast<double>(stats.windows()));
   if (want_threaded && !vm::threaded_dispatch_available()) {
     state.SetLabel("threaded unavailable: ran switch dispatch");
   }
 }
 
-void BM_DispatchFusion_HashProbe(benchmark::State& state) {
-  run_dispatch_fusion(state, hash_probe_scenario());
+void BM_Dispatch_HashProbe(benchmark::State& state) {
+  run_dispatch(state, hash_probe_scenario());
 }
-void BM_DispatchFusion_OrderedSearch(benchmark::State& state) {
-  run_dispatch_fusion(state, ordered_search_scenario());
+void BM_Dispatch_OrderedSearch(benchmark::State& state) {
+  run_dispatch(state, ordered_search_scenario());
 }
-void BM_DispatchFusion_Bfs(benchmark::State& state) {
-  run_dispatch_fusion(state, bfs_scenario());
+void BM_Dispatch_Bfs(benchmark::State& state) {
+  run_dispatch(state, bfs_scenario());
 }
-// Args: {fuse level, threaded}. ArgNames render as fuse:X/goto:Y in
-// reports; fuse 0 = off, 1 = Ld*Br only (runtime default), 2 = +ldi runs.
-BENCHMARK(BM_DispatchFusion_HashProbe)
-    ->ArgNames({"fuse", "goto"})
-    ->ArgsProduct({{0, 1, 2}, {0, 1}});
-BENCHMARK(BM_DispatchFusion_OrderedSearch)
-    ->ArgNames({"fuse", "goto"})
-    ->ArgsProduct({{0, 1, 2}, {0, 1}});
-BENCHMARK(BM_DispatchFusion_Bfs)
-    ->ArgNames({"fuse", "goto"})
-    ->ArgsProduct({{0, 1, 2}, {0, 1}});
+// Arg: threaded (1) or switch (0) dispatch; reports render it as goto:Y.
+BENCHMARK(BM_Dispatch_HashProbe)->ArgName("goto")->Arg(0)->Arg(1);
+BENCHMARK(BM_Dispatch_OrderedSearch)->ArgName("goto")->Arg(0)->Arg(1);
+BENCHMARK(BM_Dispatch_Bfs)->ArgName("goto")->Arg(0)->Arg(1);
 
 #if TC_WITH_LLVM
 

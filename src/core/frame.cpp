@@ -120,12 +120,9 @@ StatusOr<FrameHeader> Frame::peek_header(ByteSpan data) {
     return data_loss("bad frame magic 0x" +
                      hex(ByteSpan(data.data(), 2)));
   }
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
+  if (version != kProtocolVersion) {
     return data_loss("unsupported protocol version " +
                      std::to_string(version));
-  }
-  if (traced && version < 3) {
-    return data_loss("trace extension on a pre-v3 frame");
   }
   if (check != header_check(data.subspan(0, 24))) {
     return data_loss("header check mismatch");
@@ -290,7 +287,7 @@ StatusOr<std::vector<ByteSpan>> decode_batch_frame(ByteSpan bytes) {
   TC_RETURN_IF_ERROR(r.u16(magic));
   if (magic != kBatchMagic) return data_loss("not a batch frame");
   TC_RETURN_IF_ERROR(r.u8(version));
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
+  if (version != kProtocolVersion) {
     return data_loss("unsupported batch protocol version " +
                      std::to_string(version));
   }

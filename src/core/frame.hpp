@@ -12,10 +12,9 @@
 //   u16 frame magic | u8 version | u8 repr | u64 ifunc_id |
 //   u32 origin_node | u32 payload_size | u32 code_size | u16 header check
 //
-// Protocol v3: when the repr byte carries kReprTracedFlag, a 16-byte trace
-// extension (u64 trace id | u32 hop | u32 parent span) sits between the
-// header and the payload. Tracing off ⇒ no flag, no extension, and the
-// frame is laid out exactly as in v2.
+// When the repr byte carries kReprTracedFlag, a 16-byte trace extension
+// (u64 trace id | u32 hop | u32 parent span) sits between the header and
+// the payload. Tracing off ⇒ no flag and no extension.
 #pragma once
 
 #include <cstdint>

@@ -22,7 +22,7 @@ inline constexpr std::uint16_t kNackMagic = 0x7C4E;  // "N|"
 inline constexpr std::uint16_t kBatchMagic = 0x7C42;  // "B|"
 
 /// First two bytes of a *traced* result frame: a ReturnResult carrying the
-/// 16-byte trace context back to the initiator (protocol v3).
+/// 16-byte trace context back to the initiator.
 inline constexpr std::uint16_t kResultTracedMagic = 0x7C54;  // "T|"
 
 /// Bit in the header's repr byte marking a *code-only* frame: carries the
@@ -31,16 +31,14 @@ inline constexpr std::uint8_t kReprCodeOnlyFlag = 0x80;
 /// Bit in the header's repr byte marking a *traced* frame: a 16-byte trace
 /// context (u64 trace id | u32 hop | u32 parent span) follows the fixed
 /// header, before the payload. Absent — zero wire bytes — when tracing is
-/// off, so untraced v3 frames are byte-identical to v2 frames modulo the
-/// version byte.
+/// off.
 inline constexpr std::uint8_t kReprTracedFlag = 0x40;
 
-/// v2: adds the batch container frame (kBatchMagic) to the wire protocol.
-/// v3: adds the optional trace extension (kReprTracedFlag) and the traced
-///     result frame (kResultTracedMagic). v2 frames are still accepted.
+/// The one wire version every encoder writes and every decoder accepts:
+/// ifunc frames with the optional trace extension (kReprTracedFlag), batch
+/// containers (kBatchMagic) and traced result frames (kResultTracedMagic).
+/// Frames and containers carrying any other version are rejected.
 inline constexpr std::uint8_t kProtocolVersion = 3;
-/// Oldest version the receive path still decodes.
-inline constexpr std::uint8_t kMinProtocolVersion = 2;
 
 /// Size of the optional trace extension following the header.
 inline constexpr std::size_t kTraceExtSize = 16;

@@ -8,7 +8,6 @@
 #include "common/log.hpp"
 #include "core/context.hpp"
 #include "ir/target_info.hpp"
-#include "vm/fuse.hpp"
 
 namespace tc::core {
 
@@ -776,18 +775,8 @@ Status Runtime::load_portable(Registered& reg) {
   const std::int64_t t_virt =
       tracing() && active_trace_.traced() ? transport_->now_ns() : 0;
   const std::int64_t t0 = now_ns();
-  TC_ASSIGN_OR_RETURN(vm::Program program,
+  TC_ASSIGN_OR_RETURN(reg.program,
                       vm::Program::deserialize(as_span(entry->code)));
-  // Superinstruction fusion is a node-local rewrite applied after decode —
-  // the wire format never carries fused opcodes (see vm/fuse.hpp).
-  if (options_.fuse_superinstructions) {
-    reg.program = vm::fuse_program(
-        program, nullptr,
-        vm::FuseOptions{/*ld_br=*/true,
-                        /*ldi_runs=*/options_.fuse_ldi_runs});
-  } else {
-    reg.program = std::move(program);
-  }
   const std::int64_t measured = now_ns() - t0;
   reg.has_program = true;
   reg.tier = jit::Tier::kInterpreted;
@@ -1089,9 +1078,7 @@ void Runtime::execute_ifunc(Registered& reg, std::uint64_t ifunc_id,
       ctx.span_id = options_.tracer->next_span_id();
     }
     const std::int64_t t0 = now_ns();
-    std::uint64_t interp_ops = 0;
     std::uint64_t interp_instrs = 0;
-    std::uint64_t interp_inline_slots = 0;
     if (interpreted) {
       vm::HookTable hooks = runtime_vm_hooks(ctx);
       auto result =
@@ -1103,35 +1090,18 @@ void Runtime::execute_ifunc(Registered& reg, std::uint64_t ifunc_id,
             << regp->library.name() << "': " << result.status().to_string();
         return;
       }
-      interp_ops = result->ops;
       interp_instrs = result->instrs;
-      interp_inline_slots = result->inline_fused_slots;
       ++stats_.interp_executions;
-      stats_.interp_ops += interp_ops;
       stats_.interp_instrs += interp_instrs;
     } else {
       regp->entry(&ctx, payload.data(), payload.size());
     }
     const std::int64_t measured = now_ns() - t0;
     if (interpreted && options_.interp_op_ns >= 0) {
-      // Calibrated interpreter tax. Every constituent instruction pays the
-      // full per-instruction cost — fused windows execute every tail slot
-      // for real, so they are charged per instruction, not per retired op.
-      // The only work fusion provably removes is the dispatch of tail slots
-      // the inlined Ld*Br handlers run (kFusedLdiRun's interpretive tail
-      // loop saves nothing per microbenchmark — see vm/interp.hpp), so
-      // exactly that share is refunded per inline_fused_slots. With fusion
-      // off all three counters collapse (instrs == ops, inline slots == 0)
-      // and the charge reduces to interp_op_ns × ops, bit-identical to the
-      // pre-fusion model (the fig5-fig12 / BENCH_dapc byte-identity).
-      const std::int64_t instrs = static_cast<std::int64_t>(interp_instrs);
-      const std::int64_t refunded_slots =
-          static_cast<std::int64_t>(interp_inline_slots);
-      const std::int64_t dispatch_ns = std::clamp<std::int64_t>(
-          options_.interp_dispatch_ns, 0, options_.interp_op_ns);
+      // Calibrated interpreter tax: every executed instruction pays it.
       transport_->consume_compute(
           node_,
-          options_.interp_op_ns * instrs - dispatch_ns * refunded_slots,
+          options_.interp_op_ns * static_cast<std::int64_t>(interp_instrs),
           /*scale_cost=*/false);
     } else if (options_.lookup_exec_cost_ns < 0) {
       transport_->consume_compute(node_, measured, /*scale_cost=*/true);

@@ -82,19 +82,8 @@ struct RuntimeOptions {
   std::int64_t hll_guard_cost_ns = 0;     ///< per tc_hll_guard call
   /// Per-instruction cost of the interpreter tier (hetsim profiles pin a
   /// calibrated per-platform value; <0 charges the measured wall time).
-  /// Every *constituent* bytecode instruction pays this — a fused
-  /// superinstruction window is charged per instruction it executes, not
-  /// per retired op.
+  /// Every executed bytecode instruction pays this.
   std::int64_t interp_op_ns = -1;
-  /// The dispatch (fetch/decode/indirect-jump) share of interp_op_ns,
-  /// refunded once per tail slot executed inside an *inlined* Ld*Br
-  /// superinstruction handler (InterpResult::inline_fused_slots) — the only
-  /// slots whose dispatch work provably disappears. kFusedLdiRun tail slots
-  /// earn no refund: its interpretive tail loop costs about as much as
-  /// ordinary dispatch (microbenchmarked; hetsim/profiles.cpp documents the
-  /// fit). Clamped to [0, interp_op_ns]. 0 — the default — charges fused
-  /// and unfused streams identically (fusion buys nothing in virtual time).
-  std::int64_t interp_dispatch_ns = 0;
   /// One-time decode+validate of a portable program on first arrival —
   /// the (tiny) cold-path cost that replaces the JIT stall.
   std::int64_t portable_load_cost_ns = -1;
@@ -107,17 +96,6 @@ struct RuntimeOptions {
   /// Pin the interpreter tier: never promote, even when bitcode and LLVM
   /// are available (the tier-pinned / VM-only configuration).
   bool interp_only = false;
-
-  /// Apply the superinstruction fuser (vm/fuse.hpp) to portable programs
-  /// at load time. Node-local: the wire format never carries fused
-  /// opcodes. Off for differential testing.
-  bool fuse_superinstructions = true;
-  /// Also form kFusedLdiRun windows at load time. Off by default: the run
-  /// handler's interpretive tail loop microbenchmarks at-or-above ordinary
-  /// dispatch cost per slot (bench/micro_interp_tier.cpp), so runs shrink
-  /// retired-op counts without making anything faster — real or simulated.
-  /// Kept as an opt-in for the ablation and for disassembly tooling.
-  bool fuse_ldi_runs = false;
 
   /// Test seam: when set, the background promotion worker calls this right
   /// before compiling a job. Blocking inside it holds the promotion in
@@ -295,12 +273,7 @@ class Runtime {
     std::atomic<std::uint64_t> cache_evictions{0};
     std::atomic<std::uint64_t> portable_loads{0};  ///< programs decoded
     std::atomic<std::uint64_t> interp_executions{0};  ///< interpreted runs
-    /// Retired interpreter ops (dispatches): a fused superinstruction
-    /// window counts as ONE. Not comparable across fuse_superinstructions
-    /// on/off — interp_instrs is the fusion-invariant count.
-    std::atomic<std::uint64_t> interp_ops{0};
-    /// Constituent bytecode instructions executed, counting every tail
-    /// slot inside fused windows; identical across fusion on/off.
+    /// Bytecode instructions the interpreter executed.
     std::atomic<std::uint64_t> interp_instrs{0};
     std::atomic<std::uint64_t> tier_promotions{0};  ///< interp -> JIT
     /// Background promotion compiles that failed (logged once per kernel;

@@ -22,7 +22,6 @@ core::RuntimeOptions runtime_options_for(const HwProfile& profile) {
   options.lookup_exec_cost_ns = profile.ifunc_exec_ns;
   options.hll_guard_cost_ns = profile.hll_guard_ns;
   options.interp_op_ns = profile.interp_op_ns;
-  options.interp_dispatch_ns = profile.interp_dispatch_ns;
   options.portable_load_cost_ns = profile.vm_load_ns;
   options.batch_unpack_cost_ns = profile.batch_unpack_ns;
   return options;

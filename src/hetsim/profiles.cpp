@@ -13,32 +13,6 @@ const char* platform_name(Platform platform) {
 
 namespace {
 
-// interp_dispatch_ns — the superinstruction dispatch refund — is 0 on every
-// profile, and that zero is a *measurement*, not a placeholder. The fit
-// recipe (bench/micro_interp_tier.cpp, DispatchFusion matrix, 7-repetition
-// medians, -O2):
-//
-//     refund = (T(fuse:0) - T(fuse:1)) / inline_slots
-//
-// where fuse:1 forms only the inlined Ld*Br windows and `inline_slots`
-// counts the tail slots those handlers run. Measured on the dev host
-// (Xeon-class, the core the thor_xeon profile models): BFS frontier
-// 20.50 µs -> 20.30 µs threaded with ~517 inline slots/iteration, i.e.
-// ~0.4 ns/slot, inside run-to-run noise; switch dispatch measures ~0.
-// Per-instruction interpreter cost on the same host is ~1.5 ns (threaded) /
-// ~2.6 ns (switch), so the out-of-order frontend hides essentially the
-// whole dispatch. The kFusedLdiRun class is worse: its interpretive tail
-// loop is wall-clock *slower* than plain dispatch (hash-probe 1.05 µs ->
-// 2.07 µs threaded), which is why it earns no refund at all and is off by
-// default at runtime (RuntimeOptions::fuse_ldi_runs).
-//
-// The A64FX and A72 profiles also carry 0: their in-order-leaning frontends
-// plausibly pay real dispatch cost, but claiming a nonzero refund requires
-// running the same fit on those cores, and no such measurement exists here.
-// Anything else would re-introduce the exact self-serving-model failure
-// this constant replaced (a per-retired-op charge that undercharged fused
-// windows ~40x).
-
 // Ookami (Table I / IV): AM 2.58 µs & 1.32 M msg/s, cached bitcode 2.67 µs &
 // 1.669 M msg/s, uncached 5.12 µs & 405 K msg/s, JIT 6.59 ms.
 HwProfile make_ookami() {
@@ -58,7 +32,6 @@ HwProfile make_ookami() {
   p.am_exec_ns = 80;
   p.hll_guard_ns = 400;
   p.interp_op_ns = 18;            // A64FX: weak single-thread dispatch
-  p.interp_dispatch_ns = 0;       // unmeasured on A64FX; see fit note above
   p.vm_load_ns = 6'000;
   // Batching: one descriptor update per extra sub-frame (~1/4 of the full
   // per-message gap) on the wire; header walk + dispatch on unpack.
@@ -88,7 +61,6 @@ HwProfile make_thor_bf2() {
   p.am_exec_ns = 10;
   p.hll_guard_ns = 700;
   p.interp_op_ns = 25;            // Cortex-A72 switch-dispatch cost
-  p.interp_dispatch_ns = 0;       // unmeasured on the A72; see fit note above
   p.vm_load_ns = 8'000;
   // Batching: the A72 receive path makes unpack the costlier share.
   p.link.gap_batch_item_ns = 180;
@@ -119,7 +91,6 @@ HwProfile make_thor_xeon() {
   p.am_exec_ns = 10;
   p.hll_guard_ns = 250;
   p.interp_op_ns = 6;             // Xeon: ~15 cycles/op at 2.6 GHz
-  p.interp_dispatch_ns = 0;       // measured ~0 on this core class (above)
   p.vm_load_ns = 2'000;
   // Batching: Xeon runs near line rate, so both shares are small.
   p.link.gap_batch_item_ns = 45;

@@ -46,23 +46,14 @@ struct HwProfile {
   /// Per-guard cost of the high-level-language (Julia-analogue) frontend.
   std::int64_t hll_guard_ns = 0;
 
-  /// Interpreter tier (portable bytecode). Per-*constituent-instruction*
-  /// cost, calibrated per core type from interpreter microbenchmarks
+  /// Interpreter tier (portable bytecode). Per-executed-instruction cost,
+  /// calibrated per core type from interpreter microbenchmarks
   /// (switch-dispatch interpreters run ~10-30 cycles/op; slower on the
   /// in-order-leaning A64FX and the BF2's Cortex-A72 than on the Xeon).
-  /// Every instruction a fused superinstruction window executes pays this.
   /// <0 matches the RuntimeOptions sentinel: charge measured wall time —
   /// an uncalibrated profile falls back to measurement instead of running
   /// the interpreter for free.
   std::int64_t interp_op_ns = -1;
-  /// The dispatch (fetch/decode/indirect-jump) share of interp_op_ns,
-  /// refunded per tail slot the *inlined* Ld*Br superinstruction handlers
-  /// execute — the only work fusion provably removes (kFusedLdiRun's
-  /// interpretive tail loop earns no refund). Must be fit from wall-clock
-  /// microbenchmarks of the real fused handlers on the target core
-  /// (profiles.cpp documents the recipe and the measured numbers); 0 means
-  /// fusion buys nothing in virtual time.
-  std::int64_t interp_dispatch_ns = 0;
   /// One-time decode+validate of a portable program on first arrival — the
   /// cold-path cost that replaces the JIT compile (µs, not ms).
   std::int64_t vm_load_ns = -1;

@@ -167,10 +167,11 @@ StatusOr<Def> def_ring_hop() {
 
 // Remote hash-table lookup. Payload: [key:u64][slot:u64][probes_left:u64]
 // [tag:u64] over {key, value} bucket records (kHashBucketWords). The
-// schedule — including the consuming mov behind the entry li, the
+// schedule — including the dead mov behind the entry constant, the
 // speculative value load, and the compare placement — is the legacy
-// lowering's superinstruction-fuser schedule, kept verbatim so the fused
-// interpreter tier sees the same runs (vm/lower.cpp documents it).
+// lowering's, kept verbatim so the generated bytecode stays byte-identical
+// to it and the sim charges the same instruction stream (vm/lower.cpp
+// documents it).
 StatusOr<Def> def_hash_probe() {
   Builder b(vm::kKernelRegCount);
   b.set_min_payload_bytes(32);
@@ -188,7 +189,7 @@ StatusOr<Def> def_hash_probe() {
   const auto loop = b.loop();
   b.trace(1);  // probe step
   b.iconst(11, 1);
-  b.alu(Op::kMul, A0, 6, 11);   // slot copy seeds the run
+  b.alu(Op::kMul, A0, 6, 11);   // slot copy (multiply by 1)
   b.alu(Op::kUdiv, 10, A0, 8);  // owner
   b.alu(Op::kUrem, A0, A0, 8);  // local bucket
   b.alu(Op::kCeq, 11, 10, 3);

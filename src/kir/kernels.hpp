@@ -7,11 +7,11 @@
 // (am_backend.hpp) runs the def directly as the predeployed AM handler.
 //
 // The defs are transcriptions of the hand-scheduled legacy lowerings
-// (vm/lower.cpp) — including the superinstruction-fuser schedules of the
-// hash probe — so the vm backend reproduces the legacy bytecode *byte for
-// byte*; tests/kir_test.cpp pins that, which is what keeps the interpreter
-// tier's per-instruction virtual-time charging (fig5–fig12) untouched by
-// the port.
+// (vm/lower.cpp) — including the hash probe's schedule, dead copies and
+// all — so the vm backend reproduces the legacy bytecode *byte for byte*;
+// tests/kir_test.cpp pins that, which is what keeps the interpreter tier's
+// per-instruction virtual-time charging (fig5–fig12) untouched by the
+// port.
 #pragma once
 
 #include "common/status.hpp"

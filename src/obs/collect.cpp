@@ -53,9 +53,6 @@ void collect_runtime(const std::string& prefix, const core::Runtime& runtime,
   set("runtime.cache_evictions", s.cache_evictions);
   set("runtime.portable_loads", s.portable_loads);
   set("runtime.interp_executions", s.interp_executions);
-  // Both granularities: interp_ops is retired ops (a fused window counts
-  // as one), interp_instrs is constituent instructions (fusion-invariant).
-  set("runtime.interp_ops", s.interp_ops);
   set("runtime.interp_instrs", s.interp_instrs);
   set("runtime.tier_promotions", s.tier_promotions);
   set("runtime.forward_send_failures", s.forward_send_failures);

@@ -60,12 +60,6 @@ OpTraits traits_of(Opcode op) {
       return {.reg_a = true, .branch = true};
     case Opcode::kHook: return {};  // validated specially (arity table)
     case Opcode::kRet: return {.terminator = true};
-    // Superinstructions never reach the validator (they sit above
-    // kOpcodeCount); the traits below only serve the disassembler.
-    case Opcode::kFusedLdCmpBr:
-    case Opcode::kFusedLdAndBr:
-      return {.reg_a = true, .reg_b = true};
-    case Opcode::kFusedLdiRun: return {.reg_a = true};
   }
   return {};
 }
@@ -108,9 +102,6 @@ const char* opcode_name(Opcode op) {
     case Opcode::kBrnz: return "brnz";
     case Opcode::kHook: return "hook";
     case Opcode::kRet: return "ret";
-    case Opcode::kFusedLdCmpBr: return "f.ld.cmp.br";
-    case Opcode::kFusedLdAndBr: return "f.ld.alu.br";
-    case Opcode::kFusedLdiRun: return "f.ldi.run";
   }
   return "bad";
 }
@@ -341,12 +332,10 @@ std::string disassemble(const Program& program) {
                   program.pool()[k]);
     out += line;
   }
-  std::size_t tail_left = 0;  // slots covered by the fused head above
   for (std::size_t pc = 0; pc < program.code().size(); ++pc) {
     const Instr& in = program.code()[pc];
     const OpTraits traits = traits_of(in.op);
     const char* name = opcode_name(in.op);
-    std::size_t tail_next = 0;
     switch (in.op) {
       case Opcode::kNop:
       case Opcode::kRet:
@@ -384,26 +373,6 @@ std::string disassemble(const Program& program) {
         std::snprintf(line, sizeof(line), "%04zu: %-6s r%u, %d\n", pc, name,
                       in.a, in.imm);
         break;
-      case Opcode::kFusedLdCmpBr:
-      case Opcode::kFusedLdAndBr: {
-        // Head of a [load; compare-or-bitop; branch] window: a/b/imm are the
-        // original load's operands, c encodes the load width.
-        static const char* const kWidths[] = {"ld64", "ld32", "ld8"};
-        std::snprintf(line, sizeof(line),
-                      "%04zu: %-6s r%u, [r%u%+d] (%s)  ; fuses next 2\n", pc,
-                      name, in.a, in.b, in.imm,
-                      in.c < 3 ? kWidths[in.c] : "bad");
-        tail_next = 2;
-        break;
-      }
-      case Opcode::kFusedLdiRun:
-        // Head of an [ldi; straight-line run] window: a/imm are the original
-        // ldi's operands, b counts the fused tail slots.
-        std::snprintf(line, sizeof(line),
-                      "%04zu: %-6s r%u, %d  ; fuses next %u\n", pc, name,
-                      in.a, in.imm, in.b);
-        tail_next = in.b;
-        break;
       case Opcode::kHook: {
         const HookId hook = static_cast<HookId>(in.a);
         const char* hname = in.a < kHookCount ? hook_name(hook) : "bad";
@@ -428,19 +397,7 @@ std::string disassemble(const Program& program) {
         }
         break;
     }
-    if (tail_left > 0) {
-      // This slot still holds its original instruction but is normally
-      // executed by the fused head above (branches into the window run it
-      // unfused).
-      const std::size_t len = std::strlen(line);
-      if (len > 0 && line[len - 1] == '\n') line[len - 1] = '\0';
-      out += line;
-      out += "   ; fused tail\n";
-      --tail_left;
-    } else {
-      out += line;
-      tail_left = tail_next;
-    }
+    out += line;
   }
   return out;
 }

@@ -86,27 +86,12 @@ enum class Opcode : std::uint8_t {
   // --- runtime hooks: a = HookId, b = result reg, c = first arg reg --------
   kHook,
   kRet,
-  // --- superinstructions (node-local; see vm/fuse.hpp) ---------------------
-  // The fuser replaces the *head* instruction of a fusible window with one
-  // of these; the window's tail slots keep their original instructions, so
-  // a branch into the middle of a window still executes the unfused code.
-  // Fused opcodes never appear on the wire: they sit above kOpcodeCount, so
-  // Program::validate rejects them in serialized input, and fuse_program
-  // runs only on already-validated programs after deserialization.
-  kFusedLdCmpBr,  ///< [ld8/ld32/ld64 a,[b+imm]; cmp; brz/brnz] — c = width
-  kFusedLdAndBr,  ///< [ld8/ld32/ld64 a,[b+imm]; and/or/xor/shl/shr; br cond]
-  kFusedLdiRun,   ///< [ldi a,imm; b straight-line tail instrs, opt. branch]
 };
 
-/// Number of distinct *wire* opcodes (validation bound). Fused opcodes live
-/// above this so they can never be decoded from serialized programs.
+/// Number of distinct opcodes: the validation bound, and the size of the
+/// interpreter's dispatch table.
 inline constexpr std::uint8_t kOpcodeCount =
     static_cast<std::uint8_t>(Opcode::kRet) + 1;
-
-/// Number of opcodes including node-local superinstructions (sizes the
-/// interpreter's dispatch tables).
-inline constexpr std::uint8_t kTotalOpcodeCount =
-    static_cast<std::uint8_t>(Opcode::kFusedLdiRun) + 1;
 
 const char* opcode_name(Opcode op);
 
@@ -126,7 +111,7 @@ enum class HookId : std::uint8_t {
   kHllGuard,        ///< tc_hll_guard(ctx); no result
   kSin,             ///< r[b] = f64bits(sin(f64(r[c]))) — libm dependency
   /// r[b..b+3] = shard_size, self_peer, shard_base, peer_count: the whole
-  /// shard-arrival preamble in one retired op. Traversal kernels open with
+  /// shard-arrival preamble in one instruction. Traversal kernels open with
   /// it; the calibrated chaser keeps its original per-value hooks.
   kShardInfo,
 };
@@ -178,8 +163,6 @@ class Program {
 
  private:
   friend class Assembler;
-  friend Program fuse_program(const Program& program, struct FuseStats* stats,
-                              const struct FuseOptions& options);
   std::uint16_t reg_count_ = 0;
   std::vector<Instr> code_;
   std::vector<std::uint64_t> pool_;

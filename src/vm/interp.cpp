@@ -6,7 +6,9 @@
 
 // Threaded (computed-goto) dispatch needs the GNU &&label extension; the
 // build can also force the portable switch loop for differential testing
-// or exotic toolchains.
+// or exotic toolchains. GCC must compile this file with -fno-crossjumping
+// (CMakeLists.txt does): cross-jumping merges the handlers' identical
+// dispatch tails into one shared indirect jump, undoing the threading.
 #if !defined(TC_VM_SWITCH_DISPATCH) && (defined(__GNUC__) || defined(__clang__))
 #define TC_VM_HAS_THREADED 1
 #else
@@ -16,18 +18,16 @@
 #if defined(__GNUC__) || defined(__clang__)
 #define TC_VM_COLD __attribute__((noinline, cold))
 #define TC_VM_NOINLINE __attribute__((noinline))
-#define TC_VM_FORCE_INLINE inline __attribute__((always_inline))
 #else
 #define TC_VM_COLD
 #define TC_VM_NOINLINE
-#define TC_VM_FORCE_INLINE inline
 #endif
 
 namespace tc::vm {
 
 // The dispatch tables in interp_dispatch.inc enumerate every opcode by
 // hand; force a revisit when the ISA grows.
-static_assert(kTotalOpcodeCount == 37,
+static_assert(kOpcodeCount == 34,
               "update the dispatch tables in vm/interp_dispatch.inc");
 
 namespace {
@@ -197,122 +197,6 @@ TC_VM_NOINLINE Status do_hook(const Instr& in, const HookTable& hooks,
       break;
   }
   return Status::ok();
-}
-
-// --- fused-run tails ----------------------------------------------------------
-
-/// Executes one straight-line instruction out of a fused window's tail slot
-/// (the subset fuse_program admits: no hooks, no ret, no branches). Returns
-/// false and fills *fault on a trap; `slot` is the true instruction index,
-/// so a div-by-zero reports the same location fused or unfused. Force-inlined
-/// into the kFusedLdiRun handler: a call per tail slot would cost more than
-/// the dispatch the fusion saved.
-TC_VM_FORCE_INLINE bool exec_straight(const Instr& in, std::uint64_t* regs,
-                                      const std::uint64_t* pool,
-                                      std::size_t slot, Status* fault) {
-  switch (in.op) {
-    case Opcode::kNop:
-      break;
-    case Opcode::kLdi:
-      regs[in.a] =
-          static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm));
-      break;
-    case Opcode::kLdk:
-      regs[in.a] = pool[in.imm];
-      break;
-    case Opcode::kMov:
-      regs[in.a] = regs[in.b];
-      break;
-    case Opcode::kAdd:
-      regs[in.a] = regs[in.b] + regs[in.c];
-      break;
-    case Opcode::kSub:
-      regs[in.a] = regs[in.b] - regs[in.c];
-      break;
-    case Opcode::kMul:
-      regs[in.a] = regs[in.b] * regs[in.c];
-      break;
-    case Opcode::kUdiv:
-      if (regs[in.c] == 0) {
-        *fault = err_div_zero("division", slot);
-        return false;
-      }
-      regs[in.a] = regs[in.b] / regs[in.c];
-      break;
-    case Opcode::kUrem:
-      if (regs[in.c] == 0) {
-        *fault = err_div_zero("remainder", slot);
-        return false;
-      }
-      regs[in.a] = regs[in.b] % regs[in.c];
-      break;
-    case Opcode::kAnd:
-      regs[in.a] = regs[in.b] & regs[in.c];
-      break;
-    case Opcode::kOr:
-      regs[in.a] = regs[in.b] | regs[in.c];
-      break;
-    case Opcode::kXor:
-      regs[in.a] = regs[in.b] ^ regs[in.c];
-      break;
-    case Opcode::kShl:
-      regs[in.a] = regs[in.b] << (regs[in.c] & 63);
-      break;
-    case Opcode::kShr:
-      regs[in.a] = regs[in.b] >> (regs[in.c] & 63);
-      break;
-    case Opcode::kCeq:
-      regs[in.a] = regs[in.b] == regs[in.c] ? 1 : 0;
-      break;
-    case Opcode::kCne:
-      regs[in.a] = regs[in.b] != regs[in.c] ? 1 : 0;
-      break;
-    case Opcode::kCult:
-      regs[in.a] = regs[in.b] < regs[in.c] ? 1 : 0;
-      break;
-    case Opcode::kCule:
-      regs[in.a] = regs[in.b] <= regs[in.c] ? 1 : 0;
-      break;
-    case Opcode::kFadd:
-      regs[in.a] = f64_bits(as_f64(regs[in.b]) + as_f64(regs[in.c]));
-      break;
-    case Opcode::kFsub:
-      regs[in.a] = f64_bits(as_f64(regs[in.b]) - as_f64(regs[in.c]));
-      break;
-    case Opcode::kFmul:
-      regs[in.a] = f64_bits(as_f64(regs[in.b]) * as_f64(regs[in.c]));
-      break;
-    case Opcode::kFdiv:
-      regs[in.a] = f64_bits(as_f64(regs[in.b]) / as_f64(regs[in.c]));
-      break;
-    case Opcode::kFadd32:
-      regs[in.a] = f32_bits(as_f32(regs[in.b]) + as_f32(regs[in.c]));
-      break;
-    case Opcode::kFmul32:
-      regs[in.a] = f32_bits(as_f32(regs[in.b]) * as_f32(regs[in.c]));
-      break;
-    case Opcode::kLd8:
-      regs[in.a] = *mem_addr(regs[in.b], in.imm);
-      break;
-    case Opcode::kLd32:
-      regs[in.a] = load_word<std::uint32_t>(mem_addr(regs[in.b], in.imm));
-      break;
-    case Opcode::kLd64:
-      regs[in.a] = load_word<std::uint64_t>(mem_addr(regs[in.b], in.imm));
-      break;
-    case Opcode::kSt32:
-      store_word<std::uint32_t>(mem_addr(regs[in.b], in.imm),
-                                static_cast<std::uint32_t>(regs[in.a]));
-      break;
-    case Opcode::kSt64:
-      store_word<std::uint64_t>(mem_addr(regs[in.b], in.imm), regs[in.a]);
-      break;
-    default:
-      *fault = internal_error("vm: unexpected opcode in fused run at instr " +
-                              std::to_string(slot));
-      return false;
-  }
-  return true;
 }
 
 // --- dispatch loops -----------------------------------------------------------

@@ -8,13 +8,10 @@
 // symbols ORC resolves for JIT'd code, so the two tiers observe identical
 // runtime behavior).
 //
-// The interpreter counts both retired ops (a fused superinstruction window
-// retires as one) and constituent instructions executed (fusion-invariant).
-// hetsim charges virtual time per constituent instruction, refunding only
-// the per-op dispatch share for fused tail slots — fusion saves dispatches,
-// never the execution work itself (see core::RuntimeOptions::interp_op_ns /
-// interp_dispatch_ns) — which is how the tier slots into the paper's cost
-// model.
+// The interpreter executes exactly the instructions that arrived on the
+// wire and counts them; hetsim charges virtual time per executed
+// instruction (core::RuntimeOptions::interp_op_ns), which is how the tier
+// slots into the paper's cost model.
 #pragma once
 
 #include <cstdint>
@@ -76,25 +73,9 @@ struct InterpOptions {
 };
 
 struct InterpResult {
-  /// Retired ops: dispatch-loop fetches. A fused superinstruction window
-  /// retires as ONE op, so this is the count of dispatches performed — the
-  /// base for the per-op *dispatch* share of the virtual-time charge.
-  std::uint64_t ops = 0;
-  /// Constituent bytecode instructions executed, counting every tail slot a
-  /// fused window actually ran. Identical across fusion on/off (and always
-  /// >= ops); the base for the per-instruction *execute* share of the
-  /// virtual-time charge.
+  /// Bytecode instructions executed: the fuel count, and the base of the
+  /// virtual-time charge. Identical across dispatch modes.
   std::uint64_t instrs = 0;
-  /// Tail slots executed inside the *inlined* superinstruction handlers
-  /// (kFusedLdCmpBr / kFusedLdAndBr decode their middle and branch slots
-  /// directly — no per-slot dispatch of any kind). These are the only slots
-  /// whose dispatch work provably disappears, so they alone earn the
-  /// interp_dispatch_ns refund. kFusedLdiRun tail slots are excluded: its
-  /// interpretive tail loop re-dispatches each slot through exec_straight,
-  /// and microbenchmarks show its per-slot cost matches ordinary dispatch
-  /// (bench/micro_interp_tier.cpp documents the fit). Always
-  /// <= instrs - ops.
-  std::uint64_t inline_fused_slots = 0;
 };
 
 /// Interprets `program` over a mutable payload. The program must have come

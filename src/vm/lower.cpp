@@ -118,7 +118,7 @@ void lower_vec_reduce(Assembler& a, const ir::KernelOptions& o) {
 // The DAPC chaser — emit_chaser(). Payload: [addr:u64][depth:u64], or —
 // for the tagged (async-window) build-time variant — [addr][depth][tag].
 // Two variants rather than a runtime size dispatch: the interpreter tier
-// charges per retired instruction, so the classic instruction stream must
+// charges per executed instruction, so the classic instruction stream must
 // stay exactly as calibrated for the fig5-fig12 numbers.
 void lower_chaser(Assembler& a, const ir::KernelOptions& o) {
   const auto loop = a.make_label();
@@ -547,33 +547,35 @@ void lower_collective_reduce(Assembler& a, const ir::KernelOptions& o) {
 // open-addressing array of {key, value} bucket pairs, shard_size / 2
 // buckets per server. Probes the linear chain locally, forwards itself at
 // shard crossings, replies [value|~0][tag] to the chain origin.
-// The lowering is scheduled for the superinstruction fuser (vm/fuse.hpp)
-// around side-exit runs. The entry run carries the kShardInfo hook (behind
-// a consuming mov so the li-led run qualifies) plus the arrival math, and
-// falls into the probe loop. The whole probe iteration — owner check with
-// a side exit to the forward path, bucket address math, key/value loads,
-// hit side exit, empty-bucket side exit, probe advance, back edge — is a
-// single run, so each probe retires one op. The bucket value load is
-// speculative (always in bounds, buckets are 16 bytes) and lands the hit
-// result in r2 before the hit exit; load order keeps every compare off a
-// load's heels so no load-compare-branch window splits the run.
+// The entry carries the kShardInfo hook plus the arrival math and falls
+// into the probe loop. Each probe iteration is an owner check with a side
+// exit to the forward path, bucket address math, key/value loads, a hit
+// side exit, an empty-bucket side exit, the probe advance and the back
+// edge. The bucket value load is speculative (always in bounds, buckets
+// are 16 bytes) and lands the hit result in r2 before the hit exit.
+// Two spots cost more than they need — a dead mov after the entry li, and
+// an `li 1` plus multiply that copy the slot where one mov would do — yet
+// the schedule stays as it is: the KIR definition (kir/kernels.cpp) must
+// reproduce this lowering byte for byte, and the sim charges interpreted
+// virtual time per shipped instruction, so any change moves the portable
+// hash-probe series.
 void lower_hash_probe(Assembler& a, const ir::KernelOptions& o) {
   const auto loop = a.make_label();
   const auto fwd = a.make_label();
   const auto miss = a.make_label();
   const auto out = a.make_label();
-  // Entry run: [li; consuming mov; shard-info hook; arrival math; loads].
+  // Entry: shard-info hook, arrival math, probe state.
   a.li(10, 2);
-  a.mov(11, 10);                   // consumes the li: the run admission rule
+  a.mov(11, 10);                   // dead copy, kept (see above)
   a.hook(HookId::kShardInfo, 2);   // r2 size, r3 self, r4 base, r5 count
   a.alu(Opcode::kUdiv, 8, 2, 10);  // buckets per shard
   a.alu(Opcode::kMul, 9, 8, 5);    // capacity = bps * peer_count
   a.ld64(6, P, 8);   // slot
   a.ld64(7, P, 16);  // probes_left
-  // Probe loop: one run per iteration.
+  // Probe loop.
   a.bind(loop);
   a.li(11, 1);
-  a.alu(Opcode::kMul, kArg0, 6, 11);   // slot copy seeds the run
+  a.alu(Opcode::kMul, kArg0, 6, 11);   // slot copy (multiply by 1)
   a.alu(Opcode::kUdiv, 10, kArg0, 8);  // owner
   a.alu(Opcode::kUrem, kArg0, kArg0, 8);  // local bucket
   a.alu(Opcode::kCeq, 11, 10, 3);
@@ -595,7 +597,7 @@ void lower_hash_probe(Assembler& a, const ir::KernelOptions& o) {
   a.brnz(7, loop);                 // back edge; falls through when drained
   a.bind(miss);                    // probe budget drained, or empty bucket
   a.li(2, ~0ull);                  // the miss sentinel; falls into the reply
-  // Reply run: the tag-address li leads, the hook and ret close it.
+  // Reply [value|~0][tag] to the chain origin.
   a.bind(out);
   a.li(11, 24);
   a.alu(Opcode::kAdd, 11, P, 11);  // &payload[24]
@@ -624,9 +626,8 @@ void lower_hash_probe(Assembler& a, const ir::KernelOptions& o) {
 // records [key][value][(next_id, next_key) x 4 levels]. The stored finger
 // keys make the descent locally decidable: in-shard hops loop, cross-shard
 // down-links forward. Replies [value|~0][tag].
-// Scheduled for the fuser like lower_hash_probe, but with the hop loops
-// unrolled inside the side-exit runs: three link takes (or four level
-// descents) retire as one op each run. Loop invariants are cached in
+// The hop loops are unrolled — three link takes, four level descents —
+// with side exits out of each body. Loop invariants are cached in
 // registers so each unrolled body stays small — r15 holds self * nps (the
 // ownership test becomes `rank = node - r15; rank < nps`, one sub and one
 // cult, with the wraparound of an underflowing sub failing the cult for
@@ -636,17 +637,18 @@ void lower_hash_probe(Assembler& a, const ir::KernelOptions& o) {
 // The NIL-link test is folded into the key compare — NIL fingers carry ~0
 // as their key while real keys stay below 2^63, so `next_key <= target`
 // alone rejects them — and the reply is branch-free: `or(value, hit - 1)`
-// yields the value on a hit and ~0 on a miss, which lets the landing
-// check and the reply epilogue fuse into one run.
+// yields the value on a hit and ~0 on a miss. The sim charges interpreted
+// virtual time per shipped instruction, so changing this schedule moves
+// the portable ordered-search series.
 void lower_ordered_search(Assembler& a, const ir::KernelOptions& o) {
   const auto fwd = a.make_label();
   const auto take = a.make_label();
   const auto down = a.make_label();
   const auto fin = a.make_label();
-  // Entry run: [li; consuming mov; shard-info hook; arrival math; owner
-  // side exit; record address; finger probe]. One retired op per arrival.
+  // Entry: shard-info hook, arrival math, owner side exit, record
+  // address, finger probe.
   a.li(10, workloads::kIndexRecordWords);
-  a.mov(11, 10);                   // consumes the li: the run admission rule
+  a.mov(11, 10);                   // dead copy, kept (see above)
   a.hook(HookId::kShardInfo, 2);   // r2 size, r3 self, r4 base (count: r5)
   a.alu(Opcode::kUdiv, 8, 2, 10);  // nodes per shard
   a.ld64(5, P, 0);   // target (the unused peer count is overwritten)
@@ -664,17 +666,16 @@ void lower_ordered_search(Assembler& a, const ir::KernelOptions& o) {
   a.alu(Opcode::kMul, 9, 9, 10);
   a.alu(Opcode::kAdd, 9, 4, 9);    // finger-array address of the record
   a.alu(Opcode::kAdd, 11, 9, 7);
-  a.ld64(kArg1, 11, 8);            // next_key (~0 for NIL links); loaded
-  a.ld64(2, 11, 0);                // before next_id so the compare does not
-  a.alu(Opcode::kCule, 11, kArg1, 5);  // trail its load (a Ld*Br window
-  a.brnz(11, take);                // would split the run)
+  a.ld64(kArg1, 11, 8);            // next_key (~0 for NIL links)
+  a.ld64(2, 11, 0);                // next_id
+  a.alu(Opcode::kCule, 11, kArg1, 5);
+  a.brnz(11, take);
   a.br(down);
-  // Link-take run, three hops unrolled: `mul node, next_id, 1` moves the
-  // taken link into the node register while consuming the leading li
-  // (kArg0 stays 1 across the bodies), and each body re-checks ownership
-  // (side exit to the forward path), recomputes the record address, and
-  // probes the same level's finger — so up to three in-shard horizontal
-  // hops retire as a single op before the back edge re-enters the run.
+  // Link take, three hops unrolled: `mul node, next_id, 1` moves the
+  // taken link into the node register (kArg0 stays 1 across the bodies),
+  // and each body re-checks ownership (side exit to the forward path),
+  // recomputes the record address, and probes the same level's finger —
+  // up to three in-shard horizontal hops before the back edge.
   a.bind(take);
   a.li(kArg0, 1);
   for (int unroll = 0; unroll < 3; ++unroll) {
@@ -696,7 +697,7 @@ void lower_ordered_search(Assembler& a, const ir::KernelOptions& o) {
       a.brnz(11, take);              // back edge; falls through to descend
     }
   }
-  // Descend run, four levels unrolled: each body tests the level floor
+  // Descend, four levels unrolled: each body tests the level floor
   // (side exit to the reply), steps the cached finger offset down one
   // level, and probes that level's finger on the same record.
   a.bind(down);
@@ -712,9 +713,8 @@ void lower_ordered_search(Assembler& a, const ir::KernelOptions& o) {
     a.brnz(11, take);
   }
   a.br(down);
-  // Branch-free reply run: hit = (landing key == target); hit - 1 is 0 on
-  // a hit and ~0 on a miss, so `or(value, hit - 1)` is the reply word and
-  // the whole landing-check-plus-reply epilogue is one retired op.
+  // Branch-free reply: hit = (landing key == target); hit - 1 is 0 on a
+  // hit and ~0 on a miss, so `or(value, hit - 1)` is the reply word.
   a.bind(fin);
   a.li(10, workloads::kIndexFingerBytes);
   a.alu(Opcode::kSub, kArg0, 9, 10);  // un-bias: the record's key address
@@ -873,8 +873,6 @@ void lower_bfs_frontier(Assembler& a, const ir::KernelOptions& o) {
   a.alu(Opcode::kCeq, 15, 14, 3);
   a.brnz(15, push);
   // Frontier leaves the shard: forward, stamping ourselves as its `from`.
-  // Led by the payload-address li so the stores, the arg marshaling, the
-  // hook, the spawn count and the loop-back branch all ride one run.
   a.li(15, 16);
   a.alu(Opcode::kAdd, 15, P, 15);  // &payload[16]
   a.st64(13, 15, 0);

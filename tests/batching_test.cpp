@@ -1,5 +1,5 @@
-// Tests for the async-pipeline layer: the protocol-v2 batch container
-// codec, sender-side frame coalescing in core::Runtime, NACK recovery when
+// Tests for the async-pipeline layer: the batch container codec,
+// sender-side frame coalescing in core::Runtime, NACK recovery when
 // a *batched* window is redelivered (no duplicates, no drops), and
 // determinism of windowed (W > 1) DAPC runs. Everything here is LLVM-free:
 // ifuncs ship as portable bytecode, so the suite runs in both build
@@ -60,6 +60,17 @@ TEST(BatchFrame, RejectsMalformed) {
   Bytes padded = container;
   padded.push_back(0xFF);
   EXPECT_FALSE(core::decode_batch_frame(as_span(padded)).is_ok());
+
+  // Only the current protocol version is decoded.
+  ASSERT_EQ(container[2], core::kProtocolVersion);
+  for (unsigned version = 0; version <= 0xFF; ++version) {
+    if (version == core::kProtocolVersion) continue;
+    Bytes other_version = container;
+    other_version[2] = static_cast<std::uint8_t>(version);
+    auto decoded = core::decode_batch_frame(as_span(other_version));
+    ASSERT_FALSE(decoded.is_ok()) << "decoded version " << version;
+    EXPECT_EQ(decoded.status().code(), ErrorCode::kDataLoss);
+  }
 
   // Nested batches are a protocol violation.
   auto nested = core::encode_batch_frame({container});

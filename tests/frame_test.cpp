@@ -3,6 +3,9 @@
 // result frames.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "core/frame.hpp"
 #include "core/protocol.hpp"
@@ -134,6 +137,45 @@ TEST(Frame, HeaderCorruptionDetected) {
   }
 }
 
+/// Overwrites the version byte of a frame image and recomputes the header
+/// check (the FNV fold over the first 24 bytes), so the version byte is the
+/// only thing wrong with the frame.
+void set_version(Bytes& wire, std::uint8_t version) {
+  wire[2] = version;
+  const std::uint64_t h = fnv1a64(ByteSpan(wire.data(), 24));
+  const auto check =
+      static_cast<std::uint16_t>(h ^ (h >> 16) ^ (h >> 32) ^ (h >> 48));
+  wire[24] = static_cast<std::uint8_t>(check);
+  wire[25] = static_cast<std::uint8_t>(check >> 8);
+}
+
+TEST(Frame, OtherProtocolVersionRejected) {
+  const Bytes code = make_code(16);
+  auto frame = Frame::build(1, ir::CodeRepr::kBitcode, as_span(code), {}, 0);
+  ASSERT_TRUE(frame.is_ok());
+  ASSERT_FALSE(frame->header().traced());
+  const Bytes wire(frame->full_view().begin(), frame->full_view().end());
+  ASSERT_EQ(wire[2], kProtocolVersion);
+  for (unsigned version = 0; version <= 0xFF; ++version) {
+    Bytes other = wire;
+    set_version(other, static_cast<std::uint8_t>(version));
+    auto header = Frame::peek_header(as_span(other));
+    if (version == kProtocolVersion) {
+      // Resealing with the current version reproduces the original frame.
+      EXPECT_EQ(other, wire);
+      EXPECT_TRUE(header.is_ok()) << header.status().to_string();
+      continue;
+    }
+    ASSERT_FALSE(header.is_ok()) << "accepted version " << version;
+    EXPECT_EQ(header.status().code(), ErrorCode::kDataLoss);
+    EXPECT_NE(header.status().to_string().find("unsupported protocol version"),
+              std::string::npos)
+        << header.status().to_string();
+    EXPECT_FALSE(Frame::validate(as_span(other)).is_ok())
+        << "validated version " << version;
+  }
+}
+
 TEST(Frame, WrongLengthRejected) {
   const Bytes code = make_code(64);
   const Bytes payload = make_code(8, 9);
@@ -222,6 +264,36 @@ TEST(FrameTracedWire, FullImageAddsOnlyTraceExt) {
   ASSERT_TRUE(header.is_ok());
   ByteSpan c = Frame::code_view(as_span(wire), *header);
   EXPECT_TRUE(std::equal(code.begin(), code.end(), c.begin(), c.end()));
+}
+
+TEST(FrameTracedWire, OtherProtocolVersionRejected) {
+  // A trace extension on any version but the current one is refused by the
+  // version check, before the extension is read.
+  const Bytes code = make_code(64);
+  const Bytes payload = {1, 2, 3};
+  auto frame = Frame::build(23, ir::CodeRepr::kPortable, as_span(code),
+                            as_span(payload), 2);
+  ASSERT_TRUE(frame.is_ok());
+  obs::TraceContext trace;
+  trace.trace_id = 0x5151;
+  trace.hop = 1;
+  for (bool include_code : {false, true}) {
+    Bytes wire = Frame::traced_wire(*frame, trace, include_code);
+    ASSERT_TRUE(Frame::peek_header(as_span(wire)).is_ok());
+    for (std::uint8_t version : {std::uint8_t{2}, std::uint8_t{4}}) {
+      Bytes other = wire;
+      set_version(other, version);
+      auto header = Frame::peek_header(as_span(other));
+      ASSERT_FALSE(header.is_ok())
+          << "accepted traced version " << unsigned{version};
+      EXPECT_EQ(header.status().code(), ErrorCode::kDataLoss);
+      EXPECT_NE(
+          header.status().to_string().find("unsupported protocol version"),
+          std::string::npos)
+          << header.status().to_string();
+      EXPECT_FALSE(Frame::validate(as_span(other)).is_ok());
+    }
+  }
 }
 
 class FrameSweepP : public ::testing::TestWithParam<

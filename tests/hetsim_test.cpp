@@ -119,6 +119,23 @@ TEST_P(ProfileP, InterpreterTierConstantsCalibrated) {
   EXPECT_LT(p.vm_load_ns * 50, p.jit_cost_ns);
 }
 
+TEST_P(ProfileP, RuntimeOptionsCarryProfileCharges) {
+  // runtime_options_for is the one place a profile's calibrated costs reach
+  // the runtimes a Cluster builds; every charge must come through it.
+  const HwProfile& p = profile_for(GetParam());
+  const core::RuntimeOptions o = runtime_options_for(p);
+  EXPECT_EQ(o.jit_cost_ns, p.jit_cost_ns);
+  EXPECT_EQ(o.link_cost_ns, p.link_cost_ns);
+  EXPECT_EQ(o.lookup_exec_cost_ns, p.ifunc_exec_ns);
+  EXPECT_EQ(o.hll_guard_cost_ns, p.hll_guard_ns);
+  EXPECT_EQ(o.interp_op_ns, p.interp_op_ns);
+  EXPECT_EQ(o.portable_load_cost_ns, p.vm_load_ns);
+  EXPECT_EQ(o.batch_unpack_cost_ns, p.batch_unpack_ns);
+  // Pinned, not measured: the sim charge is deterministic on every profile.
+  EXPECT_GE(o.interp_op_ns, 0);
+  EXPECT_GE(o.portable_load_cost_ns, 0);
+}
+
 #if TC_WITH_LLVM
 class TsiLatencyP : public ::testing::TestWithParam<Platform> {};
 

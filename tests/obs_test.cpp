@@ -6,9 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "core/frame.hpp"
+#include "core/ifunc.hpp"
+#include "core/runtime.hpp"
+#include "hetsim/cluster.hpp"
 #include "obs/collect.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -161,6 +166,61 @@ TEST(MetricsRegistryTest, StableInstrumentsAndSortedSnapshot) {
   ASSERT_EQ(snap.histograms.size(), 1u);
   EXPECT_EQ(snap.histograms[0].count, 1u);
   EXPECT_EQ(snap.histograms[0].sum, 5u);
+}
+
+// --- cluster stats collection ------------------------------------------------
+
+TEST(CollectTest, RuntimeInterpreterCountersMirrorStats) {
+  // Portable ifuncs on a sim cluster: collect mirrors the server's
+  // interpreter counters, and the executed-instruction count is the only
+  // interpreter work counter it exports.
+  hetsim::ClusterConfig config;
+  config.server_count = 1;
+  config.with_am_runtimes = false;
+  auto cluster = hetsim::Cluster::create(config);
+  ASSERT_TRUE(cluster.is_ok()) << cluster.status().to_string();
+  core::Runtime& client = (*cluster)->client_runtime();
+  auto lib = core::IfuncLibrary::from_portable_kernel(
+      ir::KernelKind::kTargetSideIncrement);
+  ASSERT_TRUE(lib.is_ok()) << lib.status().to_string();
+  auto id = client.register_ifunc(std::move(*lib));
+  ASSERT_TRUE(id.is_ok());
+  const fabric::NodeId server = (*cluster)->server_nodes().front();
+  core::Runtime& server_rt = (*cluster)->runtime(server);
+  std::uint64_t counter = 0;
+  server_rt.set_target_ptr(&counter);
+
+  const Bytes payload{0};
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client.send_ifunc(server, *id, as_span(payload)).is_ok());
+  }
+  ASSERT_TRUE((*cluster)
+                  ->drive_until((*cluster)->client_node(),
+                                [&] { return counter == 3; })
+                  .is_ok());
+  (*cluster)->settle();
+
+  MetricsRegistry metrics;
+  collect_cluster_metrics(**cluster, metrics);
+  const auto snap = metrics.snapshot();
+  auto value_of = [&](const std::string& name) -> std::optional<std::uint64_t> {
+    for (const auto& c : snap.counters) {
+      if (c.name == name) return c.value;
+    }
+    return std::nullopt;
+  };
+  const std::string prefix = "node" + std::to_string(server) + ".runtime.";
+  ASSERT_TRUE(value_of(prefix + "interp_executions").has_value());
+  EXPECT_EQ(*value_of(prefix + "interp_executions"), 3u);
+  ASSERT_TRUE(value_of(prefix + "interp_instrs").has_value());
+  EXPECT_GT(*value_of(prefix + "interp_instrs"), 0u);
+  EXPECT_EQ(*value_of(prefix + "interp_instrs"),
+            server_rt.stats().interp_instrs.load());
+  // Every invocation ran the same program, so the count splits evenly.
+  EXPECT_EQ(*value_of(prefix + "interp_instrs") % 3, 0u);
+  for (const auto& c : snap.counters) {
+    EXPECT_EQ(c.name.find("interp_ops"), std::string::npos) << c.name;
+  }
 }
 
 // --- trace-context frame round trip (header level) ---------------------------

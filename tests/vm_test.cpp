@@ -7,6 +7,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -79,6 +82,23 @@ TEST(Bytecode, DisassembleMentionsEveryInstruction) {
   EXPECT_NE(text.find("ret"), std::string::npos);
 }
 
+TEST(Bytecode, EveryOpcodeHasADistinctMnemonic) {
+  // Every assigned opcode byte has its own mnemonic; every byte past the
+  // ISA (kOpcodeCount and up) is unassigned and renders as "bad".
+  std::set<std::string> names;
+  for (unsigned op = 0; op < kOpcodeCount; ++op) {
+    const std::string name = opcode_name(static_cast<Opcode>(op));
+    EXPECT_NE(name, "bad") << "opcode " << op;
+    EXPECT_FALSE(name.empty()) << "opcode " << op;
+    names.insert(name);
+  }
+  EXPECT_EQ(names.size(), static_cast<std::size_t>(kOpcodeCount));
+  for (unsigned op = kOpcodeCount; op <= 0xFF; ++op) {
+    EXPECT_STREQ(opcode_name(static_cast<Opcode>(op)), "bad")
+        << "opcode " << op;
+  }
+}
+
 // --- malformed input rejection (bounds-checked decode, no UB) -------------------
 
 TEST(BytecodeRejection, TruncatedBuffers) {
@@ -118,8 +138,23 @@ TEST(BytecodeRejection, StructurallyInvalidPrograms) {
   const Bytes wire = simple_program().serialize();
   constexpr std::size_t kHeader = 4 + 2 + 2 + 4 + 4;
   // First instruction starts at kHeader: [op][a][b][c][imm32].
-  // Unknown opcode:
-  EXPECT_FALSE(Program::deserialize(as_span(reseal(wire, kHeader, 0xFF))).is_ok());
+  // Unknown opcodes: every unassigned value, from the lowest (kOpcodeCount)
+  // to the highest (0xFF).
+  for (unsigned op = kOpcodeCount; op <= 0xFF; ++op) {
+    auto r = Program::deserialize(
+        as_span(reseal(wire, kHeader, static_cast<std::uint8_t>(op))));
+    ASSERT_FALSE(r.is_ok()) << "accepted opcode byte " << op;
+    EXPECT_NE(r.status().to_string().find("unknown opcode " +
+                                          std::to_string(op)),
+              std::string::npos)
+        << r.status().to_string();
+  }
+  // The same position with an assigned opcode is accepted, so the
+  // rejections above are the opcode's doing.
+  EXPECT_TRUE(Program::deserialize(
+                  as_span(reseal(wire, kHeader,
+                                 static_cast<std::uint8_t>(Opcode::kNop))))
+                  .is_ok());
   // Register out of range (reg_count is 8):
   EXPECT_FALSE(
       Program::deserialize(as_span(reseal(wire, kHeader + 1, 63))).is_ok());
@@ -249,7 +284,7 @@ TEST(Interp, PayloadSum) {
                    payload.data(), payload.size());
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   EXPECT_EQ(env.target[0], 263u);
-  EXPECT_GT(r->ops, payload.size());  // at least one op per byte
+  EXPECT_GT(r->instrs, payload.size());  // at least one instr per byte
 }
 
 TEST(Interp, TsiIncrements) {
@@ -910,6 +945,104 @@ TEST(Interp, BfsFrontierAcksRevisitsImmediately) {
   EXPECT_EQ(b.cell[5], 1u);  // the original deficit is untouched
 }
 
+/// What one run of a stock kernel did, as seen through the stub hooks.
+struct KernelRun {
+  std::string status;
+  std::uint64_t instrs = 0;
+  Bytes payload;
+  std::vector<std::pair<std::uint64_t, Bytes>> forwards;
+  std::vector<Bytes> replies;
+};
+
+KernelRun run_kernel(ir::KernelKind kind, StubEnv& env, Bytes payload,
+                     Dispatch dispatch) {
+  KernelRun run;
+  InterpOptions options;
+  options.dispatch = dispatch;
+  auto r = execute(lowered(kind), stub_hooks(env), payload.data(),
+                   payload.size(), options);
+  run.status = r.is_ok() ? "ok" : r.status().to_string();
+  if (r.is_ok()) run.instrs = r->instrs;
+  run.payload = std::move(payload);
+  for (const auto& f : env.forwards) run.forwards.emplace_back(f.peer, f.payload);
+  run.replies = env.replies;
+  return run;
+}
+
+void expect_same_run(const KernelRun& sw, const KernelRun& th,
+                     const std::string& what) {
+  EXPECT_EQ(sw.status, "ok") << what;
+  EXPECT_EQ(th.status, sw.status) << what;
+  EXPECT_GT(sw.instrs, 0u) << what;
+  EXPECT_EQ(th.instrs, sw.instrs) << what;
+  EXPECT_EQ(th.payload, sw.payload) << what;
+  EXPECT_EQ(th.forwards, sw.forwards) << what;
+  EXPECT_EQ(th.replies, sw.replies) << what;
+}
+
+TEST(Interp, TraversalKernelsAgreeAcrossDispatchLoops) {
+  // The traversal kernels are the interpreter's hot code on the workload
+  // suite: under the switch and the threaded loop they must send the same
+  // messages, leave the same payload and shard state, and execute the same
+  // number of instructions (the sim's charge base).
+  for (const Bytes& payload :
+       {hash_payload(11, 4, 8, 0xAA), hash_payload(99, 5, 8, 7),
+        hash_payload(99, 7, 8, 3), hash_payload(99, 4, 1, 5)}) {
+    HashProbeEnv sw, th;
+    expect_same_run(
+        run_kernel(ir::KernelKind::kHashProbe, sw.env, payload,
+                   Dispatch::kSwitch),
+        run_kernel(ir::KernelKind::kHashProbe, th.env, payload,
+                   Dispatch::kThreaded),
+        "hash_probe");
+  }
+  for (const Bytes& payload :
+       {search_payload(10, 0, 3, 0xBB), search_payload(15, 0, 3, 1),
+        search_payload(25, 0, 3, 9)}) {
+    OrderedEnv sw, th;
+    expect_same_run(
+        run_kernel(ir::KernelKind::kOrderedSearch, sw.env, payload,
+                   Dispatch::kSwitch),
+        run_kernel(ir::KernelKind::kOrderedSearch, th.env, payload,
+                   Dispatch::kThreaded),
+        "ordered_search");
+  }
+  {
+    BfsEnv sw, th;
+    const Bytes seed = bfs_visit_payload(0, 0, ~0ull);
+    expect_same_run(run_kernel(ir::KernelKind::kBfsFrontier, sw.env, seed,
+                               Dispatch::kSwitch),
+                    run_kernel(ir::KernelKind::kBfsFrontier, th.env, seed,
+                               Dispatch::kThreaded),
+                    "bfs_frontier");
+    // cell[1] and cell[2] point at each env's own bitmap and worklist.
+    for (std::size_t w : {0u, 3u, 4u, 5u, 6u, 7u}) {
+      EXPECT_EQ(th.cell[w], sw.cell[w]) << "cell word " << w;
+    }
+    EXPECT_EQ(th.bitmap[0], sw.bitmap[0]);
+    EXPECT_EQ(std::memcmp(th.worklist, sw.worklist, sizeof(sw.worklist)), 0);
+  }
+  {
+    // Chain 5 -> 6 -> 2 (remote) on shard 1 of 2.
+    StubEnv sw, th;
+    std::uint64_t shard_sw[4] = {9, 6, 2, 11};
+    std::uint64_t shard_th[4] = {9, 6, 2, 11};
+    sw.shard = shard_sw;
+    th.shard = shard_th;
+    sw.shard_size = th.shard_size = 4;
+    sw.self_peer = th.self_peer = 1;
+    ByteWriter w;
+    w.u64(5);
+    w.u64(10);
+    const Bytes payload = std::move(w).take();
+    expect_same_run(run_kernel(ir::KernelKind::kChaser, sw, payload,
+                               Dispatch::kSwitch),
+                    run_kernel(ir::KernelKind::kChaser, th, payload,
+                               Dispatch::kThreaded),
+                    "chaser");
+  }
+}
+
 TEST(Interp, RemoteStoreReportsHookStatus) {
   StubEnv env;  // stub remote_write returns -3
   ByteWriter w;
@@ -939,7 +1072,7 @@ TEST(Interp, HllGuardsFireOncePerIteration) {
                     payload.data(), payload.size());
   ASSERT_TRUE(r2.is_ok());
   EXPECT_EQ(env.guards, 0u);
-  EXPECT_LT(r2->ops, r->ops);  // guards cost interpreter ops
+  EXPECT_LT(r2->instrs, r->instrs);  // guards cost interpreter instrs
 }
 
 TEST(Interp, DivisionByZeroTrapsCleanly) {
@@ -1096,7 +1229,7 @@ TEST_F(VmRuntimeTest, PortableIfuncExecutesWithZeroCompiles) {
   EXPECT_EQ(rt_b_->stats().object_links, 0u);
   EXPECT_EQ(rt_b_->stats().portable_loads, 1u);
   EXPECT_EQ(rt_b_->stats().interp_executions, 1u);
-  EXPECT_GT(rt_b_->stats().interp_ops, 0u);
+  EXPECT_GT(rt_b_->stats().interp_instrs, 0u);
 
   // Second send rides the truncated-frame path and the cached program.
   ASSERT_TRUE(rt_a_->send_ifunc(b_, *id, as_span(payload)).is_ok());
@@ -1106,6 +1239,43 @@ TEST_F(VmRuntimeTest, PortableIfuncExecutesWithZeroCompiles) {
   EXPECT_EQ(rt_b_->stats().interp_executions, 2u);
   EXPECT_EQ(rt_b_->stats().frames_sent_truncated, 0u);  // b sent nothing
   EXPECT_EQ(rt_a_->stats().frames_sent_truncated, 1u);
+}
+
+TEST_F(VmRuntimeTest, InterpreterChargesOpNsPerExecutedInstruction) {
+  // The sim charges an interpreted invocation interp_op_ns for every
+  // executed bytecode instruction and nothing else (the lookup and load
+  // charges are pinned to zero here), so the virtual time one cached
+  // invocation takes is exactly interp_op_ns times its instruction count.
+  core::RuntimeOptions options;
+  options.interp_op_ns = 1'000;
+  options.lookup_exec_cost_ns = 0;
+  options.portable_load_cost_ns = 0;
+  rt_b_.reset();
+  auto rt_b2 = create_runtime(b_, options);
+
+  auto lib = core::IfuncLibrary::from_portable_kernel(
+      ir::KernelKind::kTargetSideIncrement);
+  ASSERT_TRUE(lib.is_ok()) << lib.status().to_string();
+  auto id = rt_a_->register_ifunc(std::move(*lib));
+  ASSERT_TRUE(id.is_ok());
+  std::uint64_t counter = 0;
+  rt_b2->set_target_ptr(&counter);
+  Bytes payload{0};
+  ASSERT_TRUE(rt_a_->send_ifunc(b_, *id, as_span(payload)).is_ok());
+  fabric_.run_until_idle();
+  ASSERT_EQ(counter, 1u);
+
+  for (int i = 0; i < 3; ++i) {
+    const auto t0 = fabric_.now();
+    const std::uint64_t instrs0 = rt_b2->stats().interp_instrs;
+    ASSERT_TRUE(rt_a_->send_ifunc(b_, *id, as_span(payload)).is_ok());
+    fabric_.run_until_idle();
+    const std::uint64_t instrs = rt_b2->stats().interp_instrs - instrs0;
+    ASSERT_GT(instrs, 0u);
+    EXPECT_EQ(fabric_.now() - t0, static_cast<std::int64_t>(1'000 * instrs))
+        << "invocation " << i;
+  }
+  EXPECT_EQ(counter, 4u);
 }
 
 TEST_F(VmRuntimeTest, MalformedPortableCodeIsDroppedAsProtocolError) {

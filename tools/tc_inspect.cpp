@@ -11,10 +11,6 @@
 //   tc_inspect disas <file> [triple]     disassemble one archive entry —
 //                                        portable entries print vm mnemonics,
 //                                        bitcode entries print .ll (needs LLVM)
-//   tc_inspect disas <file> --fused      portable entries only: apply the
-//                                        node-local superinstruction pass
-//                                        first and show the fused windows
-//                                        (what the interpreter actually runs)
 //   tc_inspect emit-demo <file>          write the TSI demo archive to a file
 //   tc_inspect emit-vm-demo <file>       write the portable TSI archive
 //   tc_inspect kernels                   list the stock KernelKind catalogue
@@ -42,7 +38,6 @@
 #include "kir/vm_backend.hpp"
 #include "obs/export.hpp"
 #include "vm/bytecode.hpp"
-#include "vm/fuse.hpp"
 #include "vm/lower.hpp"
 
 #if TC_WITH_LLVM
@@ -138,31 +133,18 @@ int cmd_frame(const char* path) {
   return 0;
 }
 
-int disas_portable(const ir::ArchiveEntry& entry, bool fused) {
+int disas_portable(const ir::ArchiveEntry& entry) {
   auto program = vm::Program::deserialize(as_span(entry.code));
   if (!program.is_ok()) {
     std::fprintf(stderr, "bad portable program: %s\n",
                  program.status().to_string().c_str());
     return 1;
   }
-  if (fused) {
-    // What the interpreter actually executes: the wire program after the
-    // node-local superinstruction pass (vm/fuse.hpp). The wire bytes never
-    // carry fused opcodes.
-    vm::FuseStats stats;
-    vm::Program rewritten = vm::fuse_program(*program, &stats);
-    std::printf("superinstructions: %zu windows (%zu ld.cmp.br, "
-                "%zu ld.alu.br, %zu ldi.run) covering %zu of %zu instrs\n",
-                stats.windows(), stats.ld_cmp_br, stats.ld_alu_br,
-                stats.ldi_runs, stats.instrs_covered, program->code().size());
-    std::fputs(vm::disassemble(rewritten).c_str(), stdout);
-    return 0;
-  }
   std::fputs(vm::disassemble(*program).c_str(), stdout);
   return 0;
 }
 
-int cmd_disas(const char* path, const char* triple, bool fused) {
+int cmd_disas(const char* path, const char* triple) {
   auto data = read_file(path);
   if (!data.is_ok()) {
     std::fprintf(stderr, "%s\n", data.status().to_string().c_str());
@@ -182,18 +164,12 @@ int cmd_disas(const char* path, const char* triple, bool fused) {
       std::fprintf(stderr, "%s\n", entry.status().to_string().c_str());
       return 1;
     }
-    return disas_portable(**entry, fused);
+    return disas_portable(**entry);
   }
   if (triple == nullptr && archive->repr() == ir::CodeRepr::kPortable) {
     if (auto entry = archive->select_portable(); entry.is_ok()) {
-      return disas_portable(**entry, fused);
+      return disas_portable(**entry);
     }
-  }
-  if (fused) {
-    std::fprintf(stderr,
-                 "--fused applies only to portable entries (the fusion pass "
-                 "is a bytecode rewrite)\n");
-    return 1;
   }
 #if TC_WITH_LLVM
   const std::string want = triple != nullptr ? triple : ir::host_triple();
@@ -369,7 +345,7 @@ void usage() {
                "       tc_inspect archive <file>\n"
                "       tc_inspect frame <file>\n"
                "       tc_inspect trace <file> [max_traces]\n"
-               "       tc_inspect disas <file> [triple|portable] [--fused]\n"
+               "       tc_inspect disas <file> [triple|portable]\n"
                "       tc_inspect emit-demo <file>\n"
                "       tc_inspect emit-vm-demo <file>\n"
                "       tc_inspect kernels\n"
@@ -393,16 +369,7 @@ int main(int argc, char** argv) {
     return cmd_trace(argv[2], argc >= 4 ? argv[3] : nullptr);
   }
   if (std::strcmp(cmd, "disas") == 0 && argc >= 3) {
-    const char* triple = nullptr;
-    bool fused = false;
-    for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--fused") == 0) {
-        fused = true;
-      } else {
-        triple = argv[i];
-      }
-    }
-    return cmd_disas(argv[2], triple, fused);
+    return cmd_disas(argv[2], argc >= 4 ? argv[3] : nullptr);
   }
   if (std::strcmp(cmd, "emit-demo") == 0 && argc >= 3) {
     return cmd_emit_demo(argv[2]);
