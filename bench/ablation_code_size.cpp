@@ -1,8 +1,8 @@
-// Ablation: how the shipped-code size drives the caching win (DESIGN.md §4,
-// decision 1). Sweeps synthetic archive sizes from 64 B to 64 KiB on each
-// platform's link model and reports cached vs uncached latency and message
-// rate — the crossover behind the paper's "shipping such a large amount of
-// extra data could have a significant negative impact".
+// Ablation: how the shipped-code size drives the caching win. Sweeps
+// synthetic archive sizes from 64 B to 64 KiB on each platform's link model
+// and reports cached vs uncached latency and message rate — the crossover
+// behind the paper's "shipping such a large amount of extra data could have
+// a significant negative impact".
 #include <cstdio>
 
 #include "bench_util.hpp"

@@ -1,7 +1,6 @@
 #include "am/am_runtime.hpp"
 
 #include <chrono>
-#include <cstdlib>
 #include <mutex>
 
 #include "common/log.hpp"
@@ -29,20 +28,6 @@ Bytes encode_am_frame(std::uint16_t index, std::uint32_t origin,
 }
 
 }  // namespace
-
-StatusOr<std::unique_ptr<AmRuntime>> AmRuntime::create(fabric::Fabric& fabric,
-                                                       fabric::NodeId node,
-                                                       Options options) {
-  if (node >= fabric.node_count()) {
-    return invalid_argument("AmRuntime::create: no node " +
-                            std::to_string(node));
-  }
-  auto transport = std::make_unique<fabric::SimTransport>(fabric);
-  fabric::Transport& transport_ref = *transport;
-  TC_ASSIGN_OR_RETURN(auto runtime, create(transport_ref, node, options));
-  runtime->owned_transport_ = std::move(transport);
-  return runtime;
-}
 
 StatusOr<std::unique_ptr<AmRuntime>> AmRuntime::create(
     fabric::Transport& transport, fabric::NodeId node, Options options) {
@@ -84,17 +69,6 @@ void AmRuntime::set_peers(std::vector<fabric::NodeId> peers) {
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     if (peers_[i] == node_) self_peer_ = i;
   }
-}
-
-fabric::Endpoint& AmRuntime::endpoint(fabric::NodeId dst) {
-  auto* sim = dynamic_cast<fabric::SimTransport*>(transport_);
-  if (sim == nullptr) {
-    TC_LOG(kError, "am") << "node " << node_
-                         << ": endpoint() called on the '"
-                         << transport_->name() << "' backend";
-    std::abort();
-  }
-  return sim->endpoint(node_, dst);
 }
 
 Status AmRuntime::send(fabric::NodeId dst, std::uint16_t index,

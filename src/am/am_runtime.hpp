@@ -21,9 +21,7 @@
 
 #include "common/bytes.hpp"
 #include "common/status.hpp"
-#include "fabric/endpoint.hpp"
 #include "fabric/fabric.hpp"
-#include "fabric/sim_transport.hpp"
 #include "fabric/transport.hpp"
 
 namespace tc::am {
@@ -60,11 +58,9 @@ class AmRuntime {
  public:
   using Options = AmOptions;
 
-  /// Attaches to a simulated-fabric node (owns a SimTransport adapter).
-  static StatusOr<std::unique_ptr<AmRuntime>> create(fabric::Fabric& fabric,
-                                                     fabric::NodeId node,
-                                                     Options options = {});
-  /// Attaches to a node of any Transport backend (sim or shm).
+  /// Attaches to a node of any Transport backend (the simulated
+  /// fabric::Fabric, shm or socket). The transport must outlive the
+  /// runtime.
   static StatusOr<std::unique_ptr<AmRuntime>> create(
       fabric::Transport& transport, fabric::NodeId node, Options options = {});
   ~AmRuntime();
@@ -107,16 +103,12 @@ class AmRuntime {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Sim backend only (see Runtime::endpoint).
-  fabric::Endpoint& endpoint(fabric::NodeId dst);
-
  private:
   AmRuntime(fabric::Transport& transport, fabric::NodeId node,
             Options options);
   void on_am(ByteSpan frame, fabric::NodeId source);
 
   fabric::Transport* transport_;
-  std::unique_ptr<fabric::SimTransport> owned_transport_;
   fabric::NodeId node_;
   Options options_;
   /// Guards the handler table; dispatch pins the handler (shared_ptr copy,

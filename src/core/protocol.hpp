@@ -10,8 +10,8 @@ inline constexpr std::uint16_t kFrameMagic = 0x7C43;  // "C|"
 /// First two bytes of a result (X-RDMA ReturnResult) frame.
 inline constexpr std::uint16_t kResultMagic = 0x7C52;  // "R|"
 /// First two bytes of a NACK control frame: "I got a truncated frame for an
-/// ifunc I don't have — resend the code" (cache-miss recovery extension;
-/// DESIGN.md §4). Followed by the u64 ifunc id.
+/// ifunc I don't have — resend the code" (cache-miss recovery extension).
+/// Followed by the u64 ifunc id.
 inline constexpr std::uint16_t kNackMagic = 0x7C4E;  // "N|"
 /// First two bytes of a *batch container* frame: several small ifunc /
 /// result / NACK frames coalesced into one wire message so back-to-back

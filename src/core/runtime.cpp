@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 
 #include "common/hash.hpp"
 #include "common/log.hpp"
@@ -24,21 +23,6 @@ std::uint64_t sent_key(fabric::NodeId peer, std::uint64_t ifunc_id) {
 }
 
 }  // namespace
-
-StatusOr<std::unique_ptr<Runtime>> Runtime::create(fabric::Fabric& fabric,
-                                                   fabric::NodeId node,
-                                                   RuntimeOptions options) {
-  if (node >= fabric.node_count()) {
-    return invalid_argument("Runtime::create: no node " +
-                            std::to_string(node));
-  }
-  auto transport = std::make_unique<fabric::SimTransport>(fabric);
-  auto runtime = std::unique_ptr<Runtime>(
-      new Runtime(*transport, node, std::move(options)));
-  runtime->owned_transport_ = std::move(transport);
-  runtime->attach_notifier();
-  return runtime;
-}
 
 StatusOr<std::unique_ptr<Runtime>> Runtime::create(
     fabric::Transport& transport, fabric::NodeId node,
@@ -87,8 +71,9 @@ Runtime::~Runtime() {
 #endif
   // Like closing a socket with unsent buffers: frames still waiting in a
   // batch are cancelled, not silently lost — each queued completion hears
-  // about it. (Shipping them here would schedule fabric events against
-  // endpoints this destructor is about to free.) Completions are extracted
+  // about it. (Shipping them here would post from whatever thread runs the
+  // destructor, which need not be this node's progress context; see the
+  // threading contract in fabric/transport.hpp.) Completions are extracted
   // under the shard lock and invoked outside it, like every flush path —
   // a callback may re-enter the coalescer.
   std::vector<fabric::CompletionFn> cancelled;
@@ -111,20 +96,6 @@ Runtime::~Runtime() {
   }
 }
 
-fabric::SimTransport* Runtime::sim_transport() {
-  auto* sim = dynamic_cast<fabric::SimTransport*>(transport_);
-  if (sim == nullptr) {
-    // A sim-only accessor (fabric(), endpoint()) on a wall-clock backend is
-    // a programming error; fail loudly even in release builds rather than
-    // returning through a null reference.
-    TC_LOG(kError, "runtime")
-        << "node " << node_ << ": sim-only accessor called on the '"
-        << transport_->name() << "' backend";
-    std::abort();
-  }
-  return sim;
-}
-
 Status Runtime::ensure_engine() {
 #if TC_WITH_LLVM
   if (engine_) return Status::ok();
@@ -135,10 +106,6 @@ Status Runtime::ensure_engine() {
       "this runtime was built without LLVM (TC_WITH_LLVM=OFF); only the "
       "portable interpreter tier can execute ifuncs");
 #endif
-}
-
-fabric::Endpoint& Runtime::endpoint(fabric::NodeId dst) {
-  return sim_transport()->endpoint(node_, dst);
 }
 
 // --- registration -------------------------------------------------------------

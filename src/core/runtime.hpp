@@ -38,9 +38,7 @@
 #include "common/status.hpp"
 #include "core/frame.hpp"
 #include "core/ifunc.hpp"
-#include "fabric/endpoint.hpp"
 #include "fabric/fabric.hpp"
-#include "fabric/sim_transport.hpp"
 #include "fabric/transport.hpp"
 #include "jit/code_cache.hpp"
 #include "obs/metrics.hpp"
@@ -163,14 +161,9 @@ using ResultHandler = std::function<void(ByteSpan, fabric::NodeId)>;
 
 class Runtime {
  public:
-  /// Attaches to a node of the simulated backend: the runtime wraps the
-  /// fabric in its own SimTransport, preserving the historical per-runtime
-  /// endpoint bookkeeping exactly.
-  static StatusOr<std::unique_ptr<Runtime>> create(fabric::Fabric& fabric,
-                                                   fabric::NodeId node,
-                                                   RuntimeOptions options = {});
-  /// Attaches to a node of any Transport backend (sim or shm). The
-  /// transport must outlive the runtime.
+  /// Attaches to a node of any Transport backend (the simulated
+  /// fabric::Fabric, shm or socket). The transport must outlive the
+  /// runtime.
   static StatusOr<std::unique_ptr<Runtime>> create(
       fabric::Transport& transport, fabric::NodeId node,
       RuntimeOptions options = {});
@@ -179,8 +172,6 @@ class Runtime {
   Runtime& operator=(const Runtime&) = delete;
 
   fabric::NodeId node_id() const { return node_; }
-  /// The simulated fabric. Only valid for runtimes on the sim backend.
-  fabric::Fabric& fabric() { return sim_transport()->fabric(); }
   fabric::Transport& transport() { return *transport_; }
 
   // --- registration ---------------------------------------------------------
@@ -302,9 +293,6 @@ class Runtime {
     return total;
   }
   const jit::CodeCache& cache() const { return cache_; }
-  /// The (this node, dst) endpoint. Sim backend only — the shm backend has
-  /// no per-pair endpoint objects; use transport().post_* there.
-  fabric::Endpoint& endpoint(fabric::NodeId dst);
 
   /// Last measured compile stats (for the overhead-breakdown benches).
   const jit::CompileStats& last_compile_stats() const {
@@ -353,8 +341,6 @@ class Runtime {
   Runtime(fabric::Transport& transport, fabric::NodeId node,
           RuntimeOptions options);
   void attach_notifier();
-  /// Downcast to the sim backend; fails loudly elsewhere.
-  fabric::SimTransport* sim_transport();
 
   Status ensure_engine();
   StatusOr<Registered*> find_registered(std::uint64_t ifunc_id);
@@ -423,8 +409,6 @@ class Runtime {
   void record_batch_flush(std::int64_t first_queued_ns);
 
   fabric::Transport* transport_;
-  /// Set when this runtime was created from a Fabric& (owns its adapter).
-  std::unique_ptr<fabric::SimTransport> owned_transport_;
   fabric::NodeId node_;
   RuntimeOptions options_;
 

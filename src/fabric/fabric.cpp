@@ -1,6 +1,8 @@
 #include "fabric/fabric.hpp"
 
 #include <cassert>
+#include <cstring>
+#include <string>
 #include <utility>
 
 #include "common/log.hpp"
@@ -104,6 +106,129 @@ VirtTime Fabric::reserve_injection_batch(NodeId src, NodeId dst,
   const VirtTime start = busy > now_ ? busy : now_;
   busy = start + model.batch_occupancy_ns(bytes, fragments, cls);
   return start;
+}
+
+void Fabric::sync_to_compute_horizon(NodeId node_id) {
+  const VirtTime busy = node(node_id).busy_until;
+  if (busy > now_) schedule_at(busy, [] {});
+}
+
+void Fabric::post_send(NodeId src, NodeId dst, ByteSpan data,
+                       std::size_t fragments, CompletionFn on_complete) {
+  ++stats_.sends;
+  stats_.bytes_on_wire += data.size();
+
+  Bytes copy(data.begin(), data.end());
+  const VirtTime start =
+      reserve_injection_batch(src, dst, data.size(), fragments);
+  const VirtTime arrival = start + link(src, dst).transmit_ns(copy.size());
+  schedule_at(arrival, [this, src, dst, copy = std::move(copy),
+                        cb = std::move(on_complete)]() mutable {
+    node(dst).worker.deliver_message(std::move(copy), src);
+    if (cb) cb(Status::ok());
+  });
+}
+
+void Fabric::post_am(NodeId src, NodeId dst, AmId id, ByteSpan payload,
+                     CompletionFn on_complete) {
+  ++stats_.ams;
+  stats_.bytes_on_wire += payload.size();
+
+  Bytes copy(payload.begin(), payload.end());
+  const VirtTime start =
+      reserve_injection(src, dst, payload.size(), OpClass::kAm);
+  const VirtTime arrival = start + link(src, dst).transmit_ns(copy.size());
+  schedule_at(arrival, [this, id, src, dst, copy = std::move(copy),
+                        cb = std::move(on_complete)]() mutable {
+    // Handler execution serializes with other compute on the target node.
+    execute_on(dst, /*cost_ns=*/0,
+               [this, id, src, dst, copy = std::move(copy),
+                cb = std::move(cb)]() mutable {
+                 Status st = node(dst).worker.deliver_am(id, std::move(copy),
+                                                         src);
+                 if (cb) cb(st);
+               });
+  });
+}
+
+void Fabric::post_put(NodeId src, const RemoteAddr& dst, ByteSpan data,
+                      CompletionFn on_complete) {
+  ++stats_.puts;
+  stats_.bytes_on_wire += data.size();
+
+  Bytes copy(data.begin(), data.end());
+  const VirtTime start = reserve_injection(src, dst.node, data.size());
+  const VirtTime arrival =
+      start + link(src, dst.node).transmit_ns(copy.size());
+  schedule_at(arrival, [this, dst, copy = std::move(copy),
+                        cb = std::move(on_complete)]() mutable {
+    auto target =
+        node(dst.node).memory.translate(dst.rkey, dst.offset, copy.size());
+    if (!target.is_ok()) {
+      if (cb) cb(target.status());
+      return;
+    }
+    std::memcpy(*target, copy.data(), copy.size());
+    if (cb) cb(Status::ok());
+  });
+}
+
+void Fabric::post_get(NodeId src, const RemoteAddr& addr, std::size_t length,
+                      GetCompletionFn on_complete) {
+  ++stats_.gets;
+  stats_.bytes_on_wire += length;
+
+  const VirtTime start = reserve_injection(src, addr.node, 0);
+  const VirtTime delay = link(src, addr.node).round_trip_ns(length);
+  schedule_at(start + delay, [this, addr, length,
+                              cb = std::move(on_complete)]() mutable {
+    auto source = node(addr.node).memory.translate(addr.rkey, addr.offset,
+                                                   length);
+    if (!source.is_ok()) {
+      if (cb) cb(source.status());
+      return;
+    }
+    Bytes out(*source, *source + length);
+    if (cb) cb(std::move(out));
+  });
+}
+
+StatusOr<MemRegion> Fabric::register_window(NodeId node_id, void* base,
+                                            std::size_t length) {
+  return node(node_id).memory.register_memory(base, length);
+}
+
+Status Fabric::expose_segment(NodeId node_id, void* base, std::size_t length) {
+  Node& n = node(node_id);
+  if (n.exposed_segment.has_value()) {
+    return already_exists("node " + std::to_string(node_id) +
+                          " already exposes a segment");
+  }
+  TC_ASSIGN_OR_RETURN(MemRegion region, n.memory.register_memory(base, length));
+  n.exposed_segment = region;
+  return Status::ok();
+}
+
+std::optional<MemRegion> Fabric::exposed_segment(NodeId node_id) const {
+  return node(node_id).exposed_segment;
+}
+
+Status Fabric::register_am_handler(NodeId node_id, AmId id,
+                                   AmHandler handler) {
+  return node(node_id).worker.register_am(id, std::move(handler));
+}
+
+Status Fabric::unregister_am_handler(NodeId node_id, AmId id) {
+  return node(node_id).worker.unregister_am(id);
+}
+
+std::optional<ReceivedMessage> Fabric::try_recv(NodeId node_id) {
+  return node(node_id).worker.try_recv();
+}
+
+void Fabric::set_delivery_notifier(NodeId node_id,
+                                   std::function<void()> notify) {
+  node(node_id).worker.set_delivery_notifier(std::move(notify));
 }
 
 bool Fabric::step() {

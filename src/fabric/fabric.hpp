@@ -1,7 +1,9 @@
 // The simulated interconnect: a deterministic, single-threaded discrete-event
-// engine carrying the traffic of a virtual heterogeneous cluster.
+// engine carrying the traffic of a virtual heterogeneous cluster. It is the
+// simulated fabric::Transport backend: runtimes attach to it directly, like
+// any other backend, and every message in flight is an event it owns.
 //
-// Design notes (see DESIGN.md §1):
+// Design notes:
 //  * Determinism first. Events fire in (time, sequence) order; equal
 //    timestamps resolve by insertion order, so every test and benchmark is
 //    exactly reproducible.
@@ -26,6 +28,7 @@
 #include "common/status.hpp"
 #include "fabric/link_model.hpp"
 #include "fabric/memory.hpp"
+#include "fabric/transport.hpp"
 #include "fabric/worker.hpp"
 
 namespace tc::fabric {
@@ -46,17 +49,13 @@ struct Node {
   std::optional<MemRegion> exposed_segment;
 };
 
-class Fabric {
+class Fabric final : public Transport {
  public:
   static constexpr std::size_t kDefaultMaxEvents = 100'000'000;
 
-  Fabric() = default;
-  Fabric(const Fabric&) = delete;
-  Fabric& operator=(const Fabric&) = delete;
-
   // --- topology -------------------------------------------------------------
   NodeId add_node(std::string name, double compute_scale = 1.0);
-  std::size_t node_count() const { return nodes_.size(); }
+  std::size_t node_count() const override { return nodes_.size(); }
   Node& node(NodeId id);
   const Node& node(NodeId id) const;
 
@@ -67,10 +66,16 @@ class Fabric {
 
   // --- virtual time ----------------------------------------------------------
   VirtTime now() const { return now_; }
+  std::int64_t now_ns() const override { return now_; }
 
   void schedule_at(VirtTime t, std::function<void()> fn);
   void schedule_after(std::int64_t delay_ns, std::function<void()> fn) {
     schedule_at(now_ + delay_ns, std::move(fn));
+  }
+  /// The event queue is global: `node` does not matter.
+  void schedule_after(NodeId /*node*/, std::int64_t delay_ns,
+                      std::function<void()> fn) override {
+    schedule_after(delay_ns, std::move(fn));
   }
 
   /// Runs `fn` on `node` as soon as the node is free, charging compute to
@@ -78,13 +83,13 @@ class Fabric {
   /// (host-measured durations retargeted to the modeled PE); without it the
   /// charge is raw (calibrated per-platform constants).
   void execute_on(NodeId node, std::int64_t cost_ns, std::function<void()> fn,
-                  bool scale_cost = true);
+                  bool scale_cost = true) override;
 
   /// Charges compute time to `node` from *inside* a currently running
   /// handler (e.g. after measuring how long a JIT compile really took).
   /// scale_cost as in execute_on.
   void consume_compute(NodeId node, std::int64_t cost_ns,
-                       bool scale_cost = true);
+                       bool scale_cost = true) override;
 
   /// execute_on's re-queue step: runs `fn` once the node goes idle,
   /// rescheduling itself at busy_until while it is not.
@@ -106,6 +111,45 @@ class Fabric {
                                    std::size_t fragments,
                                    OpClass cls = OpClass::kSend);
 
+  /// Schedules an idle event at the end of `node`'s charged compute.
+  void sync_to_compute_horizon(NodeId node) override;
+
+  // --- Transport identity ---------------------------------------------------
+  const char* name() const override { return "sim"; }
+  bool deterministic() const override { return true; }
+
+  // --- data plane -----------------------------------------------------------
+  // Each verb copies its bytes, reserves the src→dst injection channel and
+  // schedules delivery at the modeled arrival time. The delivery events
+  // capture only this Fabric, so a sender may go away while its messages
+  // are still on the wire. Completions fire at arrival.
+
+  /// Two-sided send into `dst`'s receive queue. `fragments` > 1 charges
+  /// the injection channel for a coalesced message (one per-message gap
+  /// plus the link's per-item batch cost per extra fragment).
+  void post_send(NodeId src, NodeId dst, ByteSpan data, std::size_t fragments,
+                 CompletionFn on_complete) override;
+  /// Active message; the handler runs on `dst` once it is free.
+  void post_am(NodeId src, NodeId dst, AmId id, ByteSpan payload,
+               CompletionFn on_complete) override;
+  /// One-sided write into the registered memory `dst` names.
+  void post_put(NodeId src, const RemoteAddr& dst, ByteSpan data,
+                CompletionFn on_complete) override;
+  /// One-sided read; completes after a full round trip.
+  void post_get(NodeId src, const RemoteAddr& addr, std::size_t length,
+                GetCompletionFn on_complete) override;
+
+  // --- registered memory, receive queues, AM tables (per Node) --------------
+  StatusOr<MemRegion> register_window(NodeId node, void* base,
+                                      std::size_t length) override;
+  Status expose_segment(NodeId node, void* base, std::size_t length) override;
+  std::optional<MemRegion> exposed_segment(NodeId node) const override;
+  Status register_am_handler(NodeId node, AmId id, AmHandler handler) override;
+  Status unregister_am_handler(NodeId node, AmId id) override;
+  std::optional<ReceivedMessage> try_recv(NodeId node) override;
+  void set_delivery_notifier(NodeId node,
+                             std::function<void()> notify) override;
+
   // --- progress ---------------------------------------------------------------
   /// Processes the next event. Returns false when the queue is empty.
   bool step();
@@ -115,6 +159,12 @@ class Fabric {
   /// budget is spent and kFailedPrecondition if the fabric idles first.
   Status run_until(const std::function<bool()>& pred,
                    std::size_t max_events = kDefaultMaxEvents);
+  /// One event queue drives every node: `node` does not matter.
+  bool progress(NodeId /*node*/) override { return step(); }
+  Status run_until(NodeId /*node*/,
+                   const std::function<bool()>& pred) override {
+    return run_until(pred);
+  }
 
   struct Stats {
     std::uint64_t events = 0;
@@ -125,7 +175,6 @@ class Fabric {
     std::uint64_t bytes_on_wire = 0;
   };
   const Stats& stats() const { return stats_; }
-  Stats& mutable_stats() { return stats_; }
   void reset_stats() { stats_ = {}; }
 
  private:

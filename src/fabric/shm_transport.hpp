@@ -1,6 +1,6 @@
 // ShmTransport: the real-threads shared-memory backend.
 //
-// Where SimTransport models an RDMA fabric in virtual time, ShmTransport
+// Where fabric::Fabric models an RDMA fabric in virtual time, ShmTransport
 // *is* one, scaled down to a single machine: every node is a real progress
 // context (typically its own OS thread), every directed link is a
 // lock-free SPSC ring of wire operations, and registered-memory windows

@@ -2,16 +2,20 @@
 //
 // Everything above the fabric layer (core::Runtime, am::AmRuntime, the
 // X-RDMA miniapps) speaks this interface, so the same protocol code runs
-// over either backend:
+// over any of three backends:
 //
-//  * SimTransport — the original deterministic single-threaded
-//    discrete-event engine (fabric::Fabric) with calibrated virtual-time
-//    models. Every paper figure/table is measured here; bit-for-bit
-//    reproducible.
+//  * Fabric (fabric.hpp) — the deterministic single-threaded discrete-event
+//    engine with calibrated virtual-time models. Every paper figure/table
+//    is measured here; bit-for-bit reproducible.
 //  * ShmTransport — real OS threads: one progress context per node,
 //    lock-free SPSC rings per directed link, registered-memory windows in
 //    a shared in-process arena. No time model — wall-clock measurements on
 //    the hardware we actually have.
+//  * SocketTransport — real kernel sockets: every verb crosses a
+//    length-prefixed wire codec, between threads of one process
+//    (socketpair mesh) or between separate OS processes.
+//
+// FaultyTransport decorates any of them with injected faults.
 //
 // Threading contract: every node has exactly one *progress context* — the
 // thread currently driving progress(node) / run_until(node, ...). All
@@ -19,7 +23,8 @@
 // progress context, and all completion callbacks, AM handlers and delivery
 // notifiers for a node fire on that node's progress context. The simulated
 // backend trivially satisfies this (one thread drives everything); the shm
-// backend relies on it to keep its rings single-producer/single-consumer.
+// backend relies on it to keep its rings single-producer/single-consumer,
+// and the socket backend to touch each link from one context only.
 #pragma once
 
 #include <cstddef>
@@ -108,7 +113,8 @@ class Transport {
                                      std::function<void()> notify) = 0;
 
   // --- time & modeled compute -----------------------------------------------
-  /// Virtual nanoseconds (sim) or monotonic wall-clock nanoseconds (shm).
+  /// Virtual nanoseconds (sim) or monotonic wall-clock nanoseconds (shm,
+  /// socket).
   virtual std::int64_t now_ns() const = 0;
   /// Charges modeled compute to `node`. Wall-clock backends ignore this —
   /// real work already takes real time.

@@ -119,49 +119,46 @@ StatusOr<std::unique_ptr<Cluster>> Cluster::create(
   if (config.backend == Backend::kSim) {
     cluster->fabric_.set_default_link(profile.link);
     for (std::size_t i = 0; i < config.client_count; ++i) {
-      cluster->clients_.push_back(cluster->fabric_.add_node(
+      cluster->fabric_.add_node(
           config.client_count == 1 ? "client" : "client" + std::to_string(i),
-          profile.client_compute_scale));
+          profile.client_compute_scale);
     }
     for (std::size_t i = 0; i < config.server_count; ++i) {
-      cluster->servers_.push_back(cluster->fabric_.add_node(
-          "server" + std::to_string(i), profile.server_compute_scale));
+      cluster->fabric_.add_node("server" + std::to_string(i),
+                                profile.server_compute_scale);
     }
-    cluster->sim_ = std::make_unique<fabric::SimTransport>(cluster->fabric_);
-    cluster->transport_ = cluster->sim_.get();
+    cluster->transport_ = &cluster->fabric_;
+  } else if (config.backend == Backend::kShm) {
+    fabric::ShmTransportOptions shm_options;
+    if (config.shm_run_until_timeout_ms >= 0) {
+      shm_options.run_until_timeout_ms = config.shm_run_until_timeout_ms;
+    }
+    cluster->shm_ =
+        std::make_unique<fabric::ShmTransport>(node_count, shm_options);
+    cluster->transport_ = cluster->shm_.get();
   } else {
-    if (config.backend == Backend::kShm) {
-      fabric::ShmTransportOptions shm_options;
-      if (config.shm_run_until_timeout_ms >= 0) {
-        shm_options.run_until_timeout_ms = config.shm_run_until_timeout_ms;
-      }
-      cluster->shm_ =
-          std::make_unique<fabric::ShmTransport>(node_count, shm_options);
-      cluster->transport_ = cluster->shm_.get();
-    } else {
-      fabric::SocketTransportOptions socket_options;
-      if (config.shm_run_until_timeout_ms >= 0) {
-        socket_options.run_until_timeout_ms = config.shm_run_until_timeout_ms;
-      }
-      auto socket_or = fabric::SocketTransport::create_threaded(
-          node_count, socket_options);
-      if (!socket_or.is_ok()) return socket_or.status();
-      cluster->socket_ = std::move(*socket_or);
-      cluster->transport_ = cluster->socket_.get();
+    fabric::SocketTransportOptions socket_options;
+    if (config.shm_run_until_timeout_ms >= 0) {
+      socket_options.run_until_timeout_ms = config.shm_run_until_timeout_ms;
     }
-    for (std::size_t i = 0; i < config.client_count; ++i) {
-      cluster->clients_.push_back(static_cast<fabric::NodeId>(i));
-    }
-    for (std::size_t i = 0; i < config.server_count; ++i) {
-      cluster->servers_.push_back(
-          static_cast<fabric::NodeId>(config.client_count + i));
-    }
+    auto socket_or = fabric::SocketTransport::create_threaded(
+        node_count, socket_options);
+    if (!socket_or.is_ok()) return socket_or.status();
+    cluster->socket_ = std::move(*socket_or);
+    cluster->transport_ = cluster->socket_.get();
+  }
+  for (std::size_t i = 0; i < config.client_count; ++i) {
+    cluster->clients_.push_back(static_cast<fabric::NodeId>(i));
+  }
+  for (std::size_t i = 0; i < config.server_count; ++i) {
+    cluster->servers_.push_back(
+        static_cast<fabric::NodeId>(config.client_count + i));
   }
 
   if (config.faults.enabled()) {
     // Chaos mode: the shim decorates whichever backend was just built, and
-    // every runtime (sim included) attaches through it so all frame
-    // traffic crosses the lossy layer.
+    // every runtime attaches through it so all frame traffic crosses the
+    // lossy layer.
     cluster->faulty_ = std::make_unique<fabric::FaultyTransport>(
         *cluster->transport_, config.faults, config.tracer, config.metrics);
     cluster->transport_ = cluster->faulty_.get();
@@ -190,24 +187,15 @@ StatusOr<std::unique_ptr<Cluster>> Cluster::create(
 
   for (fabric::NodeId node = 0; node < node_count; ++node) {
     if (config.with_ifunc_runtimes) {
-      // Sim runtimes attach to the fabric directly (each owns its
-      // SimTransport adapter, the historical per-runtime endpoint layout);
-      // shm runtimes — and every runtime under fault injection — share the
-      // cluster's transport so frames cross the shim.
       auto runtime_or =
-          config.backend == Backend::kSim && cluster->faulty_ == nullptr
-              ? core::Runtime::create(cluster->fabric_, node, runtime_options)
-              : core::Runtime::create(*cluster->transport_, node,
-                                      runtime_options);
+          core::Runtime::create(*cluster->transport_, node, runtime_options);
       if (!runtime_or.is_ok()) return runtime_or.status();
       (*runtime_or)->set_peers(cluster->servers_);
       cluster->runtimes_.push_back(std::move(*runtime_or));
     }
     if (config.with_am_runtimes) {
       auto am_or =
-          config.backend == Backend::kSim && cluster->faulty_ == nullptr
-              ? am::AmRuntime::create(cluster->fabric_, node, am_options)
-              : am::AmRuntime::create(*cluster->transport_, node, am_options);
+          am::AmRuntime::create(*cluster->transport_, node, am_options);
       if (!am_or.is_ok()) return am_or.status();
       (*am_or)->set_peers(cluster->servers_);
       cluster->am_runtimes_.push_back(std::move(*am_or));

@@ -2,13 +2,14 @@
 // plus N server nodes (hosts or DPUs, per the platform profile) with
 // Three-Chains and Active-Message runtimes attached.
 //
-// Two interchangeable fabric backends (see fabric/transport.hpp):
+// Three interchangeable fabric backends (see fabric/transport.hpp); every
+// runtime attaches to the chosen one through fabric::Transport:
 //
 //  * Backend::kSim (default) — the deterministic discrete-event fabric with
 //    the profile's calibrated wire/compute timings. This is the substitute
-//    for the paper's physical Ookami and Thor clusters (DESIGN.md §1): the
-//    topology, runtimes and protocols are real; only the timings come from
-//    profiles. Bit-for-bit reproducible.
+//    for the paper's physical Ookami and Thor clusters: the topology,
+//    runtimes and protocols are real; only the timings come from profiles.
+//    Bit-for-bit reproducible.
 //  * Backend::kShm — the real-threads shared-memory transport: every server
 //    node gets a dedicated progress thread, initiator nodes are driven by
 //    the application's own threads, and measurements are wall-clock. The
@@ -32,7 +33,6 @@
 #include "fabric/fabric.hpp"
 #include "fabric/faulty_transport.hpp"
 #include "fabric/shm_transport.hpp"
-#include "fabric/sim_transport.hpp"
 #include "fabric/socket_transport.hpp"
 #include "hetsim/profiles.hpp"
 #include "obs/metrics.hpp"
@@ -61,9 +61,8 @@ struct ClusterConfig {
   obs::Tracer* tracer = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
   /// Fault injection (chaos testing): when faults.enabled(), the backend
-  /// transport is wrapped in a fabric::FaultyTransport and every runtime —
-  /// including sim runtimes, which otherwise own per-runtime adapters —
-  /// attaches through the shared shim. Disabled by default: nothing is
+  /// transport is wrapped in a fabric::FaultyTransport and every runtime
+  /// attaches through the shim instead. Disabled by default: nothing is
   /// wrapped and the wire behaviour is byte-identical to earlier builds.
   fabric::FaultConfig faults;
   /// Wire-send retry budget forwarded to every runtime (see
@@ -137,7 +136,6 @@ class Cluster {
   // after them; the shm progress threads are stopped explicitly in the
   // destructor before any runtime goes away.
   fabric::Fabric fabric_;
-  std::unique_ptr<fabric::SimTransport> sim_;
   std::unique_ptr<fabric::ShmTransport> shm_;
   std::unique_ptr<fabric::SocketTransport> socket_;
   std::unique_ptr<fabric::FaultyTransport> faulty_;

@@ -4,7 +4,7 @@
 // that IR as ifuncs; the observed cost signature is "same workflow, IR with
 // extra dynamic-language overhead" (Fig. 8/12), plus a second mode where a
 // Julia *client* drives ifuncs whose IR came from C ("excellent
-// performance"). There is no Julia in this environment (DESIGN.md §1), so
+// performance"). There is no Julia toolchain in this build, so
 // this module reproduces exactly that distinction:
 //
 //  * build_library(kind)                — kernels emitted with per-iteration

@@ -6,7 +6,7 @@
 // IR generator: each kernel below is constructed directly with IRBuilder,
 // once per target triple, and packed into a fat-bitcode archive. The shipped
 // artifact — per-ISA bitcode + deps manifest — is identical in kind to the
-// paper's (DESIGN.md §1).
+// paper's.
 //
 // Every kernel implements the entry ABI in ir/abi.hpp and interacts with the
 // target node only through the tc_ctx_* hooks.

@@ -1,7 +1,7 @@
 // Ahead-of-time compilation of ifunc bitcode to relocatable objects — the
-// *binary* code representation (paper §III-B reimplemented on LLVM, see
-// DESIGN.md §1): machine code is produced at the source, shipped, and only
-// *linked* on the target, skipping the JIT compile entirely.
+// *binary* code representation (paper §III-B reimplemented on LLVM):
+// machine code is produced at the source, shipped, and only *linked* on the
+// target, skipping the JIT compile entirely.
 //
 // Because LLVM is natively a cross-compiler, objects can be produced for any
 // registered target (e.g. AArch64 objects from an x86_64 source node), which

@@ -124,6 +124,28 @@ TEST_F(AmTest, HandlerMayMutatePayloadAndResend) {
   ASSERT_TRUE(fabric_.run_until([&] { return done; }).is_ok());
 }
 
+TEST_F(AmTest, SenderDestroyedWithAmOnTheWire) {
+  // The message belongs to the fabric once it is posted: destroying the
+  // sending runtime before it lands must neither lose it nor leave an
+  // in-flight event pointing into the destroyed sender.
+  std::uint64_t counter = 0;
+  rt_b_->set_target_ptr(&counter);
+  auto increment = [](AmContext& ctx, std::uint8_t*, std::uint64_t) {
+    ++*static_cast<std::uint64_t*>(ctx.target_ptr);
+  };
+  auto idx = rt_a_->register_handler(increment);
+  ASSERT_TRUE(idx.is_ok());
+  ASSERT_TRUE(rt_b_->register_handler(increment).is_ok());
+
+  Bytes payload{0};
+  ASSERT_TRUE(rt_a_->send(b_, *idx, as_span(payload)).is_ok());
+  rt_a_.reset();
+  fabric_.run_until_idle();
+  EXPECT_EQ(counter, 1u);
+  EXPECT_EQ(rt_b_->stats().executed, 1u);
+  EXPECT_EQ(rt_b_->stats().errors, 0u);
+}
+
 TEST_F(AmTest, ExecCostChargedToNode) {
   rt_b_.reset();
   AmOptions options;
@@ -143,9 +165,9 @@ TEST_F(AmTest, ExecCostChargedToNode) {
 }
 
 TEST_F(AmTest, MalformedFrameCounted) {
-  fabric::Endpoint raw(fabric_, a_, b_);
   Bytes junk{0x00, 0x11, 0x22};
-  fabric_.schedule_at(0, [&] { raw.am(kAmChannel, as_span(junk), {}); });
+  fabric_.schedule_at(
+      0, [&] { fabric_.post_am(a_, b_, kAmChannel, as_span(junk), {}); });
   fabric_.run_until_idle();
   EXPECT_EQ(rt_b_->stats().errors, 1u);
 }

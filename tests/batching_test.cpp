@@ -132,7 +132,7 @@ TEST(RuntimeBatching, CoalescesBackToBackSends) {
   EXPECT_EQ(pair.sender->stats().batches_sent, 2u);
   EXPECT_EQ(pair.sender->stats().frames_coalesced, 8u);
   EXPECT_EQ(pair.sender->stats().batch_full_flushes, 2u);
-  EXPECT_EQ(pair.sender->endpoint(pair.dst).stats().sends, 2u);
+  EXPECT_EQ(pair.fabric.stats().sends, 2u);
   EXPECT_EQ(pair.receiver->stats().batches_received, 2u);
   EXPECT_EQ(pair.receiver->stats().frames_received, 8u);
   EXPECT_EQ(pair.receiver->stats().frames_executed, 8u);
@@ -186,8 +186,30 @@ TEST(RuntimeBatching, DisabledBatchingLeavesWireUnchanged) {
   }
   ASSERT_TRUE(pair.fabric.run_until([&] { return counter == 4; }).is_ok());
   EXPECT_EQ(pair.sender->stats().batches_sent, 0u);
-  EXPECT_EQ(pair.sender->endpoint(pair.dst).stats().sends, 4u);
+  EXPECT_EQ(pair.fabric.stats().sends, 4u);
   EXPECT_EQ(pair.receiver->stats().frames_received, 4u);
+}
+
+TEST(RuntimeBatching, SenderDestroyedWithFrameOnTheWire) {
+  // A posted frame belongs to the fabric: destroying the sending runtime
+  // before it lands must neither lose it nor leave an in-flight event
+  // pointing into the destroyed sender.
+  BatchPair pair(BatchOptions{});
+  auto id = register_portable(*pair.sender,
+                              ir::KernelKind::kTargetSideIncrement);
+  ASSERT_TRUE(id.is_ok());
+  std::uint64_t counter = 0;
+  pair.receiver->set_target_ptr(&counter);
+
+  Bytes payload{0};
+  ASSERT_TRUE(
+      pair.sender->send_ifunc(pair.dst, *id, as_span(payload)).is_ok());
+  pair.sender.reset();
+  pair.fabric.run_until_idle();
+  EXPECT_EQ(counter, 1u);
+  EXPECT_EQ(pair.receiver->stats().frames_received, 1u);
+  EXPECT_EQ(pair.receiver->stats().frames_executed, 1u);
+  EXPECT_EQ(pair.receiver->stats().protocol_errors, 0u);
 }
 
 // --- NACK recovery across a batched window -----------------------------------

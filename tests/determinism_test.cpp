@@ -126,12 +126,11 @@ TEST_P(FuzzFramesP, RandomGarbageNeverExecutesOrCrashes) {
   ASSERT_TRUE(rt_b.is_ok());
 
   Xoshiro256 rng(GetParam());
-  fabric::Endpoint raw(fabric, a, b);
   for (int i = 0; i < 50; ++i) {
     Bytes junk(rng.below(200) + 1);
     for (auto& byte : junk) byte = static_cast<std::uint8_t>(rng());
-    fabric.schedule_at(fabric.now(), [&raw, junk] {
-      raw.send(as_span(junk), {});
+    fabric.schedule_at(fabric.now(), [&fabric, a, b, junk] {
+      fabric.post_send(a, b, as_span(junk), 1, {});
     });
     fabric.run_until_idle();
   }
@@ -170,7 +169,6 @@ TEST(FuzzFrames, MutatedValidFrameNeverExecutesWrongCode) {
   ASSERT_TRUE(frame.is_ok());
   const Bytes pristine(frame->full_view().begin(), frame->full_view().end());
 
-  fabric::Endpoint raw(fabric, a, b);
   // Sample offsets across the frame (every 97th byte + all header bytes).
   std::vector<std::size_t> offsets;
   for (std::size_t i = 0; i < core::kHeaderSize; ++i) offsets.push_back(i);
@@ -181,8 +179,8 @@ TEST(FuzzFrames, MutatedValidFrameNeverExecutesWrongCode) {
     Bytes mutated = pristine;
     mutated[offset] ^= 0x5a;
     const std::uint64_t before = counter;
-    fabric.schedule_at(fabric.now(), [&raw, mutated] {
-      raw.send(as_span(mutated), {});
+    fabric.schedule_at(fabric.now(), [&fabric, a, b, mutated] {
+      fabric.post_send(a, b, as_span(mutated), 1, {});
     });
     fabric.run_until_idle();
     // Either dropped (counter unchanged) or executed the intact TSI

@@ -1,8 +1,8 @@
 // Tests for the simulated RDMA fabric: memory registration, link timing
-// models, the discrete-event engine, and the endpoint primitives.
+// models, the discrete-event engine, and the verbs it carries as the
+// simulated Transport.
 #include <gtest/gtest.h>
 
-#include "fabric/endpoint.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/link_model.hpp"
 #include "fabric/memory.hpp"
@@ -248,7 +248,7 @@ TEST(Worker, RecvQueueFifo) {
   EXPECT_FALSE(worker.try_recv().has_value());
 }
 
-// --- Endpoint primitives ------------------------------------------------------------
+// --- Verbs between a pair of nodes (a UCX endpoint's traffic) ---------------
 
 class EndpointTest : public ::testing::Test {
  protected:
@@ -266,12 +266,12 @@ TEST_F(EndpointTest, PutWritesRemoteMemoryAfterWireTime) {
   auto region = fabric_.node(b_).memory.register_memory(&remote_value, 8);
   ASSERT_TRUE(region.is_ok());
 
-  Endpoint ep(fabric_, a_, b_);
   std::uint64_t payload = 0x1122334455667788ull;
   ByteSpan data(reinterpret_cast<const std::uint8_t*>(&payload), 8);
   Status completion = internal_error("not called");
   fabric_.schedule_at(0, [&] {
-    ep.put(data, region->remote_addr(b_), [&](Status s) { completion = s; });
+    fabric_.post_put(a_, region->remote_addr(b_), data,
+                     [&](Status s) { completion = s; });
   });
   fabric_.run_until_idle();
   EXPECT_TRUE(completion.is_ok());
@@ -283,27 +283,14 @@ TEST_F(EndpointTest, PutOutOfBoundsFaults) {
   std::uint8_t buf[4];
   auto region = fabric_.node(b_).memory.register_memory(buf, 4);
   ASSERT_TRUE(region.is_ok());
-  Endpoint ep(fabric_, a_, b_);
   Bytes big(16, 0xff);
   Status completion;
   fabric_.schedule_at(0, [&] {
-    ep.put(as_span(big), region->remote_addr(b_),
-           [&](Status s) { completion = s; });
+    fabric_.post_put(a_, region->remote_addr(b_), as_span(big),
+                     [&](Status s) { completion = s; });
   });
   fabric_.run_until_idle();
   EXPECT_EQ(completion.code(), ErrorCode::kOutOfRange);
-}
-
-TEST_F(EndpointTest, PutToWrongNodeRejected) {
-  Endpoint ep(fabric_, a_, b_);
-  RemoteAddr wrong{a_, 1, 0};
-  Status completion;
-  Bytes data{1};
-  fabric_.schedule_at(0, [&] {
-    ep.put(as_span(data), wrong, [&](Status s) { completion = s; });
-  });
-  fabric_.run_until_idle();
-  EXPECT_EQ(completion.code(), ErrorCode::kInvalidArgument);
 }
 
 TEST_F(EndpointTest, GetReadsRemoteMemoryRoundTrip) {
@@ -311,13 +298,13 @@ TEST_F(EndpointTest, GetReadsRemoteMemoryRoundTrip) {
   auto region = fabric_.node(b_).memory.register_memory(&remote_value, 8);
   ASSERT_TRUE(region.is_ok());
 
-  Endpoint ep(fabric_, a_, b_);
   std::uint64_t got = 0;
   fabric_.schedule_at(0, [&] {
-    ep.get(region->remote_addr(b_), 8, [&](StatusOr<Bytes> data) {
-      ASSERT_TRUE(data.is_ok());
-      std::memcpy(&got, data->data(), 8);
-    });
+    fabric_.post_get(a_, region->remote_addr(b_), 8,
+                     [&](StatusOr<Bytes> data) {
+                       ASSERT_TRUE(data.is_ok());
+                       std::memcpy(&got, data->data(), 8);
+                     });
   });
   fabric_.run_until_idle();
   EXPECT_EQ(got, 0xABCDEFull);
@@ -334,29 +321,29 @@ TEST_F(EndpointTest, AmInvokesRemoteHandler) {
                                  seen_from = src;
                                })
                   .is_ok());
-  Endpoint ep(fabric_, a_, b_);
   Bytes payload{9, 8, 7};
-  fabric_.schedule_at(0, [&] { ep.am(7, as_span(payload), {}); });
+  fabric_.schedule_at(0,
+                      [&] { fabric_.post_am(a_, b_, 7, as_span(payload), {}); });
   fabric_.run_until_idle();
   EXPECT_EQ(seen_from, a_);
   EXPECT_EQ(seen_payload, payload);
 }
 
 TEST_F(EndpointTest, AmToUnregisteredHandlerReportsError) {
-  Endpoint ep(fabric_, a_, b_);
   Status completion;
   Bytes payload{1};
   fabric_.schedule_at(0, [&] {
-    ep.am(42, as_span(payload), [&](Status s) { completion = s; });
+    fabric_.post_am(a_, b_, 42, as_span(payload),
+                    [&](Status s) { completion = s; });
   });
   fabric_.run_until_idle();
   EXPECT_EQ(completion.code(), ErrorCode::kNotFound);
 }
 
 TEST_F(EndpointTest, SendLandsInRemoteQueue) {
-  Endpoint ep(fabric_, a_, b_);
   Bytes msg{1, 2, 3, 4};
-  fabric_.schedule_at(0, [&] { ep.send(as_span(msg), {}); });
+  fabric_.schedule_at(0,
+                      [&] { fabric_.post_send(a_, b_, as_span(msg), 1, {}); });
   fabric_.run_until_idle();
   auto received = fabric_.node(b_).worker.try_recv();
   ASSERT_TRUE(received.has_value());
@@ -368,33 +355,29 @@ TEST_F(EndpointTest, StatsCountOps) {
   std::uint64_t remote = 0;
   auto region = fabric_.node(b_).memory.register_memory(&remote, 8);
   ASSERT_TRUE(region.is_ok());
-  Endpoint ep(fabric_, a_, b_);
   Bytes data(8, 1);
   fabric_.schedule_at(0, [&] {
-    ep.put(as_span(data), region->remote_addr(b_), {});
-    ep.get(region->remote_addr(b_), 8, [](StatusOr<Bytes>) {});
-    ep.send(as_span(data), {});
+    fabric_.post_put(a_, region->remote_addr(b_), as_span(data), {});
+    fabric_.post_get(a_, region->remote_addr(b_), 8, [](StatusOr<Bytes>) {});
+    fabric_.post_send(a_, b_, as_span(data), 1, {});
   });
   fabric_.run_until_idle();
-  EXPECT_EQ(ep.stats().puts, 1u);
-  EXPECT_EQ(ep.stats().gets, 1u);
-  EXPECT_EQ(ep.stats().sends, 1u);
-  EXPECT_EQ(ep.stats().bytes_put, 8u);
   EXPECT_EQ(fabric_.stats().puts, 1u);
   EXPECT_EQ(fabric_.stats().gets, 1u);
   EXPECT_EQ(fabric_.stats().sends, 1u);
+  EXPECT_EQ(fabric_.stats().bytes_on_wire, 24u);  // 8 put + 8 got + 8 sent
 }
 
 TEST_F(EndpointTest, BackToBackSendsSerializeOnInjection) {
   LinkModel m = instant_link();
   m.gap_send_ns = 500;
   fabric_.set_default_link(m);
-  Endpoint ep(fabric_, a_, b_);
   Bytes msg{1};
   std::vector<VirtTime> deliveries;
   fabric_.schedule_at(0, [&] {
     for (int i = 0; i < 3; ++i) {
-      ep.send(as_span(msg), [&](Status) { deliveries.push_back(fabric_.now()); });
+      fabric_.post_send(a_, b_, as_span(msg), 1,
+                        [&](Status) { deliveries.push_back(fabric_.now()); });
     }
   });
   fabric_.run_until_idle();
@@ -418,11 +401,11 @@ TEST_P(ManyNodesP, AllPairsDeliver) {
     for (int i = 0; i < n; ++i) {
       for (int j = 0; j < n; ++j) {
         if (i == j) continue;
-        auto ep = std::make_shared<Endpoint>(fabric, nodes[i], nodes[j]);
         Bytes msg{static_cast<std::uint8_t>(i), static_cast<std::uint8_t>(j)};
-        ep->send(as_span(msg), [&delivered, ep](Status s) {
-          if (s.is_ok()) ++delivered;
-        });
+        fabric.post_send(nodes[i], nodes[j], as_span(msg), 1,
+                         [&delivered](Status s) {
+                           if (s.is_ok()) ++delivered;
+                         });
       }
     }
   });

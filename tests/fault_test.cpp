@@ -35,7 +35,6 @@
 #include "fabric/fabric.hpp"
 #include "fabric/faulty_transport.hpp"
 #include "fabric/shm_transport.hpp"
-#include "fabric/sim_transport.hpp"
 #include "fabric/socket_transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -70,8 +69,7 @@ class FaultyShimTest : public ::testing::TestWithParam<hetsim::Backend> {
       for (std::size_t i = 0; i < kNodes; ++i) {
         fabric_->add_node("n" + std::to_string(i));
       }
-      sim_ = std::make_unique<fabric::SimTransport>(*fabric_);
-      shim_ = std::make_unique<FaultyTransport>(*sim_, config);
+      shim_ = std::make_unique<FaultyTransport>(*fabric_, config);
     } else if (GetParam() == hetsim::Backend::kShm) {
       shm_ = std::make_unique<fabric::ShmTransport>(kNodes);
       shim_ = std::make_unique<FaultyTransport>(*shm_, config);
@@ -98,7 +96,6 @@ class FaultyShimTest : public ::testing::TestWithParam<hetsim::Backend> {
   }
 
   std::unique_ptr<fabric::Fabric> fabric_;
-  std::unique_ptr<fabric::SimTransport> sim_;
   std::unique_ptr<fabric::ShmTransport> shm_;
   std::unique_ptr<fabric::SocketTransport> socket_;
   std::unique_ptr<FaultyTransport> shim_;
@@ -267,11 +264,10 @@ TEST(FaultyShimSimTest, DelayReordersAgainstUndelayedTraffic) {
   fabric.set_default_link(fabric::instant_link());
   fabric.add_node("a");
   fabric.add_node("b");
-  fabric::SimTransport sim(fabric);
   FaultConfig config;
   config.seed = 42;
   config.rates.delay = 0.5;
-  FaultyTransport shim(sim, config);
+  FaultyTransport shim(fabric, config);
 
   constexpr std::size_t kFrames = 32;
   std::size_t completed = 0;
@@ -305,12 +301,11 @@ TEST(FaultyShimSimTest, BurstFaultsHitConsecutiveFrames) {
   fabric.set_default_link(fabric::instant_link());
   fabric.add_node("a");
   fabric.add_node("b");
-  fabric::SimTransport sim(fabric);
   FaultConfig config;
   config.seed = 42;
   config.rates.drop = 0.02;
   config.burst_len = 4;
-  FaultyTransport shim(sim, config);
+  FaultyTransport shim(fabric, config);
 
   constexpr std::size_t kFrames = 400;
   std::size_t fired = 0;
@@ -345,13 +340,12 @@ TEST(FaultyShimSimTest, SeedReproducesExactSchedule) {
     fabric.add_node("a");
     fabric.add_node("b");
     fabric.add_node("c");
-    fabric::SimTransport sim(fabric);
     FaultConfig config;
     config.seed = seed;
     config.rates.drop = 0.1;
     config.rates.duplicate = 0.1;
     config.rates.delay = 0.1;
-    FaultyTransport shim(sim, config);
+    FaultyTransport shim(fabric, config);
     std::size_t fired = 0;
     constexpr std::size_t kFrames = 64;
     for (std::size_t i = 0; i < kFrames; ++i) {
@@ -388,8 +382,7 @@ class RuntimeRetryTest : public ::testing::TestWithParam<hetsim::Backend> {
       fabric_->set_default_link(fabric::instant_link());
       fabric_->add_node("a");
       fabric_->add_node("b");
-      sim_ = std::make_unique<fabric::SimTransport>(*fabric_);
-      shim_ = std::make_unique<FaultyTransport>(*sim_, config);
+      shim_ = std::make_unique<FaultyTransport>(*fabric_, config);
     } else if (GetParam() == hetsim::Backend::kShm) {
       shm_ = std::make_unique<fabric::ShmTransport>(2);
       shim_ = std::make_unique<FaultyTransport>(*shm_, config);
@@ -412,7 +405,6 @@ class RuntimeRetryTest : public ::testing::TestWithParam<hetsim::Backend> {
   }
 
   std::unique_ptr<fabric::Fabric> fabric_;
-  std::unique_ptr<fabric::SimTransport> sim_;
   std::unique_ptr<fabric::ShmTransport> shm_;
   std::unique_ptr<fabric::SocketTransport> socket_;
   std::unique_ptr<FaultyTransport> shim_;
@@ -998,15 +990,14 @@ TEST(TracedBatchNackTest, TracedFramesInContainersSurviveRedelivery) {
   fabric.set_default_link(fabric::instant_link());
   fabric.add_node("a");
   fabric.add_node("b");
-  fabric::SimTransport transport(fabric);
   obs::Tracer tracer(/*node_count=*/2);
   tracer.set_enabled(true);
   obs::MetricsRegistry metrics;
   core::RuntimeOptions options;
   options.tracer = &tracer;
   options.metrics = &metrics;
-  auto rt_a = core::Runtime::create(transport, 0, options);
-  auto rt_b = core::Runtime::create(transport, 1, options);
+  auto rt_a = core::Runtime::create(fabric, 0, options);
+  auto rt_b = core::Runtime::create(fabric, 1, options);
   ASSERT_TRUE(rt_a.is_ok());
   ASSERT_TRUE(rt_b.is_ok());
   auto lib = core::IfuncLibrary::from_portable_kernel(
@@ -1034,11 +1025,11 @@ TEST(TracedBatchNackTest, TracedFramesInContainersSurviveRedelivery) {
   }
   auto container = core::encode_batch_frame(parts);
   ASSERT_TRUE(container.is_ok()) << container.status().to_string();
-  transport.post_send(0, 1, as_span(*container), parts.size(), {});
+  fabric.post_send(0, 1, as_span(*container), parts.size(), {});
 
   for (int spin = 0; spin < 1'000'000 && counter < kFrames; ++spin) {
-    (void)transport.progress(0);
-    (void)transport.progress(1);
+    (void)fabric.progress(0);
+    (void)fabric.progress(1);
   }
   ASSERT_EQ(counter, kFrames);
   // One NACK drained the whole stashed backlog.

@@ -148,14 +148,14 @@ TEST_F(RuntimeTest, TruncatedFrameToUnknownIfuncIsProtocolError) {
   ASSERT_TRUE(frame.is_ok());
 
   // Bypass the caching protocol and send a truncated frame first.
-  rt_a_->endpoint(b_).send(frame->truncated_view(), {});
+  fabric_.post_send(a_, b_, frame->truncated_view(), 1, {});
   fabric_.run_until_idle();
   EXPECT_EQ(rt_b2->stats().protocol_errors, 1u);
   EXPECT_EQ(rt_b2->stats().frames_executed, 0u);
 }
 
 TEST_F(RuntimeTest, NackRecoveryReplaysStashedPayload) {
-  // Cache-miss recovery extension (DESIGN.md §4): the receiver gets a
+  // Cache-miss recovery extension: the receiver gets a
   // truncated frame for code it never saw, NACKs, the sender re-ships the
   // archive in a code-only frame, and the stashed payload finally runs.
   auto id = rt_a_->register_ifunc(make_library(ir::KernelKind::kTargetSideIncrement));
@@ -167,7 +167,7 @@ TEST_F(RuntimeTest, NackRecoveryReplaysStashedPayload) {
   ASSERT_TRUE(frame.is_ok());
   // Simulate a sender that wrongly believes b has the code (e.g. b lost its
   // cache in a restart): raw truncated send, bypassing the sent-table.
-  rt_a_->endpoint(b_).send(frame->truncated_view(), {});
+  fabric_.post_send(a_, b_, frame->truncated_view(), 1, {});
   fabric_.run_until_idle();
 
   EXPECT_EQ(counter, 1u);
@@ -178,7 +178,7 @@ TEST_F(RuntimeTest, NackRecoveryReplaysStashedPayload) {
 }
 
 TEST_F(RuntimeTest, NackForUnknownIfuncAtSenderIsError) {
-  rt_a_->endpoint(b_).send(as_span(encode_nack_frame(0xDEAD)), {});
+  fabric_.post_send(a_, b_, as_span(encode_nack_frame(0xDEAD)), 1, {});
   fabric_.run_until_idle();
   EXPECT_EQ(rt_b_->stats().protocol_errors, 1u);
 }
@@ -322,7 +322,7 @@ TEST_F(RuntimeTest, CorruptedFrameDropped) {
   ASSERT_TRUE(frame.is_ok());
   Bytes corrupted(frame->full_view().begin(), frame->full_view().end());
   corrupted[kHeaderSize / 2] ^= 0xff;
-  rt_a_->endpoint(b_).send(as_span(corrupted), {});
+  fabric_.post_send(a_, b_, as_span(corrupted), 1, {});
   fabric_.run_until_idle();
   EXPECT_EQ(rt_b_->stats().protocol_errors, 1u);
 }

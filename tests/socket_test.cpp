@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -136,6 +137,14 @@ TEST(SocketTransport, SlowConsumerBackpressureFailsPostAndRecovers) {
   // queue was empty) but cannot drain into the kernel buffer while node 1
   // never runs, so the next post must fail with the shared backpressure
   // status — not block, not crash.
+  struct Post {
+    bool fired = false;
+    Status status = internal_error("never fired");
+  };
+  // An accepted post completes only once node 1 acks it, long after its
+  // loop iteration: each post's state lives here, at a stable address,
+  // and outlives the transport.
+  std::deque<Post> posts;
   fabric::SocketTransportOptions options;
   options.send_buffer_bytes = 16 * 1024;
   auto socket_or = fabric::SocketTransport::create_threaded(2, options);
@@ -149,16 +158,15 @@ TEST(SocketTransport, SlowConsumerBackpressureFailsPostAndRecovers) {
   Status rejected = Status::ok();
   bool saw_reject = false;
   for (int i = 0; i < 64 && !saw_reject; ++i) {
-    Status status = internal_error("never fired");
-    bool fired = false;
-    sock.post_send(0, 1, as_span(big), 1, [&](Status s) {
-      fired = true;
-      status = std::move(s);
+    Post& post = posts.emplace_back();
+    sock.post_send(0, 1, as_span(big), 1, [&post](Status s) {
+      post.fired = true;
+      post.status = std::move(s);
     });
     for (int spin = 0; spin < 100; ++spin) (void)sock.progress(0);
-    if (fired) {
+    if (post.fired) {
       saw_reject = true;
-      rejected = status;
+      rejected = post.status;
     }
   }
   ASSERT_TRUE(saw_reject) << "64 MiB queued without a backpressure signal";

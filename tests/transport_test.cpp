@@ -1,5 +1,5 @@
-// Transport conformance suite instantiation for the two original
-// backends — the deterministic discrete-event SimTransport and the
+// Transport conformance suite instantiation for the two in-process
+// backends — the deterministic discrete-event fabric::Fabric and the
 // real-threads ShmTransport. The shared TEST_P bodies live in
 // transport_conformance.hpp (socket_test.cpp runs the same suite against
 // fabric::SocketTransport, and mp_launch's conformance role runs it
@@ -18,7 +18,6 @@
 
 #include "fabric/fabric.hpp"
 #include "fabric/shm_transport.hpp"
-#include "fabric/sim_transport.hpp"
 #include "fabric/spsc_ring.hpp"
 #include "fabric/transport.hpp"
 #include "transport_conformance.hpp"
@@ -27,17 +26,12 @@ namespace tc {
 namespace {
 
 conformance::BackendInstance make_sim(std::size_t nodes) {
-  struct SimBundle {
-    fabric::Fabric fabric;
-    std::unique_ptr<fabric::SimTransport> sim;
-  };
-  auto bundle = std::make_shared<SimBundle>();
-  bundle->fabric.set_default_link(fabric::instant_link());
+  auto fabric = std::make_shared<fabric::Fabric>();
+  fabric->set_default_link(fabric::instant_link());
   for (std::size_t i = 0; i < nodes; ++i) {
-    bundle->fabric.add_node("n" + std::to_string(i));
+    fabric->add_node("n" + std::to_string(i));
   }
-  bundle->sim = std::make_unique<fabric::SimTransport>(bundle->fabric);
-  return {bundle, bundle->sim.get()};
+  return {fabric, fabric.get()};
 }
 
 conformance::BackendInstance make_shm(std::size_t nodes) {

@@ -380,6 +380,68 @@ TEST(DapcMultiInitiator, SimStaysDeterministicWithConcurrentInitiators) {
   }
 }
 
+// The simulated timeline, pinned: exact virtual completion times of the
+// chase modes that ship no LLVM output (AM, GET, interpreted), so every
+// build flavour must reproduce them. Any change to event order, injection
+// accounting or compute charging on the sim backend moves one of these.
+struct TimelineCase {
+  hetsim::Platform platform;
+  ChaseMode mode;
+  std::uint64_t window;  ///< > 1 also coalesces that many frames per send
+  std::int64_t virtual_ns;
+};
+
+constexpr TimelineCase kTimeline[] = {
+    {hetsim::Platform::kOokami, ChaseMode::kActiveMessage, 1, 363682},
+    {hetsim::Platform::kOokami, ChaseMode::kActiveMessage, 4, 121499},
+    {hetsim::Platform::kOokami, ChaseMode::kGet, 1, 667264},
+    {hetsim::Platform::kOokami, ChaseMode::kGet, 4, 168571},
+    {hetsim::Platform::kOokami, ChaseMode::kInterpreted, 1, 424054},
+    {hetsim::Platform::kOokami, ChaseMode::kInterpreted, 4, 174780},
+    {hetsim::Platform::kThorBF2, ChaseMode::kActiveMessage, 1, 269454},
+    {hetsim::Platform::kThorBF2, ChaseMode::kActiveMessage, 4, 92852},
+    {hetsim::Platform::kThorBF2, ChaseMode::kGet, 1, 471296},
+    {hetsim::Platform::kThorBF2, ChaseMode::kGet, 4, 120089},
+    {hetsim::Platform::kThorBF2, ChaseMode::kInterpreted, 1, 355868},
+    {hetsim::Platform::kThorBF2, ChaseMode::kInterpreted, 4, 163453},
+    {hetsim::Platform::kThorXeon, ChaseMode::kActiveMessage, 1, 153056},
+    {hetsim::Platform::kThorXeon, ChaseMode::kActiveMessage, 4, 45461},
+    {hetsim::Platform::kThorXeon, ChaseMode::kGet, 1, 384384},
+    {hetsim::Platform::kThorXeon, ChaseMode::kGet, 4, 96471},
+    {hetsim::Platform::kThorXeon, ChaseMode::kInterpreted, 1, 175788},
+    {hetsim::Platform::kThorXeon, ChaseMode::kInterpreted, 4, 54531},
+};
+
+class DapcTimelineP : public ::testing::TestWithParam<TimelineCase> {};
+
+TEST_P(DapcTimelineP, VirtualTimeIsPinned) {
+  const TimelineCase& c = GetParam();
+  hetsim::ClusterConfig cluster_config;
+  cluster_config.platform = c.platform;
+  cluster_config.server_count = 3;
+  cluster_config.client_count = 2;
+  auto cluster = hetsim::Cluster::create(cluster_config);
+  ASSERT_TRUE(cluster.is_ok());
+  DapcConfig config = small_config();
+  config.initiators = 2;
+  config.window = c.window;
+  config.batch_frames = c.window;
+  auto driver = DapcDriver::create(**cluster, c.mode, config);
+  ASSERT_TRUE(driver.is_ok()) << driver.status().to_string();
+  auto result = (*driver)->run();
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_EQ(result->correct, 2 * config.chases);
+  EXPECT_FALSE(result->wall_clock);
+  EXPECT_EQ(result->virtual_ns, c.virtual_ns);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sim, DapcTimelineP, ::testing::ValuesIn(kTimeline), [](const auto& info) {
+      return std::string(hetsim::platform_name(info.param.platform)) + "_" +
+             chase_mode_name(info.param.mode) + "_W" +
+             std::to_string(info.param.window);
+    });
+
 TEST(DapcMultiInitiator, RejectsMoreInitiatorsThanClientNodes) {
   auto cluster = small_cluster(2);  // one client node
   DapcConfig config = small_config();
