@@ -10,14 +10,10 @@ namespace tc::hll {
 
 StatusOr<core::IfuncLibrary> build_library(ir::KernelKind kind,
                                            bool drive_with_c, bool tagged) {
-  if (tagged && kind != ir::KernelKind::kChaser) {
-    return invalid_argument(
-        std::string("hll: tagged applies only to the chaser kernel, not ") +
-        ir::kernel_name(kind));
-  }
   ir::KernelOptions options;
   options.hll_guards = !drive_with_c;
   options.chaser_tagged = tagged;
+  TC_RETURN_IF_ERROR(ir::check_kernel_options(kind, options));
   TC_ASSIGN_OR_RETURN(ir::FatBitcode archive,
                       ir::build_default_fat_kernel(kind, options));
   std::string name = std::string("hll_") + ir::kernel_name(kind);

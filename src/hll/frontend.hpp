@@ -24,7 +24,7 @@ namespace tc::hll {
 /// integration is "high-level". `tagged` builds the async-window chaser
 /// variant (see xrdma::build_chaser_library) and is only valid with
 /// KernelKind::kChaser — any other kind returns an invalid-argument Status
-/// (the flag used to be silently ignored).
+/// (ir::check_kernel_options).
 StatusOr<core::IfuncLibrary> build_library(ir::KernelKind kind,
                                            bool drive_with_c = false,
                                            bool tagged = false);

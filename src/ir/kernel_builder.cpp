@@ -1267,6 +1267,7 @@ void emit_bfs_frontier(Emitter& e) {
 StatusOr<std::unique_ptr<llvm::Module>> build_kernel(
     llvm::LLVMContext& context, KernelKind kind,
     const TargetDescriptor& target, const KernelOptions& options) {
+  TC_RETURN_IF_ERROR(check_kernel_options(kind, options));
   initialize_llvm();
   TC_ASSIGN_OR_RETURN(auto machine, make_target_machine(target));
 

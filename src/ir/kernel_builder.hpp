@@ -25,7 +25,8 @@
 
 namespace tc::ir {
 
-/// Builds one kernel as an LLVM module for the given target.
+/// Builds one kernel as an LLVM module for the given target. Options that
+/// name no variant of `kind` are an invalid_argument (check_kernel_options).
 StatusOr<std::unique_ptr<llvm::Module>> build_kernel(
     llvm::LLVMContext& context, KernelKind kind,
     const TargetDescriptor& target, const KernelOptions& options = {});

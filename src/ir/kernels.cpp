@@ -1,5 +1,7 @@
 #include "ir/kernels.hpp"
 
+#include <string>
+
 namespace tc::ir {
 
 const char* kernel_name(KernelKind kind) {
@@ -62,40 +64,13 @@ const char* kernel_description(KernelKind kind) {
   return "";
 }
 
-const char* kernel_source_name(KernelSource source) {
-  switch (source) {
-    case KernelSource::kLegacy: return "legacy";
-    case KernelSource::kKir: return "kir";
+Status check_kernel_options(KernelKind kind, const KernelOptions& options) {
+  if (options.chaser_tagged && kind != KernelKind::kChaser) {
+    return invalid_argument(
+        std::string("chaser_tagged applies only to the chaser kernel, not ") +
+        kernel_name(kind));
   }
-  return "unknown";
-}
-
-KernelSource kernel_source(KernelKind kind) {
-  switch (kind) {
-    // The ported slice: one KIR definition in src/kir/kernels.cpp emits the
-    // AM handler, the LLVM IR and the portable bytecode.
-    case KernelKind::kTargetSideIncrement:
-    case KernelKind::kPayloadSum:
-    case KernelKind::kVecReduce:
-    case KernelKind::kRingHop:
-    case KernelKind::kChaser:
-    case KernelKind::kHashProbe:
-      return KernelSource::kKir;
-    // Still on the hand-synchronized emitters (remaining-port list in
-    // ROADMAP.md).
-    case KernelKind::kSaxpy:
-    case KernelKind::kSpawner:
-    case KernelKind::kSinSum:
-    case KernelKind::kRemoteStore:
-    case KernelKind::kStatsSummary:
-    case KernelKind::kTreeBroadcast:
-    case KernelKind::kCollectiveBroadcast:
-    case KernelKind::kCollectiveReduce:
-    case KernelKind::kOrderedSearch:
-    case KernelKind::kBfsFrontier:
-      return KernelSource::kLegacy;
-  }
-  return KernelSource::kLegacy;
+  return Status::ok();
 }
 
 }  // namespace tc::ir

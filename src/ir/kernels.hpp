@@ -1,10 +1,13 @@
 // The stock ifunc kernel catalogue: kinds, names, and frontend options.
 //
-// This header is LLVM-free on purpose — the portable-bytecode lowering
-// (src/vm/lower.cpp) and the runtime registry need the catalogue in
-// TC_WITH_LLVM=OFF builds, where the IRBuilder emitters of
-// ir/kernel_builder.hpp are compiled out.
+// This header is LLVM-free on purpose — the KIR definitions (src/kir/),
+// the portable-bytecode lowering (src/vm/lower.cpp) and the runtime
+// registry need the catalogue in TC_WITH_LLVM=OFF builds, where the
+// IRBuilder emitters of ir/kernel_builder.hpp are compiled out. Which kinds
+// have a single-source KIR definition is kir::has_kernel_def's to say.
 #pragma once
+
+#include "common/status.hpp"
 
 namespace tc::ir {
 
@@ -87,26 +90,6 @@ const char* kernel_name(KernelKind kind);
 /// One-line human description (used by examples and docs).
 const char* kernel_description(KernelKind kind);
 
-/// Which frontend sources a kernel's implementations.
-enum class KernelSource {
-  /// The three hand-synchronized legacy emitters: the native AM handler
-  /// (xrdma/, workloads/), the IRBuilder emission (ir/kernel_builder.cpp)
-  /// and the bytecode lowering (vm/lower.cpp).
-  kLegacy,
-  /// A single KIR definition (src/kir/) generates all three backends; the
-  /// portable-bytecode and AM paths route through it, and the conformance
-  /// suite (tests/kir_test.cpp) pins the generated bytecode byte-identical
-  /// to the retained legacy lowering.
-  kKir,
-};
-
-const char* kernel_source_name(KernelSource source);
-
-/// Registry entry: where this kernel's implementations come from. The port
-/// proceeds kernel-by-kernel — flipping a kind here reroutes the bytecode
-/// and AM production paths through src/kir/ with no call-site changes.
-KernelSource kernel_source(KernelKind kind);
-
 struct KernelOptions {
   /// Emit tc_hll_guard() dynamic-dispatch guards around loop bodies — the
   /// high-level-language (Julia-analogue) frontend signature.
@@ -119,5 +102,13 @@ struct KernelOptions {
   /// per-op virtual-time charge) is untouched at window = 1.
   bool chaser_tagged = false;
 };
+
+/// Rejects options that name no variant of `kind`: chaser_tagged selects
+/// the tagged chaser and means nothing for any other kernel. The builders
+/// that feed ifunc libraries (vm::lower_kernel, ir::build_kernel,
+/// hll::build_library) call this first, so a tagged request for another
+/// kernel fails instead of registering untagged code under a tagged (`_w`)
+/// wire name.
+Status check_kernel_options(KernelKind kind, const KernelOptions& options);
 
 }  // namespace tc::ir

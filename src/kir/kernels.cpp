@@ -166,12 +166,22 @@ StatusOr<Def> def_ring_hop() {
 }
 
 // Remote hash-table lookup. Payload: [key:u64][slot:u64][probes_left:u64]
-// [tag:u64] over {key, value} bucket records (kHashBucketWords). The
-// schedule — including the dead mov behind the entry constant, the
-// speculative value load, and the compare placement — is the legacy
-// lowering's, kept verbatim so the generated bytecode stays byte-identical
-// to it and the sim charges the same instruction stream (vm/lower.cpp
-// documents it).
+// [tag:u64] over open-addressing {key, value} bucket records
+// (kHashBucketWords), shard_size / 2 buckets per server. Probes the linear
+// chain locally, forwards itself at shard crossings, replies [value|~0][tag]
+// to the chain origin.
+// The entry carries the kShardInfo hook plus the arrival math and falls
+// into the probe loop. Each probe iteration is an owner check with a side
+// exit to the forward path, bucket address math, key/value loads, a hit
+// side exit, an empty-bucket side exit, the probe advance and the back
+// edge. The bucket value load is speculative (always in bounds: buckets
+// are 16 bytes) and lands the hit result in r2 before the hit exit.
+// Two spots cost more than they need: the dead `mov r11, r10` after the
+// entry constant, and the `iconst 1` plus multiply that copy the slot (×1)
+// where one mov would do. Both stay. This def's bytecode is what ships,
+// and the sim charges interpreted virtual time per shipped instruction, so
+// dropping either moves the portable hash-probe series and its calibrated
+// figures; the pinned-bytecode cases in kir_test catch any such change.
 StatusOr<Def> def_hash_probe() {
   Builder b(vm::kKernelRegCount);
   b.set_min_payload_bytes(32);
@@ -180,7 +190,7 @@ StatusOr<Def> def_hash_probe() {
   const auto miss = b.make_label();
   const auto out = b.make_label();
   b.iconst(10, workloads::kHashBucketWords);
-  b.mov(11, 10);
+  b.mov(11, 10);  // dead copy, kept (see above)
   b.hook(vm::HookId::kShardInfo, 2);  // r2 size, r3 self, r4 base, r5 count
   b.alu(Op::kUdiv, 8, 2, 10);         // buckets per shard
   b.alu(Op::kMul, 9, 8, 5);           // capacity = bps * peer_count
@@ -189,7 +199,7 @@ StatusOr<Def> def_hash_probe() {
   const auto loop = b.loop();
   b.trace(1);  // probe step
   b.iconst(11, 1);
-  b.alu(Op::kMul, A0, 6, 11);   // slot copy (multiply by 1)
+  b.alu(Op::kMul, A0, 6, 11);   // slot copy (×1, kept: see above)
   b.alu(Op::kUdiv, 10, A0, 8);  // owner
   b.alu(Op::kUrem, A0, A0, 8);  // local bucket
   b.alu(Op::kCeq, 11, 10, 3);
@@ -263,7 +273,7 @@ StatusOr<Def> kernel_def(ir::KernelKind kind,
     default:
       return not_found(std::string("kir: no definition for kernel ") +
                        ir::kernel_name(kind) +
-                       " (still on the legacy emitters)");
+                       " (it keeps its hand lowering in vm/lower.cpp)");
   }
 }
 

@@ -1,17 +1,16 @@
 // The KIR kernel catalogue: single-source definitions for the ported slice
-// of the stock kernels (ir::kernel_source() == KernelSource::kKir).
+// of the stock kernels (has_kernel_def()).
 //
 // Each definition here is the one description all three backends consume:
 // kir→vm (vm_backend.hpp) emits the portable bytecode, kir→llvm
 // (llvm_backend.hpp, TC_WITH_LLVM only) emits the JIT/AOT IR, and kir→am
 // (am_backend.hpp) runs the def directly as the predeployed AM handler.
 //
-// The defs are transcriptions of the hand-scheduled legacy lowerings
-// (vm/lower.cpp) — including the hash probe's schedule, dead copies and
-// all — so the vm backend reproduces the legacy bytecode *byte for byte*;
-// tests/kir_test.cpp pins that, which is what keeps the interpreter tier's
-// per-instruction virtual-time charging (fig5–fig12) untouched by the
-// port.
+// The defs are hand-scheduled — including the hash probe's dead copies —
+// because the bytecode they emit is what ships: the interpreter tier
+// charges virtual time per shipped instruction (fig5–fig12), so a schedule
+// change moves calibrated numbers. tests/kir_test.cpp pins the serialized
+// size and fnv1a64 of every emitted program.
 #pragma once
 
 #include "common/status.hpp"
@@ -20,9 +19,9 @@
 
 namespace tc::kir {
 
-/// True when `kind` has a KIR definition (a superset check: every kind
-/// whose ir::kernel_source() is kKir must have one, and the catalogue
-/// completeness test asserts it).
+/// True when `kind` has a KIR definition — the one registry of ported
+/// kernels. vm::lower_kernel routes on it; every other kind keeps its hand
+/// lowering in vm/lower.cpp.
 bool has_kernel_def(ir::KernelKind kind);
 
 /// The *raw* definition: kGuard markers and kTrace annotations still

@@ -39,9 +39,9 @@ StatusOr<vm::Opcode> map_alu(Op op) {
 StatusOr<vm::Program> emit_vm(const Def& def) {
   TC_RETURN_IF_ERROR(verify(def));
   vm::Assembler a;
-  // One vm label per branch-target instruction index; binding it right
-  // before emitting that instruction reproduces the legacy lowerings'
-  // bind() placement exactly.
+  // One vm label per branch-target instruction index, bound right before
+  // that instruction is emitted — the hand lowerings' bind() placement,
+  // which the pinned bytes in kir_test depend on.
   std::vector<vm::Assembler::Label> labels(def.code.size(), 0);
   std::vector<bool> is_target(def.code.size(), false);
   for (const Inst& in : def.code) {
@@ -59,8 +59,8 @@ StatusOr<vm::Program> emit_vm(const Def& def) {
       case Op::kConst:
       case Op::kConstF:
         // Same path for both: the assembler's li() makes the same
-        // kLdi-vs-pool choice the legacy lf() made, since lf() always
-        // spills (f64 bit patterns are never sext32).
+        // kLdi-vs-pool choice as its lf(), since lf() always spills (f64
+        // bit patterns are never sext32).
         a.li(in.a, in.wide);
         break;
       case Op::kMov:

@@ -2,10 +2,10 @@
 //
 // By construction a transcription, not a compilation: after the guard and
 // trace passes, every remaining KIR instruction maps to exactly one
-// bytecode instruction, so instruction indices — and therefore branch
-// targets, the li/pool-spill choices and the serialized bytes — coincide
-// with the legacy hand lowering the defs were transcribed from. The
-// conformance suite pins that byte identity against vm::lower_kernel_legacy.
+// bytecode instruction, so the def's schedule — instruction order, branch
+// targets, the li/pool-spill choices — is the shipped bytecode. This is the
+// production lowering of every ported kernel (vm::lower_kernel);
+// tests/kir_test.cpp pins the serialized bytes of each program.
 #pragma once
 
 #include "common/status.hpp"

@@ -1,5 +1,7 @@
 #include "vm/lower.hpp"
 
+#include <string>
+
 #include "ir/target_info.hpp"
 #include "kir/kernels.hpp"
 #include "kir/vm_backend.hpp"
@@ -22,39 +24,6 @@ constexpr std::uint16_t kRegs = kKernelRegCount;
 /// Mirrors Emitter::guard(): the HLL frontend's dynamic-dispatch tax.
 void guard(Assembler& a, const ir::KernelOptions& options) {
   if (options.hll_guards) a.hook(HookId::kHllGuard, 0);
-}
-
-// `++*(uint64_t*)target` — see emit_tsi().
-void lower_tsi(Assembler& a, const ir::KernelOptions& o) {
-  guard(a, o);
-  a.hook(HookId::kTarget, 2);
-  a.ld64(3, 2);
-  a.li(4, 1);
-  a.alu(Opcode::kAdd, 3, 3, 4);
-  a.st64(3, 2);
-  a.ret();
-}
-
-// Byte-sum of the payload into *(u64*)target — see emit_payload_sum().
-void lower_payload_sum(Assembler& a, const ir::KernelOptions& o) {
-  const auto loop = a.make_label();
-  const auto done = a.make_label();
-  a.li(2, 0);  // i
-  a.li(3, 0);  // sum
-  a.li(6, 1);
-  a.bind(loop);
-  a.alu(Opcode::kCult, 4, 2, N);
-  a.brz(4, done);
-  guard(a, o);
-  a.alu(Opcode::kAdd, 5, P, 2);
-  a.ld8(5, 5);
-  a.alu(Opcode::kAdd, 3, 3, 5);
-  a.alu(Opcode::kAdd, 2, 2, 6);
-  a.br(loop);
-  a.bind(done);
-  a.hook(HookId::kTarget, 4);
-  a.st64(3, 4);
-  a.ret();
 }
 
 // [n:u64][a:f32][x:f32*n][y:f32*n] → target[i] = a*x[i]+y[i] — emit_saxpy().
@@ -87,113 +56,6 @@ void lower_saxpy(Assembler& a, const ir::KernelOptions& o) {
   a.alu(Opcode::kAdd, 7, 7, 12);
   a.br(loop);
   a.bind(done);
-  a.ret();
-}
-
-// [n:u64][x:f64*n] → *(double*)target = Σx — emit_vec_reduce().
-void lower_vec_reduce(Assembler& a, const ir::KernelOptions& o) {
-  const auto loop = a.make_label();
-  const auto done = a.make_label();
-  a.ld64(2, P);      // n
-  a.li(3, 0);        // acc = 0.0 (bit pattern 0)
-  a.li(4, 0);        // i
-  a.li(7, 1);
-  a.li(8, 8);
-  a.bind(loop);
-  a.alu(Opcode::kCult, 5, 4, 2);
-  a.brz(5, done);
-  guard(a, o);
-  a.alu(Opcode::kMul, 5, 4, 8);
-  a.alu(Opcode::kAdd, 5, P, 5);
-  a.ld64(6, 5, 8);   // x[i] at payload + 8 + i*8
-  a.alu(Opcode::kFadd, 3, 3, 6);
-  a.alu(Opcode::kAdd, 4, 4, 7);
-  a.br(loop);
-  a.bind(done);
-  a.hook(HookId::kTarget, 5);
-  a.st64(3, 5);
-  a.ret();
-}
-
-// The DAPC chaser — emit_chaser(). Payload: [addr:u64][depth:u64], or —
-// for the tagged (async-window) build-time variant — [addr][depth][tag].
-// Two variants rather than a runtime size dispatch: the interpreter tier
-// charges per executed instruction, so the classic instruction stream must
-// stay exactly as calibrated for the fig5-fig12 numbers.
-void lower_chaser(Assembler& a, const ir::KernelOptions& o) {
-  const auto loop = a.make_label();
-  const auto local = a.make_label();
-  const auto step = a.make_label();
-  a.hook(HookId::kShardSize, 2);
-  a.hook(HookId::kSelfPeer, 3);
-  a.hook(HookId::kShardBase, 4);
-  a.ld64(5, P, 0);   // addr
-  a.ld64(6, P, 8);   // depth
-  a.li(10, 1);
-  a.li(11, workloads::kShardWordBytes);
-  a.bind(loop);
-  a.alu(Opcode::kUdiv, 7, 5, 2);   // owner = addr / shard_size
-  a.alu(Opcode::kCeq, 8, 7, 3);
-  a.brnz(8, local);
-  // forward: refresh the in-place payload, ship to the owning server (the
-  // tagged variant's tail rides along untouched in bytes [16, 24)).
-  a.st64(5, P, 0);
-  a.st64(6, P, 8);
-  a.mov(kArg0, 7);
-  a.mov(kArg1, P);
-  a.mov(kArg2, N);
-  a.hook(HookId::kForward, 8, kArg0);
-  a.ret();
-  a.bind(local);
-  guard(a, o);
-  a.alu(Opcode::kUrem, 8, 5, 2);   // slot
-  a.alu(Opcode::kMul, 8, 8, 11);
-  a.alu(Opcode::kAdd, 8, 4, 8);
-  a.ld64(9, 8);                    // value
-  a.alu(Opcode::kSub, 6, 6, 10);   // next_depth
-  a.brnz(6, step);
-  // finish: ReturnResult with the final value (tagged: plus the tag).
-  a.st64(9, P, 0);
-  if (o.chaser_tagged) {
-    a.ld64(9, P, 16);              // tag
-    a.st64(9, P, 8);
-    a.li(11, 16);
-  }
-  a.mov(kArg1, P);
-  a.mov(kArg2, 11);                // size = 8 (classic) or 16 (tagged)
-  a.hook(HookId::kReply, 8, kArg1);
-  a.ret();
-  a.bind(step);
-  a.mov(5, 9);
-  a.br(loop);
-}
-
-// Ring traversal with TTL — emit_ring_hop(). Payload: [ttl:u64][hops:u64].
-void lower_ring_hop(Assembler& a, const ir::KernelOptions& o) {
-  const auto done = a.make_label();
-  a.ld64(2, P, 0);   // ttl
-  a.ld64(3, P, 8);   // hops
-  a.li(10, 1);
-  a.brz(2, done);
-  guard(a, o);
-  a.alu(Opcode::kSub, 4, 2, 10);
-  a.st64(4, P, 0);
-  a.alu(Opcode::kAdd, 4, 3, 10);
-  a.st64(4, P, 8);
-  a.hook(HookId::kSelfPeer, 5);
-  a.hook(HookId::kPeerCount, 6);
-  a.alu(Opcode::kAdd, 4, 5, 10);
-  a.alu(Opcode::kUrem, 4, 4, 6);   // next = (self+1) % count
-  a.mov(kArg0, 4);
-  a.mov(kArg1, P);
-  a.mov(kArg2, N);
-  a.hook(HookId::kForward, 4, kArg0);
-  a.ret();
-  a.bind(done);
-  a.li(4, 16);
-  a.mov(kArg1, P);
-  a.mov(kArg2, 4);
-  a.hook(HookId::kReply, 4, kArg1);
   a.ret();
 }
 
@@ -542,85 +404,6 @@ void lower_collective_reduce(Assembler& a, const ir::KernelOptions& o) {
   a.ret();
 }
 
-// Remote hash-table lookup — emit_hash_probe().
-// Payload: [key:u64][slot:u64][probes_left:u64][tag:u64]; the table is an
-// open-addressing array of {key, value} bucket pairs, shard_size / 2
-// buckets per server. Probes the linear chain locally, forwards itself at
-// shard crossings, replies [value|~0][tag] to the chain origin.
-// The entry carries the kShardInfo hook plus the arrival math and falls
-// into the probe loop. Each probe iteration is an owner check with a side
-// exit to the forward path, bucket address math, key/value loads, a hit
-// side exit, an empty-bucket side exit, the probe advance and the back
-// edge. The bucket value load is speculative (always in bounds, buckets
-// are 16 bytes) and lands the hit result in r2 before the hit exit.
-// Two spots cost more than they need — a dead mov after the entry li, and
-// an `li 1` plus multiply that copy the slot where one mov would do — yet
-// the schedule stays as it is: the KIR definition (kir/kernels.cpp) must
-// reproduce this lowering byte for byte, and the sim charges interpreted
-// virtual time per shipped instruction, so any change moves the portable
-// hash-probe series.
-void lower_hash_probe(Assembler& a, const ir::KernelOptions& o) {
-  const auto loop = a.make_label();
-  const auto fwd = a.make_label();
-  const auto miss = a.make_label();
-  const auto out = a.make_label();
-  // Entry: shard-info hook, arrival math, probe state.
-  a.li(10, 2);
-  a.mov(11, 10);                   // dead copy, kept (see above)
-  a.hook(HookId::kShardInfo, 2);   // r2 size, r3 self, r4 base, r5 count
-  a.alu(Opcode::kUdiv, 8, 2, 10);  // buckets per shard
-  a.alu(Opcode::kMul, 9, 8, 5);    // capacity = bps * peer_count
-  a.ld64(6, P, 8);   // slot
-  a.ld64(7, P, 16);  // probes_left
-  // Probe loop.
-  a.bind(loop);
-  a.li(11, 1);
-  a.alu(Opcode::kMul, kArg0, 6, 11);   // slot copy (multiply by 1)
-  a.alu(Opcode::kUdiv, 10, kArg0, 8);  // owner
-  a.alu(Opcode::kUrem, kArg0, kArg0, 8);  // local bucket
-  a.alu(Opcode::kCeq, 11, 10, 3);
-  a.brz(11, fwd);                  // side exit: the chain left the shard
-  guard(a, o);
-  a.li(10, workloads::kHashBucketBytes);
-  a.alu(Opcode::kMul, 10, kArg0, 10);
-  a.alu(Opcode::kAdd, 10, 4, 10);  // &shard[2 * local]
-  a.ld64(5, P, 0);                 // probe key
-  a.ld64(11, 10);                  // stored key
-  a.ld64(2, 10, 8);                // value (speculative)
-  a.alu(Opcode::kCeq, kArg1, 11, 5);
-  a.brnz(kArg1, out);              // side exit: hit, r2 holds the value
-  a.brz(11, miss);                 // side exit: empty bucket, definitive miss
-  a.li(2, 1);
-  a.alu(Opcode::kSub, 7, 7, 2);    // --probes_left
-  a.alu(Opcode::kAdd, 6, 6, 2);
-  a.alu(Opcode::kUrem, 6, 6, 9);   // slot = (slot + 1) % capacity
-  a.brnz(7, loop);                 // back edge; falls through when drained
-  a.bind(miss);                    // probe budget drained, or empty bucket
-  a.li(2, ~0ull);                  // the miss sentinel; falls into the reply
-  // Reply [value|~0][tag] to the chain origin.
-  a.bind(out);
-  a.li(11, 24);
-  a.alu(Opcode::kAdd, 11, P, 11);  // &payload[24]
-  a.st64(2, P, 0);
-  a.ld64(11, 11, 0);               // tag
-  a.st64(11, P, 8);
-  a.mov(kArg1, P);
-  a.li(kArg2, 16);
-  a.hook(HookId::kReply, 2, kArg1);
-  a.ret();
-  // Forward: refresh the in-place probe state, ship to the owning server.
-  a.bind(fwd);
-  a.li(kArg0, 8);
-  a.alu(Opcode::kAdd, kArg0, P, kArg0);  // &payload[8]
-  a.st64(6, kArg0, 0);
-  a.st64(7, kArg0, 8);
-  a.mov(kArg0, 10);
-  a.mov(kArg1, P);
-  a.mov(kArg2, N);
-  a.hook(HookId::kForward, 11, kArg0);
-  a.ret();
-}
-
 // Ordered search over the sharded skip-list index — emit_ordered_search().
 // Payload: [target:u64][node:u64][level:u64][tag:u64]; 10-word node
 // records [key][value][(next_id, next_key) x 4 levels]. The stored finger
@@ -648,7 +431,7 @@ void lower_ordered_search(Assembler& a, const ir::KernelOptions& o) {
   // Entry: shard-info hook, arrival math, owner side exit, record
   // address, finger probe.
   a.li(10, workloads::kIndexRecordWords);
-  a.mov(11, 10);                   // dead copy, kept (see above)
+  a.mov(11, 10);                   // dead copy, kept: the sim charges it
   a.hook(HookId::kShardInfo, 2);   // r2 size, r3 self, r4 base (count: r5)
   a.alu(Opcode::kUdiv, 8, 2, 10);  // nodes per shard
   a.ld64(5, P, 0);   // target (the unused peer count is overwritten)
@@ -934,27 +717,13 @@ void lower_bfs_frontier(Assembler& a, const ir::KernelOptions& o) {
   a.ret();
 }
 
-}  // namespace
-
-StatusOr<Program> lower_kernel(ir::KernelKind kind,
-                               const ir::KernelOptions& options) {
-  if (ir::kernel_source(kind) == ir::KernelSource::kKir) {
-    TC_ASSIGN_OR_RETURN(kir::Def def, kir::prepared_def(kind, options));
-    return kir::emit_vm(def);
-  }
-  return lower_kernel_legacy(kind, options);
-}
-
-StatusOr<Program> lower_kernel_legacy(ir::KernelKind kind,
-                                      const ir::KernelOptions& options) {
+// The kernels without a KIR definition; kir::has_kernel_def routes the
+// rest through kir::emit_vm before this switch is reached.
+StatusOr<Program> lower_unported(ir::KernelKind kind,
+                                 const ir::KernelOptions& options) {
   Assembler a;
   switch (kind) {
-    case ir::KernelKind::kTargetSideIncrement: lower_tsi(a, options); break;
-    case ir::KernelKind::kPayloadSum: lower_payload_sum(a, options); break;
     case ir::KernelKind::kSaxpy: lower_saxpy(a, options); break;
-    case ir::KernelKind::kVecReduce: lower_vec_reduce(a, options); break;
-    case ir::KernelKind::kChaser: lower_chaser(a, options); break;
-    case ir::KernelKind::kRingHop: lower_ring_hop(a, options); break;
     case ir::KernelKind::kSpawner: lower_spawner(a, options); break;
     case ir::KernelKind::kSinSum: lower_sin_sum(a, options); break;
     case ir::KernelKind::kRemoteStore: lower_remote_store(a, options); break;
@@ -970,13 +739,25 @@ StatusOr<Program> lower_kernel_legacy(ir::KernelKind kind,
     case ir::KernelKind::kCollectiveReduce:
       lower_collective_reduce(a, options);
       break;
-    case ir::KernelKind::kHashProbe: lower_hash_probe(a, options); break;
     case ir::KernelKind::kOrderedSearch:
       lower_ordered_search(a, options);
       break;
     case ir::KernelKind::kBfsFrontier: lower_bfs_frontier(a, options); break;
+    default:
+      return internal_error(std::string("vm: ") + ir::kernel_name(kind) +
+                            " has a KIR definition, not a hand lowering");
   }
   return a.finish(kRegs);
+}
+
+}  // namespace
+
+StatusOr<Program> lower_kernel(ir::KernelKind kind,
+                               const ir::KernelOptions& options) {
+  TC_RETURN_IF_ERROR(ir::check_kernel_options(kind, options));
+  if (!kir::has_kernel_def(kind)) return lower_unported(kind, options);
+  TC_ASSIGN_OR_RETURN(kir::Def def, kir::prepared_def(kind, options));
+  return kir::emit_vm(def);
 }
 
 StatusOr<ir::FatBitcode> build_portable_kernel(ir::KernelKind kind,

@@ -118,67 +118,25 @@ void write_u64(std::uint8_t* p, std::uint64_t v) {
 }
 
 // --- predeployed Active-Message handlers -------------------------------------
-// Each mirrors its ifunc kernel instruction for instruction; the pairs are
-// kept in lockstep by the workloads_test mode-equivalence matrix.
+// The hash probe evaluates its KIR definition. The other two mirror their
+// ifunc kernels instruction for instruction; the pairs are kept in lockstep
+// by the workloads_test mode-equivalence matrix.
 
-am::AmHandlerFn make_hash_probe_handler() {
-  if (ir::kernel_source(ir::KernelKind::kHashProbe) ==
-      ir::KernelSource::kKir) {
-    // KIR-sourced: evaluate the single shared definition instead of the
-    // hand-written mirror. The validation gate (exact frame size, attached
-    // shard and peer table) and the silent-drop contract are unchanged; the
-    // sim charges the same calibrated AM exec cost either way.
-    auto def_or = kir::prepared_def(ir::KernelKind::kHashProbe, {});
-    if (def_or.is_ok()) {
-      return [def = std::move(def_or).value()](
-                 am::AmContext& ctx, std::uint8_t* p, std::uint64_t n) {
-        if (n != 32 || ctx.shard_base == nullptr || ctx.peers == nullptr) {
-          return;
-        }
-        Status status = kir::run_in_am_context(def, ctx, p, n);
-        if (!status.is_ok()) {
-          TC_LOG(kWarn, "workloads")
-              << "AM hash_probe: " << status.message();
-        }
-      };
-    }
-    TC_LOG(kWarn, "workloads")
-        << "AM hash_probe: KIR definition unavailable, falling back to the "
-           "native handler";
-  }
-  return [](am::AmContext& ctx, std::uint8_t* p, std::uint64_t n) {
+StatusOr<am::AmHandlerFn> make_hash_probe_handler() {
+  // The validation gate (exact frame size, attached shard and peer table)
+  // and the silent-drop contract live here; the sim charges the calibrated
+  // AM exec cost whatever the handler body does.
+  TC_ASSIGN_OR_RETURN(kir::Def def,
+                      kir::prepared_def(ir::KernelKind::kHashProbe, {}));
+  return am::AmHandlerFn([def = std::move(def)](am::AmContext& ctx,
+                                                std::uint8_t* p,
+                                                std::uint64_t n) {
     if (n != 32 || ctx.shard_base == nullptr || ctx.peers == nullptr) return;
-    const std::uint64_t key = read_u64(p);
-    std::uint64_t slot = read_u64(p + 8);
-    std::uint64_t probes = read_u64(p + 16);
-    const std::uint64_t tag = read_u64(p + 24);
-    const std::uint64_t bps = ctx.shard_size / 2;
-    const std::uint64_t cap = bps * ctx.peers->size();
-    while (true) {
-      const std::uint64_t owner = slot / bps;
-      if (owner != ctx.self_peer) {
-        write_u64(p + 8, slot);
-        write_u64(p + 16, probes);
-        (void)ctx.runtime->send((*ctx.peers)[owner], ctx.handler_index,
-                                ByteSpan(p, n), ctx.origin_node);
-        return;
-      }
-      const std::uint64_t* bucket = ctx.shard_base + 2 * (slot % bps);
-      std::uint64_t out = 0;
-      if (bucket[0] == key) {
-        out = bucket[1];
-      } else if (bucket[0] == 0 || --probes == 0) {
-        out = kMiss;
-      } else {
-        slot = (slot + 1) % cap;
-        continue;
-      }
-      write_u64(p, out);
-      write_u64(p + 8, tag);
-      (void)ctx.runtime->reply(ctx, ByteSpan(p, 16));
-      return;
+    Status status = kir::run_in_am_context(def, ctx, p, n);
+    if (!status.is_ok()) {
+      TC_LOG(kWarn, "workloads") << "AM hash_probe: " << status.message();
     }
-  };
+  });
 }
 
 am::AmHandlerFn make_ordered_search_handler() {
@@ -313,13 +271,13 @@ am::AmHandlerFn make_bfs_handler() {
   };
 }
 
-am::AmHandlerFn make_workload_handler(Workload workload) {
+StatusOr<am::AmHandlerFn> make_workload_handler(Workload workload) {
   switch (workload) {
     case Workload::kHashProbe: return make_hash_probe_handler();
     case Workload::kOrderedSearch: return make_ordered_search_handler();
     case Workload::kBfs: return make_bfs_handler();
   }
-  return {};
+  return invalid_argument("workloads: unknown workload");
 }
 
 }  // namespace
@@ -463,11 +421,12 @@ Status WorkloadEngine::setup_lanes() {
   if (is_am_mode()) {
     // Predeployment discipline: the handler is registered on every node in
     // the same order, so the index is cluster-wide.
+    TC_ASSIGN_OR_RETURN(am::AmHandlerFn handler,
+                        make_workload_handler(config_.workload));
     const std::size_t node_count = cluster_->node_count();
     for (fabric::NodeId node = 0; node < node_count; ++node) {
       TC_ASSIGN_OR_RETURN(am_handler_index_,
-                          cluster_->am_runtime(node).register_handler(
-                              make_workload_handler(config_.workload)));
+                          cluster_->am_runtime(node).register_handler(handler));
     }
   }
   lanes_.resize(config_.lanes);

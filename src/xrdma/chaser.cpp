@@ -1,7 +1,5 @@
 #include "xrdma/chaser.hpp"
 
-#include <cstring>
-
 #include "common/log.hpp"
 #include "ir/kernels.hpp"
 #include "kir/am_backend.hpp"
@@ -84,84 +82,30 @@ StatusOr<core::IfuncLibrary> build_chaser_library(ir::CodeRepr repr,
 #endif
 }
 
-namespace {
-
-am::AmHandlerFn legacy_chase_am_handler() {
-  // Mirrors emit_chaser() in ir/kernel_builder.cpp instruction for
-  // instruction; the pair is kept in lockstep by the mode-equivalence
-  // tests. Dispatches on the payload size exactly as the ifunc kernels do:
-  // 16 bytes = classic single-chase, 24 bytes = tagged (pipelined) chase.
-  return [](am::AmContext& ctx, std::uint8_t* payload, std::uint64_t size) {
-    auto request_or = decode_chase_payload(ByteSpan(payload, size));
-    if (!request_or.is_ok() || (size != 16 && size != 24)) {
-      TC_LOG(kWarn, "xrdma") << "AM chaser: bad payload";
-      return;
-    }
-    std::uint64_t address = request_or->address;
-    std::uint64_t depth = request_or->depth;
-    const bool tagged = size == 24;
-    std::uint64_t tag = 0;
-    if (tagged) std::memcpy(&tag, payload + 16, sizeof(tag));
-    const std::uint64_t shard_size = ctx.shard_size;
-
-    while (true) {
-      const std::uint64_t owner = address / shard_size;
-      if (owner != ctx.self_peer) {
-        const ChaseRequest forward{address, depth};
-        const Bytes fresh =
-            tagged ? encode_tagged_chase_payload(forward, tag)
-                   : encode_chase_payload(forward);
-        (void)ctx.runtime->send((*ctx.peers)[owner], ctx.handler_index,
-                                as_span(fresh), ctx.origin_node);
-        return;
-      }
-      const std::uint64_t value = ctx.shard_base[address % shard_size];
-      if (--depth == 0) {
-        ByteWriter w;
-        w.u64(value);
-        if (tagged) w.u64(tag);
-        (void)ctx.runtime->reply(ctx, as_span(w.bytes()));
-        return;
-      }
-      address = value;
-    }
-  };
-}
-
-}  // namespace
-
-am::AmHandlerFn make_chase_am_handler() {
-  if (ir::kernel_source(ir::KernelKind::kChaser) != ir::KernelSource::kKir) {
-    return legacy_chase_am_handler();
-  }
-  // KIR-sourced: the same single definition that lowers to bytecode and
-  // LLVM IR is evaluated in place of the hand-written handler. Payload-size
-  // dispatch (16 = classic, 24 = tagged) and the warn-and-drop contract are
-  // preserved here; the evaluator charges nothing extra in the sim, whose
-  // AM exec cost is the calibrated constant.
-  ir::KernelOptions classic_opts;
+StatusOr<am::AmHandlerFn> make_chase_am_handler() {
+  // The same single KIR definition that lowers to bytecode and LLVM IR is
+  // evaluated as the handler. Payload-size dispatch (16 = classic, 24 =
+  // tagged) and the warn-and-drop contract live here; the evaluator charges
+  // nothing extra in the sim, whose AM exec cost is the calibrated constant.
   ir::KernelOptions tagged_opts;
   tagged_opts.chaser_tagged = true;
-  auto classic = kir::prepared_def(ir::KernelKind::kChaser, classic_opts);
-  auto tagged = kir::prepared_def(ir::KernelKind::kChaser, tagged_opts);
-  if (!classic.is_ok() || !tagged.is_ok()) {
-    TC_LOG(kWarn, "xrdma") << "AM chaser: KIR definition unavailable, "
-                              "falling back to the native handler";
-    return legacy_chase_am_handler();
-  }
-  return [classic = std::move(classic).value(),
-          tagged = std::move(tagged).value()](
-             am::AmContext& ctx, std::uint8_t* payload, std::uint64_t size) {
-    if (size != 16 && size != 24) {
-      TC_LOG(kWarn, "xrdma") << "AM chaser: bad payload";
-      return;
-    }
-    const kir::Def& def = size == 24 ? tagged : classic;
-    Status status = kir::run_in_am_context(def, ctx, payload, size);
-    if (!status.is_ok()) {
-      TC_LOG(kWarn, "xrdma") << "AM chaser: " << status.message();
-    }
-  };
+  TC_ASSIGN_OR_RETURN(kir::Def classic,
+                      kir::prepared_def(ir::KernelKind::kChaser, {}));
+  TC_ASSIGN_OR_RETURN(kir::Def tagged,
+                      kir::prepared_def(ir::KernelKind::kChaser, tagged_opts));
+  return am::AmHandlerFn(
+      [classic = std::move(classic), tagged = std::move(tagged)](
+          am::AmContext& ctx, std::uint8_t* payload, std::uint64_t size) {
+        if (size != 16 && size != 24) {
+          TC_LOG(kWarn, "xrdma") << "AM chaser: bad payload";
+          return;
+        }
+        const kir::Def& def = size == 24 ? tagged : classic;
+        Status status = kir::run_in_am_context(def, ctx, payload, size);
+        if (!status.is_ok()) {
+          TC_LOG(kWarn, "xrdma") << "AM chaser: " << status.message();
+        }
+      });
 }
 
 }  // namespace tc::xrdma

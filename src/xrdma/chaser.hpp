@@ -55,9 +55,10 @@ StatusOr<core::IfuncLibrary> build_chaser_library(
     ir::CodeRepr repr = ir::CodeRepr::kBitcode, bool hll_frontend = false,
     bool tagged = false);
 
-/// The predeployed AM handler implementing the identical chase logic in
-/// native C++ (the paper's Active Message evaluation baseline). Must be
-/// registered under the same index on every node.
-am::AmHandlerFn make_chase_am_handler();
+/// The predeployed AM handler (the paper's Active Message evaluation
+/// baseline): evaluates the chaser's KIR definition, classic or tagged by
+/// payload size. Must be registered under the same index on every node.
+/// Fails if the definition does not build.
+StatusOr<am::AmHandlerFn> make_chase_am_handler();
 
 }  // namespace tc::xrdma

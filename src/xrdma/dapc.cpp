@@ -154,12 +154,12 @@ Status DapcDriver::setup() {
         return failed_precondition("cluster built without AM runtimes");
       }
       // Predeployment: the handler is registered on every node, same index.
+      TC_ASSIGN_OR_RETURN(am::AmHandlerFn handler, make_chase_am_handler());
       const std::size_t node_count = cluster_->node_count();
       for (fabric::NodeId node = 0; node < node_count; ++node) {
         TC_ASSIGN_OR_RETURN(
             am_handler_index_,
-            cluster_->am_runtime(node).register_handler(
-                make_chase_am_handler()));
+            cluster_->am_runtime(node).register_handler(handler));
       }
       for (std::size_t i = 0; i < servers.size(); ++i) {
         auto& shard = table_.shard(i);

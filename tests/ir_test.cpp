@@ -64,8 +64,11 @@ constexpr KernelKind kAllKernels[] = {
 static_assert(std::size(kAllKernels) == kKernelKindCount,
               "keep the test catalogue in lockstep with KernelKind");
 
+// The triple is a std::string, not a const char*: gtest prints a pointer's
+// ASLR-randomized address, and gtest_discover_tests copies the printed
+// parameter into the ctest name.
 class KernelBuildP
-    : public ::testing::TestWithParam<std::tuple<KernelKind, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<KernelKind, std::string>> {};
 
 TEST_P(KernelBuildP, BuildsVerifiedModuleWithEntry) {
   const auto [kind, triple] = GetParam();
@@ -85,7 +88,8 @@ TEST_P(KernelBuildP, BuildsVerifiedModuleWithEntry) {
 INSTANTIATE_TEST_SUITE_P(
     AllKernelsBothIsas, KernelBuildP,
     ::testing::Combine(::testing::ValuesIn(kAllKernels),
-                       ::testing::Values(kTripleX86, kTripleAArch64)));
+                       ::testing::Values(std::string(kTripleX86),
+                                         std::string(kTripleAArch64))));
 
 TEST(KernelBuilder, NamesAreStableAndUnique) {
   std::set<std::string> names;

@@ -1,18 +1,23 @@
 // Tests for the single-source kernel frontend (src/kir/): catalogue
-// completeness, verifier rejections of the lockstep bug classes, byte
-// identity of the generated bytecode against the legacy vm/lower.cpp
-// emission, differential execution of the evaluator (the AM backend's
-// engine) against the interpreter, AM-mode equivalence on live clusters,
-// and — with LLVM — the kir→llvm backend run end to end through ORC.
+// completeness, verifier rejections of the lockstep bug classes, the pinned
+// size and fnv1a64 of every portable program vm::lower_kernel serves,
+// differential execution of the evaluator (the AM backend's engine) against
+// the interpreter, AM-mode equivalence on live clusters, and — with LLVM —
+// the kir→llvm backend run end to end through ORC.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "am/am_runtime.hpp"
 #include "common/bytes.hpp"
+#include "common/hash.hpp"
+#include "core/ifunc.hpp"
 #include "ir/kernels.hpp"
 #include "kir/am_backend.hpp"
 #include "kir/eval.hpp"
@@ -30,6 +35,7 @@
 #include "core/runtime.hpp"
 #include "hll/frontend.hpp"
 #include "ir/bitcode.hpp"
+#include "ir/kernel_builder.hpp"
 #include "ir/target_info.hpp"
 #include "jit/engine.hpp"
 #include "kir/llvm_backend.hpp"
@@ -38,6 +44,104 @@
 namespace tc::kir {
 namespace {
 
+// --- pinned portable bytecode --------------------------------------------------
+
+/// One portable program the fabric ships: a kernel variant and the size and
+/// fnv1a64 of its serialized vm::lower_kernel output.
+struct PinnedProgram {
+  ir::KernelKind kind;
+  bool hll_guards;
+  bool chaser_tagged;
+  std::size_t bytes;
+  std::uint64_t fnv1a64;
+};
+
+void PrintTo(const PinnedProgram& pin, std::ostream* os) {
+  *os << ir::kernel_name(pin.kind) << (pin.hll_guards ? " --hll" : "")
+      << (pin.chaser_tagged ? " --tagged" : "");
+}
+
+using K = ir::KernelKind;
+
+// Every kernel with HLL guards off and on, plus the tagged chaser. The sim
+// charges interpreted virtual time per shipped instruction, so a changed
+// row moves calibrated figures; `tc_inspect kir <kernel> [--hll]
+// [--tagged]` prints a program with its row in this format.
+//   kind, hll_guards, chaser_tagged, bytes, fnv1a64
+constexpr PinnedProgram kPinnedPrograms[] = {
+    {K::kTargetSideIncrement, false, false, 72, 0xb85d6c8b8f30e273},
+    {K::kTargetSideIncrement, true, false, 80, 0xcf10b897ea398c4e},
+    {K::kPayloadSum, false, false, 128, 0xda53d1ec98574e38},
+    {K::kPayloadSum, true, false, 136, 0xc50c3c398c1b9626},
+    {K::kSaxpy, false, false, 216, 0xa19e1661df0b7025},
+    {K::kSaxpy, true, false, 224, 0xfee303af60ee193e},
+    {K::kVecReduce, false, false, 152, 0x3c77a4f596ffcfc8},
+    {K::kVecReduce, true, false, 160, 0x780669298525a441},
+    {K::kChaser, false, false, 264, 0x4d3474371f55d97b},
+    {K::kChaser, true, false, 272, 0x8b57f01d8521446d},
+    {K::kChaser, false, true, 288, 0xc45ca4b659900714},
+    {K::kChaser, true, true, 296, 0x4c2ba83ce8465a00},
+    {K::kRingHop, false, false, 200, 0x9e59bc21de3f821d},
+    {K::kRingHop, true, false, 208, 0x5ee64fdf7e72b123},
+    {K::kSpawner, false, false, 88, 0xadc79727de1103f9},
+    {K::kSpawner, true, false, 96, 0x89bf8f98db4f64fd},
+    {K::kSinSum, false, false, 160, 0xff6aab38586b7c69},
+    {K::kSinSum, true, false, 168, 0xb5998771104f7987},
+    {K::kRemoteStore, false, false, 112, 0x474a9d3fd2f2114d},
+    {K::kRemoteStore, true, false, 120, 0x33f2e7093976c835},
+    {K::kStatsSummary, false, false, 248, 0x373df18506c2e2d7},
+    {K::kStatsSummary, true, false, 256, 0x2c6afdcb5f175d76},
+    {K::kTreeBroadcast, false, false, 224, 0x1075b2ad420b8391},
+    {K::kTreeBroadcast, true, false, 232, 0x86a5e36464a9a3f1},
+    {K::kCollectiveBroadcast, false, false, 352, 0x0d9651e5491cbe46},
+    {K::kCollectiveBroadcast, true, false, 360, 0xda3d6eb2173c8ba3},
+    {K::kCollectiveReduce, false, false, 856, 0xd65e5001f44a3dcf},
+    {K::kCollectiveReduce, true, false, 872, 0xb81b470bb900ff1d},
+    {K::kHashProbe, false, false, 392, 0xc021c0f744922cba},
+    {K::kHashProbe, true, false, 400, 0xf16ac227f6b46469},
+    {K::kOrderedSearch, false, false, 1000, 0xe2a525a06a5112bb},
+    {K::kOrderedSearch, true, false, 1032, 0x8a2737f044fb65cc},
+    {K::kBfsFrontier, false, false, 1096, 0x3615d1473aef2d70},
+    {K::kBfsFrontier, true, false, 1104, 0x70fda61cdba4d421},
+};
+
+std::string pin_line(std::size_t bytes, std::uint64_t hash) {
+  char line[64];
+  std::snprintf(line, sizeof(line), "bytes=%zu fnv1a64=0x%016llx", bytes,
+                static_cast<unsigned long long>(hash));
+  return line;
+}
+
+class PinnedBytecodeP : public ::testing::TestWithParam<PinnedProgram> {};
+
+TEST_P(PinnedBytecodeP, SizeAndFnv1a64Unchanged) {
+  const PinnedProgram& pin = GetParam();
+  ir::KernelOptions options;
+  options.hll_guards = pin.hll_guards;
+  options.chaser_tagged = pin.chaser_tagged;
+  auto program = vm::lower_kernel(pin.kind, options);
+  ASSERT_TRUE(program.is_ok()) << program.status().to_string();
+  const Bytes wire = program->serialize();
+  const std::uint64_t hash = fnv1a64(as_span(wire));
+  if (wire.size() == pin.bytes && hash == pin.fnv1a64) return;
+  ADD_FAILURE() << ::testing::PrintToString(pin) << ": expected "
+                << pin_line(pin.bytes, pin.fnv1a64) << ", got "
+                << pin_line(wire.size(), hash)
+                << "\nA deliberate schedule change re-pins this row; inspect "
+                   "it with `tc_inspect kir "
+                << ::testing::PrintToString(pin) << "`. The program:\n"
+                << vm::disassemble(*program);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPortablePrograms, PinnedBytecodeP, ::testing::ValuesIn(kPinnedPrograms),
+    [](const ::testing::TestParamInfo<PinnedProgram>& info) {
+      std::string name = ir::kernel_name(info.param.kind);
+      if (info.param.chaser_tagged) name += "_tagged";
+      if (info.param.hll_guards) name += "_hll";
+      return name;
+    });
+
 // --- catalogue completeness ----------------------------------------------------
 
 TEST(KirCatalogue, EveryKernelKindFullyDescribed) {
@@ -45,21 +149,24 @@ TEST(KirCatalogue, EveryKernelKindFullyDescribed) {
     const auto kind = static_cast<ir::KernelKind>(k);
     EXPECT_STRNE(ir::kernel_name(kind), "unknown") << "kind " << k;
     EXPECT_STRNE(ir::kernel_description(kind), "") << "kind " << k;
-    const ir::KernelSource source = ir::kernel_source(kind);
-    EXPECT_TRUE(source == ir::KernelSource::kLegacy ||
-                source == ir::KernelSource::kKir)
-        << "kind " << k;
-    EXPECT_STRNE(ir::kernel_source_name(source), "unknown") << "kind " << k;
-    // A kind claiming KIR sourcing must actually have a definition, and the
-    // definition must build and verify.
-    if (source == ir::KernelSource::kKir) {
-      EXPECT_TRUE(has_kernel_def(kind)) << ir::kernel_name(kind);
-      auto def = kernel_def(kind, {});
+    // has_kernel_def is the registry of ported kernels: a kind it names must
+    // have a definition that builds and verifies, and no other kind may.
+    auto def = kernel_def(kind, {});
+    if (has_kernel_def(kind)) {
       EXPECT_TRUE(def.is_ok())
           << ir::kernel_name(kind) << ": " << def.status().to_string();
     } else {
-      EXPECT_FALSE(has_kernel_def(kind)) << ir::kernel_name(kind);
+      EXPECT_EQ(def.status().code(), ErrorCode::kNotFound)
+          << ir::kernel_name(kind);
     }
+    // Every program of the kind is pinned: guards off and on, and both
+    // again for the tagged chaser.
+    std::size_t pinned = 0;
+    for (const PinnedProgram& pin : kPinnedPrograms) {
+      if (pin.kind == kind) ++pinned;
+    }
+    EXPECT_EQ(pinned, kind == ir::KernelKind::kChaser ? 4u : 2u)
+        << ir::kernel_name(kind);
   }
 }
 
@@ -71,13 +178,33 @@ TEST(KirCatalogue, PortedSetIsExactlyTheSixKernels) {
   };
   std::size_t kir_count = 0;
   for (int k = 0; k < ir::kKernelKindCount; ++k) {
-    const auto kind = static_cast<ir::KernelKind>(k);
-    if (ir::kernel_source(kind) == ir::KernelSource::kKir) ++kir_count;
+    if (has_kernel_def(static_cast<ir::KernelKind>(k))) ++kir_count;
   }
   EXPECT_EQ(kir_count, ported.size());
   for (ir::KernelKind kind : ported) {
-    EXPECT_EQ(ir::kernel_source(kind), ir::KernelSource::kKir)
-        << ir::kernel_name(kind);
+    EXPECT_TRUE(has_kernel_def(kind)) << ir::kernel_name(kind);
+  }
+}
+
+TEST(KirCatalogue, TaggedRejectedForNonChaserPortableKernels) {
+  // chaser_tagged names a chaser variant only; for any other kernel the
+  // portable frontend must refuse rather than ship the untagged program
+  // under a tagged (`_w`) wire name.
+  ir::KernelOptions tagged;
+  tagged.chaser_tagged = true;
+  for (int k = 0; k < ir::kKernelKindCount; ++k) {
+    const auto kind = static_cast<ir::KernelKind>(k);
+    auto program = vm::lower_kernel(kind, tagged);
+    auto library = core::IfuncLibrary::from_portable_kernel(kind, tagged);
+    if (kind == ir::KernelKind::kChaser) {
+      EXPECT_TRUE(program.is_ok()) << program.status().to_string();
+      EXPECT_TRUE(library.is_ok()) << library.status().to_string();
+      continue;
+    }
+    ASSERT_FALSE(program.is_ok()) << ir::kernel_name(kind);
+    EXPECT_EQ(program.status().code(), ErrorCode::kInvalidArgument);
+    ASSERT_FALSE(library.is_ok()) << ir::kernel_name(kind);
+    EXPECT_EQ(library.status().code(), ErrorCode::kInvalidArgument);
   }
 }
 
@@ -153,62 +280,6 @@ TEST(KirBackends, RawDefsWithMarkersRejected) {
   EXPECT_EQ(program.status().code(), ErrorCode::kFailedPrecondition);
 }
 
-// --- bytecode byte identity ----------------------------------------------------
-
-std::vector<ir::KernelOptions> option_matrix(ir::KernelKind kind) {
-  std::vector<ir::KernelOptions> matrix;
-  for (bool hll : {false, true}) {
-    ir::KernelOptions options;
-    options.hll_guards = hll;
-    matrix.push_back(options);
-    if (kind == ir::KernelKind::kChaser) {
-      options.chaser_tagged = true;
-      matrix.push_back(options);
-    }
-  }
-  return matrix;
-}
-
-TEST(KirVmConformance, GeneratedBytecodeByteIdenticalToLegacyLowering) {
-  for (int k = 0; k < ir::kKernelKindCount; ++k) {
-    const auto kind = static_cast<ir::KernelKind>(k);
-    if (ir::kernel_source(kind) != ir::KernelSource::kKir) continue;
-    for (const ir::KernelOptions& options : option_matrix(kind)) {
-      auto def = prepared_def(kind, options);
-      ASSERT_TRUE(def.is_ok()) << def.status().to_string();
-      auto generated = emit_vm(*def);
-      ASSERT_TRUE(generated.is_ok())
-          << def->name << ": " << generated.status().to_string();
-      auto legacy = vm::lower_kernel_legacy(kind, options);
-      ASSERT_TRUE(legacy.is_ok()) << legacy.status().to_string();
-      EXPECT_EQ(generated->serialize(), legacy->serialize())
-          << def->name << " (hll=" << options.hll_guards
-          << " tagged=" << options.chaser_tagged
-          << "): kir→vm bytecode diverged from vm/lower.cpp — run "
-             "`tc_inspect kir "
-          << ir::kernel_name(kind) << "` for the instruction diff";
-    }
-  }
-}
-
-TEST(KirVmConformance, DispatcherRoutesKirKindsIdentically) {
-  // lower_kernel() routes KIR-sourced kinds through the kir backend; the
-  // public surface must keep serving the same bytes as before the port.
-  for (int k = 0; k < ir::kKernelKindCount; ++k) {
-    const auto kind = static_cast<ir::KernelKind>(k);
-    for (bool hll : {false, true}) {
-      ir::KernelOptions options;
-      options.hll_guards = hll;
-      auto routed = vm::lower_kernel(kind, options);
-      auto legacy = vm::lower_kernel_legacy(kind, options);
-      ASSERT_TRUE(routed.is_ok()) << ir::kernel_name(kind);
-      ASSERT_TRUE(legacy.is_ok()) << ir::kernel_name(kind);
-      EXPECT_EQ(routed->serialize(), legacy->serialize())
-          << ir::kernel_name(kind) << " hll=" << hll;
-    }
-  }
-}
-
 // --- evaluator ↔ interpreter differential --------------------------------------
 
 struct StubEnv {
@@ -267,8 +338,9 @@ vm::HookTable stub_hooks(StubEnv& env) {
 }
 
 /// One differential case: identical env + payload through the evaluator
-/// (kir defs) and the interpreter (legacy bytecode); every observable —
-/// target, payload mutation, forwards, replies, guard count — must match.
+/// (kir defs) and the interpreter (the production vm::lower_kernel
+/// bytecode); every observable — target, payload mutation, forwards,
+/// replies, guard count — must match.
 struct DiffCase {
   ir::KernelKind kind;
   Bytes payload;
@@ -286,8 +358,8 @@ void run_differential(const DiffCase& c, bool hll) {
 
   auto def = prepared_def(c.kind, options);
   ASSERT_TRUE(def.is_ok()) << def.status().to_string();
-  auto legacy = vm::lower_kernel_legacy(c.kind, options);
-  ASSERT_TRUE(legacy.is_ok());
+  auto program = vm::lower_kernel(c.kind, options);
+  ASSERT_TRUE(program.is_ok()) << program.status().to_string();
 
   StubEnv kir_env, vm_env;
   std::vector<std::uint64_t> kir_shard = c.shard;
@@ -307,7 +379,7 @@ void run_differential(const DiffCase& c, bool hll) {
       evaluate(*def, kir_hooks, kir_payload.data(), kir_payload.size());
   ASSERT_TRUE(eval_result.is_ok())
       << def->name << ": " << eval_result.status().to_string();
-  auto interp_result = vm::execute(*legacy, vm_hooks, vm_payload.data(),
+  auto interp_result = vm::execute(*program, vm_hooks, vm_payload.data(),
                                    vm_payload.size());
   ASSERT_TRUE(interp_result.is_ok())
       << def->name << ": " << interp_result.status().to_string();
@@ -558,11 +630,9 @@ TEST(KirAmBackend, MalformedPayloadDroppedNotEvaluated) {
 }
 
 TEST(KirAmEquivalence, DapcChaserAmMatchesInterpretedValues) {
-  // The AM chaser now evaluates the KIR def (xrdma/chaser.cpp routes it
-  // when the chaser is KIR-sourced); the observed chase values must still
-  // match the interpreted-bytecode pipeline exactly.
-  ASSERT_EQ(ir::kernel_source(ir::KernelKind::kChaser),
-            ir::KernelSource::kKir);
+  // The AM chaser evaluates the KIR def (xrdma/chaser.cpp); the observed
+  // chase values must match the interpreted-bytecode pipeline exactly.
+  ASSERT_TRUE(has_kernel_def(ir::KernelKind::kChaser));
   xrdma::DapcConfig config;
   config.depth = 32;
   config.chases = 4;
@@ -589,8 +659,7 @@ TEST(KirAmEquivalence, DapcChaserAmMatchesInterpretedValues) {
 }
 
 TEST(KirAmEquivalence, HashProbeAmMatchesPortableOnAllTransports) {
-  ASSERT_EQ(ir::kernel_source(ir::KernelKind::kHashProbe),
-            ir::KernelSource::kKir);
+  ASSERT_TRUE(has_kernel_def(ir::KernelKind::kHashProbe));
   for (hetsim::Backend backend :
        {hetsim::Backend::kSim, hetsim::Backend::kShm,
         hetsim::Backend::kSocket}) {
@@ -640,12 +709,28 @@ TEST(KirHll, TaggedRejectedForNonChaserKernels) {
   auto chaser = hll::build_library(ir::KernelKind::kChaser,
                                    /*drive_with_c=*/false, /*tagged=*/true);
   EXPECT_TRUE(chaser.is_ok()) << chaser.status().to_string();
+  // The bitcode builder and the library built from it reject it too: no
+  // untagged module under a tagged (`_w`) wire name.
+  ir::KernelOptions tagged;
+  tagged.chaser_tagged = true;
+  llvm::LLVMContext context;
+  auto module = ir::build_kernel(context, ir::KernelKind::kHashProbe,
+                                 ir::host_descriptor(), tagged);
+  ASSERT_FALSE(module.is_ok());
+  EXPECT_EQ(module.status().code(), ErrorCode::kInvalidArgument);
+  auto bitcode_lib =
+      core::IfuncLibrary::from_kernel(ir::KernelKind::kHashProbe, tagged);
+  ASSERT_FALSE(bitcode_lib.is_ok());
+  EXPECT_EQ(bitcode_lib.status().code(), ErrorCode::kInvalidArgument);
+  auto chaser_module = ir::build_kernel(context, ir::KernelKind::kChaser,
+                                        ir::host_descriptor(), tagged);
+  EXPECT_TRUE(chaser_module.is_ok()) << chaser_module.status().to_string();
 }
 
 TEST(KirLlvmBackend, FatArchivesBuildForEveryPortedKernel) {
   for (int k = 0; k < ir::kKernelKindCount; ++k) {
     const auto kind = static_cast<ir::KernelKind>(k);
-    if (ir::kernel_source(kind) != ir::KernelSource::kKir) continue;
+    if (!has_kernel_def(kind)) continue;
     auto archive = build_default_kir_fat_kernel(kind);
     ASSERT_TRUE(archive.is_ok())
         << ir::kernel_name(kind) << ": " << archive.status().to_string();

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,6 +61,13 @@ struct ConformanceParam {
 inline std::string param_name(
     const ::testing::TestParamInfo<ConformanceParam>& info) {
   return info.param.name;
+}
+
+/// gtest's default printer dumps the parameter's raw bytes, which hold
+/// ASLR-randomized pointers; gtest_discover_tests copies that printout into
+/// the ctest name, so it would change on every build.
+inline void PrintTo(const ConformanceParam& param, std::ostream* os) {
+  *os << param.name;
 }
 
 class TransportConformance

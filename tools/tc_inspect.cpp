@@ -16,11 +16,11 @@
 //   tc_inspect kernels                   list the stock KernelKind catalogue
 //                                        (wire name + one-line description)
 //   tc_inspect kir <kernel> [--hll] [--tagged]
-//                                        dump a KIR-sourced kernel: the KIR
-//                                        definition, the generated bytecode,
-//                                        the legacy lowering, and a
-//                                        BYTE-IDENTICAL / DIFFERS verdict
-//                                        (exit 0 only when identical)
+//                                        dump one kernel's portable program:
+//                                        the raw KIR definition (ported
+//                                        kernels), the production
+//                                        disassembly, and the size + fnv1a64
+//                                        line kir_test pins
 //
 // Useful when debugging what actually travels on the wire: entry triples,
 // code sizes, deps manifests, header fields, delimiter placement.
@@ -30,12 +30,12 @@
 #include <fstream>
 #include <string>
 
+#include "common/hash.hpp"
 #include "core/frame.hpp"
 #include "ir/fat_bitcode.hpp"
 #include "ir/kernels.hpp"
 #include "kir/kernels.hpp"
 #include "kir/kir.hpp"
-#include "kir/vm_backend.hpp"
 #include "obs/export.hpp"
 #include "vm/bytecode.hpp"
 #include "vm/lower.hpp"
@@ -250,8 +250,9 @@ int cmd_emit_vm_demo(const char* path) {
   return write_archive(*archive, path);
 }
 
-// The conformance lens CI attaches on a kir_test byte-diff failure: shows
-// exactly what the KIR vm backend produced next to the legacy lowering.
+// The lens CI attaches when a kir_test pinned-bytecode case fails: the raw
+// KIR definition (when the kernel has one), the bytecode vm::lower_kernel
+// ships, and its size + fnv1a64 in the format of kir_test's pinned table.
 int cmd_kir(const char* kernel, bool hll, bool tagged) {
   int found = -1;
   for (int k = 0; k < ir::kKernelKindCount; ++k) {
@@ -267,52 +268,38 @@ int cmd_kir(const char* kernel, bool hll, bool tagged) {
     return 2;
   }
   const auto kind = static_cast<ir::KernelKind>(found);
-  if (ir::kernel_source(kind) != ir::KernelSource::kKir) {
-    std::fprintf(stderr, "%s is still on the legacy emitters (source=%s)\n",
-                 kernel, ir::kernel_source_name(ir::kernel_source(kind)));
-    return 2;
-  }
   ir::KernelOptions options;
   options.hll_guards = hll;
   options.chaser_tagged = tagged;
+  if (Status status = ir::check_kernel_options(kind, options);
+      !status.is_ok()) {
+    std::fprintf(stderr, "%s\n", status.to_string().c_str());
+    return 2;
+  }
 
-  auto raw = kir::kernel_def(kind, options);
-  if (!raw.is_ok()) {
-    std::fprintf(stderr, "%s\n", raw.status().to_string().c_str());
+  const bool ported = kir::has_kernel_def(kind);
+  if (ported) {
+    auto raw = kir::kernel_def(kind, options);
+    if (!raw.is_ok()) {
+      std::fprintf(stderr, "%s\n", raw.status().to_string().c_str());
+      return 1;
+    }
+    std::printf(
+        "--- KIR definition (raw: guard/trace markers in place) ---\n");
+    std::fputs(kir::dump(*raw).c_str(), stdout);
+  }
+  auto program = vm::lower_kernel(kind, options);
+  if (!program.is_ok()) {
+    std::fprintf(stderr, "%s\n", program.status().to_string().c_str());
     return 1;
   }
-  std::printf("--- KIR definition (raw: guard/trace markers in place) ---\n");
-  std::fputs(kir::dump(*raw).c_str(), stdout);
-
-  auto prepared = kir::prepared_def(kind, options);
-  if (!prepared.is_ok()) {
-    std::fprintf(stderr, "%s\n", prepared.status().to_string().c_str());
-    return 1;
-  }
-  auto generated = kir::emit_vm(*prepared);
-  if (!generated.is_ok()) {
-    std::fprintf(stderr, "kir→vm: %s\n",
-                 generated.status().to_string().c_str());
-    return 1;
-  }
-  auto legacy = vm::lower_kernel_legacy(kind, options);
-  if (!legacy.is_ok()) {
-    std::fprintf(stderr, "legacy lowering: %s\n",
-                 legacy.status().to_string().c_str());
-    return 1;
-  }
-  std::printf("--- generated bytecode (kir→vm) ---\n");
-  std::fputs(vm::disassemble(*generated).c_str(), stdout);
-  std::printf("--- legacy bytecode (vm/lower.cpp) ---\n");
-  std::fputs(vm::disassemble(*legacy).c_str(), stdout);
-
-  const Bytes gen_wire = generated->serialize();
-  const Bytes leg_wire = legacy->serialize();
-  const bool identical = gen_wire == leg_wire;
-  std::printf("--- verdict: %s (%zu vs %zu wire bytes) ---\n",
-              identical ? "BYTE-IDENTICAL" : "DIFFERS", gen_wire.size(),
-              leg_wire.size());
-  return identical ? 0 : 1;
+  std::printf("--- production bytecode (%s) ---\n",
+              ported ? "kir→vm" : "vm/lower.cpp");
+  std::fputs(vm::disassemble(*program).c_str(), stdout);
+  const Bytes wire = program->serialize();
+  std::printf("bytes=%zu fnv1a64=0x%016llx\n", wire.size(),
+              static_cast<unsigned long long>(fnv1a64(as_span(wire))));
+  return 0;
 }
 
 int cmd_trace(const char* path, const char* max_traces_arg) {
@@ -382,8 +369,15 @@ int main(int argc, char** argv) {
     bool hll = false;
     bool tagged = false;
     for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--hll") == 0) hll = true;
-      if (std::strcmp(argv[i], "--tagged") == 0) tagged = true;
+      if (std::strcmp(argv[i], "--hll") == 0) {
+        hll = true;
+      } else if (std::strcmp(argv[i], "--tagged") == 0) {
+        tagged = true;
+      } else {
+        std::fprintf(stderr, "unknown kir option '%s'\n", argv[i]);
+        usage();
+        return 2;
+      }
     }
     return cmd_kir(argv[2], hll, tagged);
   }
