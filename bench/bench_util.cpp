@@ -191,13 +191,11 @@ namespace {
 StatusOr<DapcPoint> run_one_dapc(Platform platform, std::size_t servers,
                                  xrdma::ChaseMode mode, std::uint64_t depth,
                                  std::uint64_t chases,
-                                 std::int64_t hll_guard_ns_override,
                                  std::uint64_t window = 1,
                                  std::size_t batch_frames = 1) {
   hetsim::ClusterConfig cluster_config;
   cluster_config.platform = platform;
   cluster_config.server_count = servers;
-  cluster_config.hll_guard_ns_override = hll_guard_ns_override;
   TC_ASSIGN_OR_RETURN(auto cluster, hetsim::Cluster::create(cluster_config));
 
   xrdma::DapcConfig config;
@@ -221,15 +219,13 @@ StatusOr<DapcPoint> run_one_dapc(Platform platform, std::size_t servers,
 std::vector<DapcSeries> dapc_depth_sweep(
     Platform platform, std::size_t servers,
     const std::vector<xrdma::ChaseMode>& modes,
-    const std::vector<std::uint64_t>& depths, std::uint64_t chases,
-    std::int64_t hll_guard_ns_override) {
+    const std::vector<std::uint64_t>& depths, std::uint64_t chases) {
   std::vector<DapcSeries> out;
   for (xrdma::ChaseMode mode : modes) {
     DapcSeries series;
     series.mode = mode;
     for (std::uint64_t depth : depths) {
-      auto point = run_one_dapc(platform, servers, mode, depth, chases,
-                                hll_guard_ns_override);
+      auto point = run_one_dapc(platform, servers, mode, depth, chases);
       if (!point.is_ok()) {
         std::fprintf(stderr, "dapc %s depth=%llu failed: %s\n",
                      chase_mode_name(mode),
@@ -248,14 +244,13 @@ std::vector<DapcSeries> dapc_depth_sweep(
 std::vector<DapcSeries> dapc_server_sweep(
     Platform platform, const std::vector<std::size_t>& server_counts,
     std::uint64_t depth, const std::vector<xrdma::ChaseMode>& modes,
-    std::uint64_t chases, std::int64_t hll_guard_ns_override) {
+    std::uint64_t chases) {
   std::vector<DapcSeries> out;
   for (xrdma::ChaseMode mode : modes) {
     DapcSeries series;
     series.mode = mode;
     for (std::size_t servers : server_counts) {
-      auto point = run_one_dapc(platform, servers, mode, depth, chases,
-                                hll_guard_ns_override);
+      auto point = run_one_dapc(platform, servers, mode, depth, chases);
       if (!point.is_ok()) {
         std::fprintf(stderr, "dapc %s servers=%zu failed: %s\n",
                      chase_mode_name(mode), servers,
@@ -324,8 +319,8 @@ std::vector<DapcSeries> dapc_window_sweep(
           batch_frames != 0
               ? batch_frames
               : static_cast<std::size_t>(std::min<std::uint64_t>(window, 8));
-      auto point = run_one_dapc(platform, servers, mode, depth, chases,
-                                /*hll_guard_ns_override=*/-1, window, batch);
+      auto point =
+          run_one_dapc(platform, servers, mode, depth, chases, window, batch);
       if (!point.is_ok()) {
         std::fprintf(stderr, "dapc %s window=%llu failed: %s\n",
                      chase_mode_name(mode),

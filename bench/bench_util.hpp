@@ -57,14 +57,13 @@ struct DapcSeries {
 std::vector<DapcSeries> dapc_depth_sweep(
     hetsim::Platform platform, std::size_t servers,
     const std::vector<xrdma::ChaseMode>& modes,
-    const std::vector<std::uint64_t>& depths, std::uint64_t chases = 2,
-    std::int64_t hll_guard_ns_override = -1);
+    const std::vector<std::uint64_t>& depths, std::uint64_t chases = 2);
 
 /// Server-count sweep at fixed depth (Figures 9-12).
 std::vector<DapcSeries> dapc_server_sweep(
     hetsim::Platform platform, const std::vector<std::size_t>& server_counts,
     std::uint64_t depth, const std::vector<xrdma::ChaseMode>& modes,
-    std::uint64_t chases = 2, std::int64_t hll_guard_ns_override = -1);
+    std::uint64_t chases = 2);
 
 /// Prints a figure-style series table: one row per x, one column per mode,
 /// plus the paper's "Get - Bitcode % Diff" column when both are present.

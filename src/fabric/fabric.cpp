@@ -115,6 +115,7 @@ void Fabric::sync_to_compute_horizon(NodeId node_id) {
 
 void Fabric::post_send(NodeId src, NodeId dst, ByteSpan data,
                        std::size_t fragments, CompletionFn on_complete) {
+  if (!admit_post("post_send", src, dst, on_complete)) return;
   ++stats_.sends;
   stats_.bytes_on_wire += data.size();
 
@@ -131,6 +132,7 @@ void Fabric::post_send(NodeId src, NodeId dst, ByteSpan data,
 
 void Fabric::post_am(NodeId src, NodeId dst, AmId id, ByteSpan payload,
                      CompletionFn on_complete) {
+  if (!admit_post("post_am", src, dst, on_complete)) return;
   ++stats_.ams;
   stats_.bytes_on_wire += payload.size();
 
@@ -153,6 +155,7 @@ void Fabric::post_am(NodeId src, NodeId dst, AmId id, ByteSpan payload,
 
 void Fabric::post_put(NodeId src, const RemoteAddr& dst, ByteSpan data,
                       CompletionFn on_complete) {
+  if (!admit_post("post_put", src, dst.node, on_complete)) return;
   ++stats_.puts;
   stats_.bytes_on_wire += data.size();
 
@@ -175,6 +178,7 @@ void Fabric::post_put(NodeId src, const RemoteAddr& dst, ByteSpan data,
 
 void Fabric::post_get(NodeId src, const RemoteAddr& addr, std::size_t length,
                       GetCompletionFn on_complete) {
+  if (!admit_post("post_get", src, addr.node, on_complete)) return;
   ++stats_.gets;
   stats_.bytes_on_wire += length;
 

@@ -122,7 +122,9 @@ class Fabric final : public Transport {
   // Each verb copies its bytes, reserves the src→dst injection channel and
   // schedules delivery at the modeled arrival time. The delivery events
   // capture only this Fabric, so a sender may go away while its messages
-  // are still on the wire. Completions fire at arrival.
+  // are still on the wire. Completions fire at arrival. A src or dst that
+  // names no node fails the completion at once with no_such_node() and
+  // posts nothing.
 
   /// Two-sided send into `dst`'s receive queue. `fragments` > 1 charges
   /// the injection channel for a coalesced message (one per-message gap
@@ -183,6 +185,15 @@ class Fabric final : public Transport {
     std::uint64_t seq;
     std::function<void()> fn;
   };
+  /// The endpoint check every post_* runs first (see the data plane).
+  template <typename Fn>
+  bool admit_post(const char* verb, NodeId src, NodeId dst, Fn& on_complete) {
+    if (src < nodes_.size() && dst < nodes_.size()) [[likely]] return true;
+    const NodeId bad = src < nodes_.size() ? dst : src;
+    if (on_complete) on_complete(no_such_node(verb, bad, nodes_.size()));
+    return false;
+  }
+
   struct EventOrder {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time > b.time;

@@ -1,10 +1,8 @@
 #include "fabric/shm_transport.hpp"
 
-#include <chrono>
 #include <cstring>
+#include <thread>
 #include <utility>
-
-#include "common/log.hpp"
 
 namespace tc::fabric {
 
@@ -17,11 +15,8 @@ thread_local int g_progress_depth = 0;
 }  // namespace
 
 ShmTransport::ShmTransport(std::size_t node_count, ShmTransportOptions options)
-    : options_(options) {
-  nodes_.reserve(node_count);
-  for (std::size_t i = 0; i < node_count; ++i) {
-    nodes_.push_back(std::make_unique<NodeState>());
-  }
+    : WallClockTransport(node_count, kAllLocal, options.run_until_timeout_ms),
+      options_(options) {
   rings_.resize(node_count * node_count);
   for (std::size_t src = 0; src < node_count; ++src) {
     for (std::size_t dst = 0; dst < node_count; ++dst) {
@@ -33,72 +28,6 @@ ShmTransport::ShmTransport(std::size_t node_count, ShmTransportOptions options)
 }
 
 ShmTransport::~ShmTransport() { stop_progress_threads(); }
-
-std::int64_t ShmTransport::now_ns() const {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-StatusOr<MemRegion> ShmTransport::allocate_window(NodeId node,
-                                                  std::size_t length) {
-  if (length == 0) return invalid_argument("allocate_window: empty window");
-  std::uint8_t* base = nullptr;
-  {
-    std::lock_guard lock(arena_mu_);
-    arena_.emplace_back(length);
-    base = arena_.back().data();
-  }
-  return register_window(node, base, length);
-}
-
-void ShmTransport::start_progress_threads(const std::vector<NodeId>& nodes) {
-  for (NodeId node : nodes) {
-    threads_.emplace_back([this, node] {
-      int idle_spins = 0;
-      while (!stop_.load(std::memory_order_relaxed)) {
-        if (progress(node)) {
-          idle_spins = 0;
-          continue;
-        }
-        // Back off gradually: stay hot right after traffic, then yield,
-        // then nap so an idle 8-node transport is not 8 spinning cores.
-        if (++idle_spins < 64) continue;
-        if (idle_spins < 1024) {
-          std::this_thread::yield();
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
-        }
-      }
-    });
-  }
-}
-
-void ShmTransport::stop_progress_threads() {
-  stop_.store(true, std::memory_order_relaxed);
-  for (std::thread& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
-  stop_.store(false, std::memory_order_relaxed);
-}
-
-std::uint64_t ShmTransport::stash_completion(NodeId node, CompletionFn cb) {
-  NodeState& state = *nodes_[node];
-  std::lock_guard lock(state.completions_mu);
-  const std::uint64_t cid = state.next_cid++;
-  state.completions.emplace(cid, std::move(cb));
-  return cid;
-}
-
-std::uint64_t ShmTransport::stash_get_completion(NodeId node,
-                                                 GetCompletionFn cb) {
-  NodeState& state = *nodes_[node];
-  std::lock_guard lock(state.completions_mu);
-  const std::uint64_t cid = state.next_cid++;
-  state.get_completions.emplace(cid, std::move(cb));
-  return cid;
-}
 
 void ShmTransport::push_op(NodeId src, NodeId dst, Op op) {
   if (src == dst) {
@@ -126,7 +55,7 @@ void ShmTransport::push_op(NodeId src, NodeId dst, Op op) {
       now_ns() + options_.full_ring_wait_ms * 1'000'000;
   std::uint32_t spins = 0;
   while (!r.try_push(op)) {
-    if (stop_.load(std::memory_order_relaxed)) {
+    if (stopping()) {
       ops_dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -143,7 +72,8 @@ void ShmTransport::push_op(NodeId src, NodeId dst, Op op) {
   }
 }
 
-void ShmTransport::fail_op_backpressure(NodeId src, NodeId dst, Op& op) {
+void ShmTransport::fail_op_backpressure(NodeId src, NodeId dst,
+                                        const Op& op) {
   switch (op.kind) {
     case Op::Kind::kAck:
     case Op::Kind::kGetAck:
@@ -151,63 +81,19 @@ void ShmTransport::fail_op_backpressure(NodeId src, NodeId dst, Op& op) {
       // do is drop it and let the peer's watchdog surface the loss.
       ops_dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
-    case Op::Kind::kGet: {
-      GetCompletionFn cb;
-      {
-        NodeState& state = *nodes_[src];
-        std::lock_guard lock(state.completions_mu);
-        auto it = state.get_completions.find(op.cid);
-        if (it != state.get_completions.end()) {
-          cb = std::move(it->second);
-          state.get_completions.erase(it);
-        }
-      }
-      if (cb) cb(backpressure_status(src, dst));
+    case Op::Kind::kGet:
+      complete_get(src, op.cid, backpressure_status(src, dst));
       return;
-    }
-    default: {
-      if (op.cid == 0) return;  // fire-and-forget: nothing to fail
-      CompletionFn cb;
-      {
-        NodeState& state = *nodes_[src];
-        std::lock_guard lock(state.completions_mu);
-        auto it = state.completions.find(op.cid);
-        if (it != state.completions.end()) {
-          cb = std::move(it->second);
-          state.completions.erase(it);
-        }
-      }
-      if (cb) cb(backpressure_status(src, dst));
+    default:
+      if (op.cid != 0) complete(src, op.cid, backpressure_status(src, dst));
       return;
-    }
   }
-}
-
-bool ShmTransport::fire_due_timers(NodeId node) {
-  NodeState& state = *nodes_[node];
-  std::vector<std::function<void()>> due;
-  {
-    std::lock_guard lock(state.timers_mu);
-    if (state.timers.empty()) return false;
-    const std::int64_t now = now_ns();
-    for (std::size_t i = 0; i < state.timers.size();) {
-      if (state.timers[i].deadline_ns <= now) {
-        due.push_back(std::move(state.timers[i].fn));
-        state.timers[i] = std::move(state.timers.back());
-        state.timers.pop_back();
-      } else {
-        ++i;
-      }
-    }
-  }
-  for (auto& fn : due) fn();
-  return !due.empty();
 }
 
 bool ShmTransport::progress(NodeId node) {
   ++g_progress_depth;
   bool did_work = fire_due_timers(node);
-  const std::size_t n = nodes_.size();
+  const std::size_t n = node_count();
   Op op;
   for (NodeId src = 0; src < n; ++src) {
     if (src == node) continue;
@@ -223,51 +109,23 @@ bool ShmTransport::progress(NodeId node) {
 }
 
 void ShmTransport::handle_op(NodeId node, Op& op) {
-  NodeState& state = *nodes_[node];
+  NodeState& state = node_state(node);
+  Status status;
   switch (op.kind) {
-    case Op::Kind::kSend: {
+    case Op::Kind::kSend:
       state.worker.deliver_message(std::move(op.data), op.src);
-      if (op.cid != 0) {
-        Op ack;
-        ack.kind = Op::Kind::kAck;
-        ack.src = node;
-        ack.cid = op.cid;
-        push_op(node, op.src, std::move(ack));
-      }
       break;
-    }
-    case Op::Kind::kAm: {
-      Status status = state.worker.deliver_am(op.am_id, std::move(op.data),
-                                              op.src);
-      if (op.cid != 0) {
-        Op ack;
-        ack.kind = Op::Kind::kAck;
-        ack.src = node;
-        ack.cid = op.cid;
-        ack.status = std::move(status);
-        push_op(node, op.src, std::move(ack));
-      }
+    case Op::Kind::kAm:
+      status = state.worker.deliver_am(op.am_id, std::move(op.data), op.src);
       break;
-    }
     case Op::Kind::kPut: {
-      Status status = Status::ok();
-      {
-        std::lock_guard lock(state.mem_mu);
-        auto target = state.memory.translate(op.rkey, op.offset,
-                                             op.data.size());
-        if (target.is_ok()) {
-          std::memcpy(*target, op.data.data(), op.data.size());
-        } else {
-          status = target.status();
-        }
-      }
-      if (op.cid != 0) {
-        Op ack;
-        ack.kind = Op::Kind::kAck;
-        ack.src = node;
-        ack.cid = op.cid;
-        ack.status = std::move(status);
-        push_op(node, op.src, std::move(ack));
+      std::lock_guard lock(state.mem_mu);
+      auto target =
+          state.memory.translate(op.rkey, op.offset, op.data.size());
+      if (target.is_ok()) {
+        std::memcpy(*target, op.data.data(), op.data.size());
+      } else {
+        status = target.status();
       }
       break;
     }
@@ -286,195 +144,80 @@ void ShmTransport::handle_op(NodeId node, Op& op) {
         }
       }
       push_op(node, op.src, std::move(ack));
-      break;
+      return;
     }
-    case Op::Kind::kAck: {
-      CompletionFn cb;
-      {
-        std::lock_guard lock(state.completions_mu);
-        auto it = state.completions.find(op.cid);
-        if (it != state.completions.end()) {
-          cb = std::move(it->second);
-          state.completions.erase(it);
-        }
+    case Op::Kind::kAck:
+      complete(node, op.cid, std::move(op.status));
+      return;
+    case Op::Kind::kGetAck:
+      if (op.status.is_ok()) {
+        complete_get(node, op.cid, std::move(op.data));
+      } else {
+        complete_get(node, op.cid, std::move(op.status));
       }
-      if (cb) cb(std::move(op.status));
-      break;
-    }
-    case Op::Kind::kGetAck: {
-      GetCompletionFn cb;
-      {
-        std::lock_guard lock(state.completions_mu);
-        auto it = state.get_completions.find(op.cid);
-        if (it != state.get_completions.end()) {
-          cb = std::move(it->second);
-          state.get_completions.erase(it);
-        }
-      }
-      if (cb) {
-        if (op.status.is_ok()) {
-          cb(std::move(op.data));
-        } else {
-          cb(std::move(op.status));
-        }
-      }
-      break;
-    }
+      return;
   }
+  // kSend, kAm, kPut: ack when the initiator stashed a completion.
+  if (op.cid == 0) return;
+  Op ack;
+  ack.kind = Op::Kind::kAck;
+  ack.src = node;
+  ack.cid = op.cid;
+  ack.status = std::move(status);
+  push_op(node, op.src, std::move(ack));
 }
 
 void ShmTransport::post_send(NodeId src, NodeId dst, ByteSpan data,
                              std::size_t fragments,
                              CompletionFn on_complete) {
+  if (!admit_post("post_send", src, dst, on_complete)) return;
   Op op;
   op.kind = Op::Kind::kSend;
   op.src = src;
   op.fragments = fragments;
   op.data.assign(data.begin(), data.end());
-  if (on_complete) op.cid = stash_completion(src, std::move(on_complete));
+  if (on_complete) op.cid = stash_completion(src, dst, std::move(on_complete));
   push_op(src, dst, std::move(op));
 }
 
 void ShmTransport::post_am(NodeId src, NodeId dst, AmId id, ByteSpan payload,
                            CompletionFn on_complete) {
+  if (!admit_post("post_am", src, dst, on_complete)) return;
   Op op;
   op.kind = Op::Kind::kAm;
   op.src = src;
   op.am_id = id;
   op.data.assign(payload.begin(), payload.end());
-  if (on_complete) op.cid = stash_completion(src, std::move(on_complete));
+  if (on_complete) op.cid = stash_completion(src, dst, std::move(on_complete));
   push_op(src, dst, std::move(op));
 }
 
 void ShmTransport::post_put(NodeId src, const RemoteAddr& dst, ByteSpan data,
                             CompletionFn on_complete) {
+  if (!admit_post("post_put", src, dst.node, on_complete)) return;
   Op op;
   op.kind = Op::Kind::kPut;
   op.src = src;
   op.rkey = dst.rkey;
   op.offset = dst.offset;
   op.data.assign(data.begin(), data.end());
-  if (on_complete) op.cid = stash_completion(src, std::move(on_complete));
+  if (on_complete) {
+    op.cid = stash_completion(src, dst.node, std::move(on_complete));
+  }
   push_op(src, dst.node, std::move(op));
 }
 
 void ShmTransport::post_get(NodeId src, const RemoteAddr& addr,
                             std::size_t length, GetCompletionFn on_complete) {
+  if (!admit_post("post_get", src, addr.node, on_complete)) return;
   Op op;
   op.kind = Op::Kind::kGet;
   op.src = src;
   op.rkey = addr.rkey;
   op.offset = addr.offset;
   op.length = length;
-  op.cid = stash_get_completion(src, std::move(on_complete));
+  op.cid = stash_get_completion(src, addr.node, std::move(on_complete));
   push_op(src, addr.node, std::move(op));
-}
-
-StatusOr<MemRegion> ShmTransport::register_window(NodeId node, void* base,
-                                                  std::size_t length) {
-  if (node >= nodes_.size()) {
-    return invalid_argument("register_window: no node " +
-                            std::to_string(node));
-  }
-  NodeState& state = *nodes_[node];
-  std::lock_guard lock(state.mem_mu);
-  return state.memory.register_memory(base, length);
-}
-
-Status ShmTransport::expose_segment(NodeId node, void* base,
-                                    std::size_t length) {
-  if (node >= nodes_.size()) {
-    return invalid_argument("expose_segment: no node " + std::to_string(node));
-  }
-  NodeState& state = *nodes_[node];
-  std::lock_guard lock(state.mem_mu);
-  if (state.exposed.has_value()) {
-    return already_exists("node " + std::to_string(node) +
-                          " already exposes a segment");
-  }
-  auto region = state.memory.register_memory(base, length);
-  if (!region.is_ok()) return region.status();
-  state.exposed = *region;
-  return Status::ok();
-}
-
-std::optional<MemRegion> ShmTransport::exposed_segment(NodeId node) const {
-  const NodeState& state = *nodes_[node];
-  std::lock_guard lock(state.mem_mu);
-  return state.exposed;
-}
-
-Status ShmTransport::register_am_handler(NodeId node, AmId id,
-                                         AmHandler handler) {
-  if (node >= nodes_.size()) {
-    return invalid_argument("register_am_handler: no node " +
-                            std::to_string(node));
-  }
-  return nodes_[node]->worker.register_am(id, std::move(handler));
-}
-
-Status ShmTransport::unregister_am_handler(NodeId node, AmId id) {
-  return nodes_[node]->worker.unregister_am(id);
-}
-
-std::optional<ReceivedMessage> ShmTransport::try_recv(NodeId node) {
-  return nodes_[node]->worker.try_recv();
-}
-
-void ShmTransport::set_delivery_notifier(NodeId node,
-                                         std::function<void()> notify) {
-  nodes_[node]->worker.set_delivery_notifier(std::move(notify));
-}
-
-void ShmTransport::execute_on(NodeId node, std::int64_t cost_ns,
-                              std::function<void()> fn, bool scale_cost) {
-  // Wall-clock backend: the modeled charge is a no-op (real work takes real
-  // time) and the caller is, per the Transport contract, already on the
-  // node's progress context — run inline, preserving the "effects happen
-  // after the charged work" ordering trivially.
-  (void)node;
-  (void)cost_ns;
-  (void)scale_cost;
-  fn();
-}
-
-void ShmTransport::schedule_after(NodeId node, std::int64_t delay_ns,
-                                  std::function<void()> fn) {
-  NodeState& state = *nodes_[node];
-  std::lock_guard lock(state.timers_mu);
-  state.timers.push_back(Timer{now_ns() + delay_ns, std::move(fn)});
-}
-
-Status ShmTransport::run_until(NodeId node,
-                               const std::function<bool()>& pred) {
-  const std::int64_t deadline =
-      now_ns() + options_.run_until_timeout_ms * 1'000'000;
-  int idle_spins = 0;
-  std::uint32_t iterations = 0;
-  while (!pred()) {
-    // The budget must fire even while traffic keeps flowing (e.g. a
-    // self-sustaining forward loop keeps progress() busy forever), so the
-    // deadline is polled periodically regardless of progress, not only
-    // when idle.
-    if ((++iterations & 0xFF) == 0 && now_ns() > deadline) {
-      return resource_exhausted("shm run_until: timeout after " +
-                                std::to_string(options_.run_until_timeout_ms) +
-                                " ms");
-    }
-    if (progress(node)) {
-      idle_spins = 0;
-      continue;
-    }
-    if (now_ns() > deadline) {
-      return resource_exhausted("shm run_until: timeout after " +
-                                std::to_string(options_.run_until_timeout_ms) +
-                                " ms");
-    }
-    if (++idle_spins >= 64) {
-      std::this_thread::yield();
-    }
-  }
-  return Status::ok();
 }
 
 }  // namespace tc::fabric

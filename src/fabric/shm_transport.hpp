@@ -16,7 +16,9 @@
 // usually run a dedicated thread (start_progress_threads); initiator nodes
 // are driven inline by their application thread, so completion callbacks
 // and result handlers fire on the thread that owns the workload state —
-// no cross-thread callback races by construction.
+// no cross-thread callback races by construction. Node state, completion
+// tables, timers, progress threads and run_until are WallClockTransport's;
+// this class keeps the rings and what travels on them.
 //
 // Backpressure: a full ring blocks the producer, which drains its own
 // incoming rings while it waits (dispatch is re-entrant, nesting-capped),
@@ -31,15 +33,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
-#include "fabric/memory.hpp"
 #include "fabric/spsc_ring.hpp"
-#include "fabric/transport.hpp"
+#include "fabric/wall_clock_transport.hpp"
 
 namespace tc::fabric {
 
@@ -57,27 +55,14 @@ struct ShmTransportOptions {
   std::int64_t full_ring_wait_ms = 2'000;
 };
 
-class ShmTransport final : public Transport {
+class ShmTransport final : public WallClockTransport {
  public:
   explicit ShmTransport(std::size_t node_count,
                         ShmTransportOptions options = {});
   ~ShmTransport() override;
 
-  /// Allocates `length` bytes from the transport's shared arena and
-  /// registers them as a window on `node` — the one-call analogue of
-  /// malloc + ibv_reg_mr for tests and miniapps.
-  StatusOr<MemRegion> allocate_window(NodeId node, std::size_t length);
-
-  /// Spawns one dedicated progress thread per listed node (server-style
-  /// nodes). Initiator nodes should be driven inline instead.
-  void start_progress_threads(const std::vector<NodeId>& nodes);
-  /// Stops and joins every dedicated progress thread.
-  void stop_progress_threads();
-
   // --- Transport ------------------------------------------------------------
   const char* name() const override { return "shm"; }
-  bool deterministic() const override { return false; }
-  std::size_t node_count() const override { return nodes_.size(); }
 
   void post_send(NodeId src, NodeId dst, ByteSpan data, std::size_t fragments,
                  CompletionFn on_complete) override;
@@ -88,27 +73,7 @@ class ShmTransport final : public Transport {
   void post_get(NodeId src, const RemoteAddr& addr, std::size_t length,
                 GetCompletionFn on_complete) override;
 
-  StatusOr<MemRegion> register_window(NodeId node, void* base,
-                                      std::size_t length) override;
-  Status expose_segment(NodeId node, void* base, std::size_t length) override;
-  std::optional<MemRegion> exposed_segment(NodeId node) const override;
-
-  Status register_am_handler(NodeId node, AmId id, AmHandler handler) override;
-  Status unregister_am_handler(NodeId node, AmId id) override;
-  std::optional<ReceivedMessage> try_recv(NodeId node) override;
-  void set_delivery_notifier(NodeId node,
-                             std::function<void()> notify) override;
-
-  std::int64_t now_ns() const override;
-  void consume_compute(NodeId, std::int64_t, bool) override {}
-  void execute_on(NodeId node, std::int64_t cost_ns, std::function<void()> fn,
-                  bool scale_cost) override;
-  void schedule_after(NodeId node, std::int64_t delay_ns,
-                      std::function<void()> fn) override;
-  void sync_to_compute_horizon(NodeId) override {}
-
   bool progress(NodeId node) override;
-  Status run_until(NodeId node, const std::function<bool()>& pred) override;
 
   struct Stats {
     std::uint64_t ops_pushed = 0;
@@ -128,10 +93,6 @@ class ShmTransport final : public Transport {
     s.backpressure_failures =
         backpressure_failures_.load(std::memory_order_relaxed);
     return s;
-  }
-  /// Per-node dispatch counters (obs/collect feeds these into the registry).
-  Worker::Stats worker_stats(NodeId node) const {
-    return nodes_.at(node)->worker.stats();
   }
 
  private:
@@ -157,31 +118,8 @@ class ShmTransport final : public Transport {
     Bytes data;
   };
 
-  struct Timer {
-    std::int64_t deadline_ns;
-    std::function<void()> fn;
-  };
-
-  struct NodeState {
-    Worker worker;  ///< AM handler table + two-sided rx queue (thread-safe)
-    /// Registered windows; guarded — registration happens at setup while
-    /// progress threads may already be translating.
-    mutable std::mutex mem_mu;
-    MemoryDomain memory;
-    std::optional<MemRegion> exposed;
-    /// Pending completion callbacks, keyed by cid; guarded so a context
-    /// handoff between driving threads is safe.
-    std::mutex completions_mu;
-    std::uint64_t next_cid = 1;
-    std::unordered_map<std::uint64_t, CompletionFn> completions;
-    std::unordered_map<std::uint64_t, GetCompletionFn> get_completions;
-    /// Armed deadlines, fired by this node's progress context.
-    std::mutex timers_mu;
-    std::vector<Timer> timers;
-  };
-
   SpscRing<Op>& ring(NodeId src, NodeId dst) {
-    return *rings_[src * nodes_.size() + dst];
+    return *rings_[src * node_count() + dst];
   }
   /// Blocking push with backpressure (drains `src`'s own rings while the
   /// target ring is full, unless already inside progress on this thread).
@@ -192,22 +130,11 @@ class ShmTransport final : public Transport {
   /// backpressure_status(src, dst). Acks carry a *remote* completion we
   /// cannot reach — those are dropped and counted; the peer's watchdog
   /// (run_until timeout) surfaces the loss.
-  void fail_op_backpressure(NodeId src, NodeId dst, Op& op);
+  void fail_op_backpressure(NodeId src, NodeId dst, const Op& op);
   void handle_op(NodeId node, Op& op);
-  bool fire_due_timers(NodeId node);
-  std::uint64_t stash_completion(NodeId node, CompletionFn cb);
-  std::uint64_t stash_get_completion(NodeId node, GetCompletionFn cb);
 
   ShmTransportOptions options_;
-  std::vector<std::unique_ptr<NodeState>> nodes_;
   std::vector<std::unique_ptr<SpscRing<Op>>> rings_;
-
-  /// Shared arena backing allocate_window.
-  std::mutex arena_mu_;
-  std::deque<std::vector<std::uint8_t>> arena_;
-
-  std::vector<std::thread> threads_;
-  std::atomic<bool> stop_{false};
 
   std::atomic<std::uint64_t> ops_pushed_{0};
   std::atomic<std::uint64_t> ops_drained_{0};

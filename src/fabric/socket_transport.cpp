@@ -12,6 +12,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string>
+#include <thread>
 #include <utility>
 
 #include "common/log.hpp"
@@ -24,6 +26,9 @@ namespace {
 // payload: kind(1) code(1) am_id(2) src(4) cid(8) f0(8) f1(8) f2(8).
 constexpr std::size_t kHeaderBytes = 40;
 constexpr std::size_t kWireFrameMin = 4 + kHeaderBytes;
+// Codec sanity bound; a longer frame on the wire is a protocol error and
+// disconnects the link.
+constexpr std::size_t kMaxFrameBytes = 64 * 1024 * 1024;
 
 void put_u16(Bytes& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
@@ -144,15 +149,19 @@ Status read_exact(int fd, std::uint8_t* data, std::size_t size) {
 
 SocketTransport::SocketTransport(std::size_t node_count, NodeId self,
                                  SocketTransportOptions options)
-    : options_(options), node_count_(node_count), self_(self) {
-  nodes_.resize(node_count);
+    : WallClockTransport(node_count, self, options.run_until_timeout_ms),
+      options_(options),
+      self_(self) {
+  links_.resize(node_count);
+  for (NodeId node = 0; node < node_count; ++node) {
+    if (is_local(node)) links_[node].resize(node_count);
+  }
 }
 
 SocketTransport::~SocketTransport() {
   stop_progress_threads();
-  for (auto& state : nodes_) {
-    if (state == nullptr) continue;
-    for (Link& link : state->links) {
+  for (std::vector<Link>& links : links_) {
+    for (Link& link : links) {
       if (link.fd >= 0) ::close(link.fd);
       link.fd = -1;
     }
@@ -177,10 +186,6 @@ StatusOr<std::unique_ptr<SocketTransport>> SocketTransport::create_threaded(
   auto transport = std::unique_ptr<SocketTransport>(
       new SocketTransport(node_count, kAllLocal, options));
   for (std::size_t i = 0; i < node_count; ++i) {
-    transport->nodes_[i] = std::make_unique<NodeState>();
-    transport->nodes_[i]->links.resize(node_count);
-  }
-  for (std::size_t i = 0; i < node_count; ++i) {
     for (std::size_t j = i + 1; j < node_count; ++j) {
       int fds[2];
       if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
@@ -189,8 +194,8 @@ StatusOr<std::unique_ptr<SocketTransport>> SocketTransport::create_threaded(
       for (int fd : fds) {
         if (Status s = set_nonblocking(fd); !s.is_ok()) return s;
       }
-      transport->nodes_[i]->links[j] = Link{fds[0], true, {}, {}, 0, 0};
-      transport->nodes_[j]->links[i] = Link{fds[1], true, {}, {}, 0, 0};
+      transport->links_[i][j] = Link{fds[0], true, {}, {}, 0, 0};
+      transport->links_[j][i] = Link{fds[1], true, {}, {}, 0, 0};
     }
   }
   return transport;
@@ -211,9 +216,7 @@ StatusOr<std::unique_ptr<SocketTransport>> SocketTransport::create_process(
   }
   auto transport = std::unique_ptr<SocketTransport>(
       new SocketTransport(node_count, self, options));
-  NodeState& state =
-      *(transport->nodes_[self] = std::make_unique<NodeState>());
-  state.links.resize(node_count);
+  std::vector<Link>& links = transport->links_[self];
 
   // 1. Bind + listen on our own endpoint so every later dialer succeeds
   //    regardless of accept timing (the backlog holds connections).
@@ -293,22 +296,12 @@ StatusOr<std::unique_ptr<SocketTransport>> SocketTransport::create_process(
     Frame hello;
     hello.kind = FrameKind::kHello;
     hello.src = self;
-    Bytes wire;
-    wire.reserve(kWireFrameMin);
-    put_u32(wire, static_cast<std::uint32_t>(kHeaderBytes));
-    wire.push_back(static_cast<std::uint8_t>(hello.kind));
-    wire.push_back(0);
-    put_u16(wire, 0);
-    put_u32(wire, hello.src);
-    put_u64(wire, 0);
-    put_u64(wire, 0);
-    put_u64(wire, 0);
-    put_u64(wire, 0);
+    const Bytes wire = encode(hello, {});
     if (Status s = write_all(fd, wire.data(), wire.size()); !s.is_ok()) {
       ::close(fd);
       return s;
     }
-    state.links[peer] = Link{fd, true, {}, {}, 0, 0};
+    links[peer] = Link{fd, true, {}, {}, 0, 0};
   }
 
   // 3. Accept every higher-id peer; the kHello names which one each is.
@@ -343,18 +336,18 @@ StatusOr<std::unique_ptr<SocketTransport>> SocketTransport::create_process(
     const NodeId peer = get_u32(hello + 8);
     if (len != kHeaderBytes ||
         static_cast<FrameKind>(hello[4]) != FrameKind::kHello ||
-        peer <= self || peer >= node_count || state.links[peer].fd >= 0) {
+        peer <= self || peer >= node_count || links[peer].fd >= 0) {
       ::close(fd);
       return internal_error("bootstrap: malformed hello from peer " +
                             std::to_string(peer));
     }
-    state.links[peer] = Link{fd, true, {}, {}, 0, 0};
+    links[peer] = Link{fd, true, {}, {}, 0, 0};
     --expected;
   }
 
   for (NodeId peer = 0; peer < node_count; ++peer) {
     if (peer == self) continue;
-    Link& link = state.links[peer];
+    Link& link = links[peer];
     if (Status s = set_nonblocking(link.fd); !s.is_ok()) return s;
     TC_ASSIGN_OR_RETURN(Endpoint pep, parse_endpoint(endpoints[peer]));
     if (!pep.is_unix) set_tcp_nodelay(link.fd);
@@ -369,176 +362,27 @@ StatusOr<std::unique_ptr<SocketTransport>> SocketTransport::create_process(
   return transport;
 }
 
-SocketTransport::NodeState* SocketTransport::local_state(NodeId node) {
-  if (node >= node_count_) return nullptr;
-  return nodes_[node].get();
-}
-const SocketTransport::NodeState* SocketTransport::local_state(
-    NodeId node) const {
-  if (node >= node_count_) return nullptr;
-  return nodes_[node].get();
-}
-
-std::int64_t SocketTransport::now_ns() const {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-Worker::Stats SocketTransport::worker_stats(NodeId node) const {
-  const NodeState* state = local_state(node);
-  return state != nullptr ? state->worker.stats() : Worker::Stats{};
-}
-
-StatusOr<MemRegion> SocketTransport::allocate_window(NodeId node,
-                                                     std::size_t length) {
-  if (length == 0) return invalid_argument("allocate_window: empty window");
-  std::uint8_t* base = nullptr;
-  {
-    std::lock_guard lock(arena_mu_);
-    arena_.emplace_back(length);
-    base = arena_.back().data();
-  }
-  return register_window(node, base, length);
-}
-
-void SocketTransport::start_progress_threads(
-    const std::vector<NodeId>& nodes) {
-  for (NodeId node : nodes) {
-    threads_.emplace_back([this, node] {
-      int idle_spins = 0;
-      while (!stop_.load(std::memory_order_relaxed)) {
-        if (progress(node)) {
-          idle_spins = 0;
-          continue;
-        }
-        if (++idle_spins < 64) continue;
-        if (idle_spins < 1024) {
-          std::this_thread::yield();
-        } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
-        }
-      }
-    });
-  }
-}
-
-void SocketTransport::stop_progress_threads() {
-  stop_.store(true, std::memory_order_relaxed);
-  for (std::thread& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
-  stop_.store(false, std::memory_order_relaxed);
-}
-
-// --- completion stashes -------------------------------------------------------
-
-std::uint64_t SocketTransport::stash_completion(NodeId node, NodeId dst,
-                                                CompletionFn cb) {
-  NodeState& state = *nodes_[node];
-  std::lock_guard lock(state.completions_mu);
-  const std::uint64_t cid = state.next_cid++;
-  state.completions.emplace(cid, PendingCompletion{std::move(cb), dst});
-  return cid;
-}
-
-std::uint64_t SocketTransport::stash_get_completion(NodeId node, NodeId dst,
-                                                    GetCompletionFn cb) {
-  NodeState& state = *nodes_[node];
-  std::lock_guard lock(state.completions_mu);
-  const std::uint64_t cid = state.next_cid++;
-  state.get_completions.emplace(cid, PendingGet{std::move(cb), dst});
-  return cid;
-}
-
-void SocketTransport::complete(NodeId node, std::uint64_t cid, Status status) {
-  NodeState& state = *nodes_[node];
-  CompletionFn cb;
-  {
-    std::lock_guard lock(state.completions_mu);
-    auto it = state.completions.find(cid);
-    if (it == state.completions.end()) return;
-    cb = std::move(it->second.fn);
-    state.completions.erase(it);
-  }
-  if (cb) cb(std::move(status));
-}
-
-void SocketTransport::complete_get(NodeId node, std::uint64_t cid,
-                                   StatusOr<Bytes> result) {
-  NodeState& state = *nodes_[node];
-  GetCompletionFn cb;
-  {
-    std::lock_guard lock(state.completions_mu);
-    auto it = state.get_completions.find(cid);
-    if (it == state.get_completions.end()) return;
-    cb = std::move(it->second.fn);
-    state.get_completions.erase(it);
-  }
-  if (cb) cb(std::move(result));
-}
-
-void SocketTransport::fail_completions_for_peer(NodeId node, NodeId peer) {
-  NodeState& state = *nodes_[node];
-  std::vector<CompletionFn> cbs;
-  std::vector<GetCompletionFn> get_cbs;
-  {
-    std::lock_guard lock(state.completions_mu);
-    for (auto it = state.completions.begin();
-         it != state.completions.end();) {
-      if (it->second.dst == peer) {
-        cbs.push_back(std::move(it->second.fn));
-        it = state.completions.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (auto it = state.get_completions.begin();
-         it != state.get_completions.end();) {
-      if (it->second.dst == peer) {
-        get_cbs.push_back(std::move(it->second.fn));
-        it = state.get_completions.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  const Status gone =
-      unavailable("peer " + std::to_string(peer) + " disconnected");
-  for (auto& cb : cbs) {
-    if (cb) cb(gone);
-  }
-  for (auto& cb : get_cbs) {
-    if (cb) cb(gone);
-  }
-}
-
 // --- wire codec ---------------------------------------------------------------
 
-static Bytes encode_wire(const std::uint8_t kind, std::uint8_t code,
-                         std::uint16_t am_id, NodeId src, std::uint64_t cid,
-                         std::uint64_t f0, std::uint64_t f1, std::uint64_t f2,
-                         ByteSpan payload) {
+Bytes SocketTransport::encode(const Frame& frame, ByteSpan payload) {
   Bytes out;
   out.reserve(kWireFrameMin + payload.size());
   put_u32(out, static_cast<std::uint32_t>(kHeaderBytes + payload.size()));
-  out.push_back(kind);
-  out.push_back(code);
-  put_u16(out, am_id);
-  put_u32(out, src);
-  put_u64(out, cid);
-  put_u64(out, f0);
-  put_u64(out, f1);
-  put_u64(out, f2);
+  out.push_back(static_cast<std::uint8_t>(frame.kind));
+  out.push_back(frame.code);
+  put_u16(out, frame.am_id);
+  put_u32(out, frame.src);
+  put_u64(out, frame.cid);
+  put_u64(out, frame.f0);
+  put_u64(out, frame.f1);
+  put_u64(out, frame.f2);
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
 
 Status SocketTransport::send_frame(NodeId node, NodeId peer, Bytes wire,
                                    bool control) {
-  NodeState& state = *nodes_[node];
-  Link& link = state.links[peer];
+  Link& link = links_[node][peer];
   if (link.fd < 0) {
     return invalid_argument("no link from node " + std::to_string(node) +
                             " to node " + std::to_string(peer));
@@ -558,8 +402,7 @@ Status SocketTransport::send_frame(NodeId node, NodeId peer, Bytes wire,
 }
 
 bool SocketTransport::flush_link(NodeId node, NodeId peer) {
-  NodeState& state = *nodes_[node];
-  Link& link = state.links[peer];
+  Link& link = links_[node][peer];
   if (!link.connected) return false;
   bool wrote = false;
   while (!link.tx.empty()) {
@@ -596,8 +439,7 @@ bool SocketTransport::flush_link(NodeId node, NodeId peer) {
 }
 
 bool SocketTransport::read_link(NodeId node, NodeId peer) {
-  NodeState& state = *nodes_[node];
-  Link& link = state.links[peer];
+  Link& link = links_[node][peer];
   if (!link.connected) return false;
   bool any = false;
   bool eof = false;
@@ -637,7 +479,7 @@ void SocketTransport::parse_frames(NodeId node, NodeId peer, Link& link) {
   std::size_t off = 0;
   while (link.rx.size() - off >= 4) {
     const std::uint32_t len = get_u32(link.rx.data() + off);
-    if (len < kHeaderBytes || len > options_.max_frame_bytes) {
+    if (len < kHeaderBytes || len > kMaxFrameBytes) {
       TC_LOG(kError, "socket")
           << "node " << node << ": protocol error from peer " << peer
           << " (frame length " << len << ")";
@@ -647,10 +489,19 @@ void SocketTransport::parse_frames(NodeId node, NodeId peer, Link& link) {
     if (link.rx.size() - off - 4 < len) break;
     const std::uint8_t* p = link.rx.data() + off + 4;
     Frame frame;
+    frame.src = get_u32(p + 4);
+    if (frame.src != peer) {
+      // The link names the sender; a header claiming another node would
+      // index past the link table or pose as someone else.
+      TC_LOG(kError, "socket")
+          << "node " << node << ": protocol error from peer " << peer
+          << " (frame claims src " << frame.src << ")";
+      disconnect_link(node, peer, "protocol error");
+      return;
+    }
     frame.kind = static_cast<FrameKind>(p[0]);
     frame.code = p[1];
     frame.am_id = get_u16(p + 2);
-    frame.src = get_u32(p + 4);
     frame.cid = get_u64(p + 8);
     frame.f0 = get_u64(p + 16);
     frame.f1 = get_u64(p + 24);
@@ -671,8 +522,7 @@ void SocketTransport::parse_frames(NodeId node, NodeId peer, Link& link) {
 
 void SocketTransport::disconnect_link(NodeId node, NodeId peer,
                                       const char* reason) {
-  NodeState& state = *nodes_[node];
-  Link& link = state.links[peer];
+  Link& link = links_[node][peer];
   if (!link.connected) return;
   link.connected = false;
   if (!link.rx.empty()) {
@@ -685,7 +535,9 @@ void SocketTransport::disconnect_link(NodeId node, NodeId peer,
   disconnects_.fetch_add(1, std::memory_order_relaxed);
   TC_LOG(kWarn, "socket") << "node " << node << ": link to peer " << peer
                           << " down (" << reason << ")";
-  fail_completions_for_peer(node, peer);
+  fail_completions_to(node, peer,
+                      unavailable("peer " + std::to_string(peer) +
+                                  " disconnected"));
 }
 
 void SocketTransport::reply(NodeId node, NodeId peer, Frame frame) {
@@ -695,73 +547,36 @@ void SocketTransport::reply(NodeId node, NodeId peer, Frame frame) {
   }
   // Completions and barriers must survive full tx queues or flow control
   // deadlocks the protocol above it, so replies ride as control frames; a
-  // dead link is already handled by fail_completions_for_peer on the
-  // other side's disconnect.
-  (void)send_frame(node, peer,
-                   encode_wire(static_cast<std::uint8_t>(frame.kind),
-                               frame.code, frame.am_id, frame.src, frame.cid,
-                               frame.f0, frame.f1, frame.f2,
-                               as_span(frame.payload)),
+  // dead link is already handled by fail_completions_to on the other
+  // side's disconnect.
+  (void)send_frame(node, peer, encode(frame, as_span(frame.payload)),
                    /*control=*/true);
 }
 
 void SocketTransport::handle_frame(NodeId node, Frame frame) {
-  NodeState& state = *nodes_[node];
+  NodeState& state = node_state(node);
+  // An ack's code + message payload, back as the Status it carries.
+  const auto carried = [&frame] {
+    return Status(static_cast<ErrorCode>(frame.code),
+                  std::string(frame.payload.begin(), frame.payload.end()));
+  };
+  Status status;
   switch (frame.kind) {
-    case FrameKind::kHello:
-      break;  // only meaningful during bootstrap
-    case FrameKind::kSend: {
+    case FrameKind::kSend:
       state.worker.deliver_message(std::move(frame.payload), frame.src);
-      if (frame.cid != 0) {
-        Frame ack;
-        ack.kind = FrameKind::kAck;
-        ack.src = node;
-        ack.cid = frame.cid;
-        reply(node, frame.src, std::move(ack));
-      }
       break;
-    }
-    case FrameKind::kAm: {
-      Status status = state.worker.deliver_am(frame.am_id,
-                                              std::move(frame.payload),
-                                              frame.src);
-      if (frame.cid != 0) {
-        Frame ack;
-        ack.kind = FrameKind::kAck;
-        ack.src = node;
-        ack.cid = frame.cid;
-        ack.code = static_cast<std::uint8_t>(status.code());
-        if (!status.is_ok()) {
-          ack.payload.assign(status.message().begin(),
-                             status.message().end());
-        }
-        reply(node, frame.src, std::move(ack));
-      }
+    case FrameKind::kAm:
+      status = state.worker.deliver_am(frame.am_id, std::move(frame.payload),
+                                       frame.src);
       break;
-    }
     case FrameKind::kPut: {
-      Status status = Status::ok();
-      {
-        std::lock_guard lock(state.mem_mu);
-        auto target = state.memory.translate(frame.f0, frame.f1,
-                                             frame.payload.size());
-        if (target.is_ok()) {
-          std::memcpy(*target, frame.payload.data(), frame.payload.size());
-        } else {
-          status = target.status();
-        }
-      }
-      if (frame.cid != 0) {
-        Frame ack;
-        ack.kind = FrameKind::kAck;
-        ack.src = node;
-        ack.cid = frame.cid;
-        ack.code = static_cast<std::uint8_t>(status.code());
-        if (!status.is_ok()) {
-          ack.payload.assign(status.message().begin(),
-                             status.message().end());
-        }
-        reply(node, frame.src, std::move(ack));
+      std::lock_guard lock(state.mem_mu);
+      auto target =
+          state.memory.translate(frame.f0, frame.f1, frame.payload.size());
+      if (target.is_ok()) {
+        std::memcpy(*target, frame.payload.data(), frame.payload.size());
+      } else {
+        status = target.status();
       }
       break;
     }
@@ -782,29 +597,18 @@ void SocketTransport::handle_frame(NodeId node, Frame frame) {
         }
       }
       reply(node, frame.src, std::move(ack));
-      break;
+      return;
     }
-    case FrameKind::kAck: {
-      Status status =
-          frame.code == 0
-              ? Status::ok()
-              : Status(static_cast<ErrorCode>(frame.code),
-                       std::string(frame.payload.begin(),
-                                   frame.payload.end()));
-      complete(node, frame.cid, std::move(status));
-      break;
-    }
-    case FrameKind::kGetAck: {
+    case FrameKind::kAck:
+      complete(node, frame.cid, frame.code == 0 ? Status::ok() : carried());
+      return;
+    case FrameKind::kGetAck:
       if (frame.code == 0) {
         complete_get(node, frame.cid, std::move(frame.payload));
       } else {
-        complete_get(node, frame.cid,
-                     Status(static_cast<ErrorCode>(frame.code),
-                            std::string(frame.payload.begin(),
-                                        frame.payload.end())));
+        complete_get(node, frame.cid, carried());
       }
-      break;
-    }
+      return;
     case FrameKind::kSegment: {
       MemRegion region;
       region.rkey = frame.f0;
@@ -812,200 +616,131 @@ void SocketTransport::handle_frame(NodeId node, Frame frame) {
       region.length = frame.f1;
       std::lock_guard lock(segments_mu_);
       remote_segments_[frame.src] = region;
-      break;
+      return;
     }
-    case FrameKind::kBarrier: {
+    case FrameKind::kBarrier:
       if (frame.f1 == 0) {
-        ++state.barrier_arrivals[frame.f0];
+        ++barrier_arrivals_[frame.f0];
       } else {
-        state.barrier_released.insert(frame.f0);
+        barrier_released_.insert(frame.f0);
       }
-      break;
-    }
+      return;
+    default:
+      return;  // kHello (bootstrap only) and unknown kinds are ignored
   }
+  // kSend, kAm, kPut: ack when the initiator stashed a completion.
+  if (frame.cid == 0) return;
+  Frame ack;
+  ack.kind = FrameKind::kAck;
+  ack.src = node;
+  ack.cid = frame.cid;
+  ack.code = static_cast<std::uint8_t>(status.code());
+  if (!status.is_ok()) {
+    ack.payload.assign(status.message().begin(), status.message().end());
+  }
+  reply(node, frame.src, std::move(ack));
 }
 
 // --- data plane ---------------------------------------------------------------
 
-void SocketTransport::post_send(NodeId src, NodeId dst, ByteSpan data,
-                                std::size_t fragments,
-                                CompletionFn on_complete) {
-  NodeState* state = local_state(src);
-  if (state == nullptr) {
-    if (on_complete) {
-      on_complete(invalid_argument("post_send: node " + std::to_string(src) +
-                                   " is not local"));
-    }
-    return;
-  }
-  std::uint64_t cid = 0;
-  if (on_complete) cid = stash_completion(src, dst, std::move(on_complete));
+void SocketTransport::post_frame(NodeId src, NodeId dst, Frame frame,
+                                 ByteSpan payload) {
   if (src == dst) {
-    Frame frame;
-    frame.kind = FrameKind::kSend;
-    frame.src = src;
-    frame.cid = cid;
-    frame.f0 = fragments;
-    frame.payload.assign(data.begin(), data.end());
-    handle_frame(src, std::move(frame));
-    return;
-  }
-  Status posted = send_frame(
-      src, dst,
-      encode_wire(static_cast<std::uint8_t>(FrameKind::kSend), 0, 0, src, cid,
-                  fragments, 0, 0, data),
-      /*control=*/false);
-  if (!posted.is_ok() && cid != 0) complete(src, cid, std::move(posted));
-}
-
-void SocketTransport::post_am(NodeId src, NodeId dst, AmId id, ByteSpan payload,
-                              CompletionFn on_complete) {
-  NodeState* state = local_state(src);
-  if (state == nullptr) {
-    if (on_complete) {
-      on_complete(invalid_argument("post_am: node " + std::to_string(src) +
-                                   " is not local"));
-    }
-    return;
-  }
-  std::uint64_t cid = 0;
-  if (on_complete) cid = stash_completion(src, dst, std::move(on_complete));
-  if (src == dst) {
-    Frame frame;
-    frame.kind = FrameKind::kAm;
-    frame.src = src;
-    frame.am_id = id;
-    frame.cid = cid;
+    // Loopback: no wire, the initiator's context is the target's context.
     frame.payload.assign(payload.begin(), payload.end());
     handle_frame(src, std::move(frame));
     return;
   }
-  Status posted = send_frame(
-      src, dst,
-      encode_wire(static_cast<std::uint8_t>(FrameKind::kAm), 0, id, src, cid,
-                  0, 0, 0, payload),
-      /*control=*/false);
-  if (!posted.is_ok() && cid != 0) complete(src, cid, std::move(posted));
+  Status posted = send_frame(src, dst, encode(frame, payload),
+                             /*control=*/false);
+  if (posted.is_ok() || frame.cid == 0) return;
+  if (frame.kind == FrameKind::kGet) {
+    complete_get(src, frame.cid, std::move(posted));
+  } else {
+    complete(src, frame.cid, std::move(posted));
+  }
+}
+
+void SocketTransport::post_send(NodeId src, NodeId dst, ByteSpan data,
+                                std::size_t fragments,
+                                CompletionFn on_complete) {
+  if (!admit_post("post_send", src, dst, on_complete)) return;
+  Frame frame;
+  frame.kind = FrameKind::kSend;
+  frame.src = src;
+  frame.f0 = fragments;
+  if (on_complete) {
+    frame.cid = stash_completion(src, dst, std::move(on_complete));
+  }
+  post_frame(src, dst, std::move(frame), data);
+}
+
+void SocketTransport::post_am(NodeId src, NodeId dst, AmId id, ByteSpan payload,
+                              CompletionFn on_complete) {
+  if (!admit_post("post_am", src, dst, on_complete)) return;
+  Frame frame;
+  frame.kind = FrameKind::kAm;
+  frame.src = src;
+  frame.am_id = id;
+  if (on_complete) {
+    frame.cid = stash_completion(src, dst, std::move(on_complete));
+  }
+  post_frame(src, dst, std::move(frame), payload);
 }
 
 void SocketTransport::post_put(NodeId src, const RemoteAddr& dst, ByteSpan data,
                                CompletionFn on_complete) {
-  NodeState* state = local_state(src);
-  if (state == nullptr) {
-    if (on_complete) {
-      on_complete(invalid_argument("post_put: node " + std::to_string(src) +
-                                   " is not local"));
-    }
-    return;
-  }
-  std::uint64_t cid = 0;
+  if (!admit_post("post_put", src, dst.node, on_complete)) return;
+  Frame frame;
+  frame.kind = FrameKind::kPut;
+  frame.src = src;
+  frame.f0 = dst.rkey;
+  frame.f1 = dst.offset;
   if (on_complete) {
-    cid = stash_completion(src, dst.node, std::move(on_complete));
+    frame.cid = stash_completion(src, dst.node, std::move(on_complete));
   }
-  if (src == dst.node) {
-    Frame frame;
-    frame.kind = FrameKind::kPut;
-    frame.src = src;
-    frame.cid = cid;
-    frame.f0 = dst.rkey;
-    frame.f1 = dst.offset;
-    frame.payload.assign(data.begin(), data.end());
-    handle_frame(src, std::move(frame));
-    return;
-  }
-  Status posted = send_frame(
-      src, dst.node,
-      encode_wire(static_cast<std::uint8_t>(FrameKind::kPut), 0, 0, src, cid,
-                  dst.rkey, dst.offset, 0, data),
-      /*control=*/false);
-  if (!posted.is_ok() && cid != 0) complete(src, cid, std::move(posted));
+  post_frame(src, dst.node, std::move(frame), data);
 }
 
 void SocketTransport::post_get(NodeId src, const RemoteAddr& addr,
                                std::size_t length,
                                GetCompletionFn on_complete) {
-  NodeState* state = local_state(src);
-  if (state == nullptr) {
-    if (on_complete) {
-      on_complete(invalid_argument("post_get: node " + std::to_string(src) +
-                                   " is not local"));
-    }
-    return;
-  }
-  const std::uint64_t cid =
-      stash_get_completion(src, addr.node, std::move(on_complete));
-  if (src == addr.node) {
-    Frame frame;
-    frame.kind = FrameKind::kGet;
-    frame.src = src;
-    frame.cid = cid;
-    frame.f0 = addr.rkey;
-    frame.f1 = addr.offset;
-    frame.f2 = length;
-    handle_frame(src, std::move(frame));
-    return;
-  }
-  Status posted = send_frame(
-      src, addr.node,
-      encode_wire(static_cast<std::uint8_t>(FrameKind::kGet), 0, 0, src, cid,
-                  addr.rkey, addr.offset, length, {}),
-      /*control=*/false);
-  if (!posted.is_ok()) complete_get(src, cid, std::move(posted));
+  if (!admit_post("post_get", src, addr.node, on_complete)) return;
+  Frame frame;
+  frame.kind = FrameKind::kGet;
+  frame.src = src;
+  frame.f0 = addr.rkey;
+  frame.f1 = addr.offset;
+  frame.f2 = length;
+  frame.cid = stash_get_completion(src, addr.node, std::move(on_complete));
+  post_frame(src, addr.node, std::move(frame), {});
 }
 
-// --- registered memory --------------------------------------------------------
-
-StatusOr<MemRegion> SocketTransport::register_window(NodeId node, void* base,
-                                                     std::size_t length) {
-  NodeState* state = local_state(node);
-  if (state == nullptr) {
-    return invalid_argument("register_window: node " + std::to_string(node) +
-                            " is not local");
-  }
-  std::lock_guard lock(state->mem_mu);
-  return state->memory.register_memory(base, length);
-}
+// --- exposed segments -----------------------------------------------------------
 
 Status SocketTransport::expose_segment(NodeId node, void* base,
                                        std::size_t length) {
-  NodeState* state = local_state(node);
-  if (state == nullptr) {
-    return invalid_argument("expose_segment: node " + std::to_string(node) +
-                            " is not local");
+  TC_RETURN_IF_ERROR(WallClockTransport::expose_segment(node, base, length));
+  if (self_ != kAllLocal) {
+    broadcast_segment(node, *WallClockTransport::exposed_segment(node));
   }
-  MemRegion region;
-  {
-    std::lock_guard lock(state->mem_mu);
-    if (state->exposed.has_value()) {
-      return already_exists("node " + std::to_string(node) +
-                            " already exposes a segment");
-    }
-    auto registered = state->memory.register_memory(base, length);
-    if (!registered.is_ok()) return registered.status();
-    state->exposed = *registered;
-    region = *registered;
-  }
-  if (self_ != kAllLocal) broadcast_segment(node, region);
   return Status::ok();
 }
 
 void SocketTransport::broadcast_segment(NodeId node, const MemRegion& region) {
-  for (NodeId peer = 0; peer < node_count_; ++peer) {
+  Frame advert;
+  advert.kind = FrameKind::kSegment;
+  advert.src = node;
+  advert.f0 = region.rkey;
+  advert.f1 = region.length;
+  for (NodeId peer = 0; peer < node_count(); ++peer) {
     if (peer == node) continue;
-    (void)send_frame(
-        node, peer,
-        encode_wire(static_cast<std::uint8_t>(FrameKind::kSegment), 0, 0, node,
-                    0, region.rkey, region.length, 0, {}),
-        /*control=*/true);
+    (void)send_frame(node, peer, encode(advert, {}), /*control=*/true);
   }
 }
 
 std::optional<MemRegion> SocketTransport::exposed_segment(NodeId node) const {
-  const NodeState* state = local_state(node);
-  if (state != nullptr) {
-    std::lock_guard lock(state->mem_mu);
-    return state->exposed;
-  }
+  if (is_local(node)) return WallClockTransport::exposed_segment(node);
   std::lock_guard lock(segments_mu_);
   auto it = remote_segments_.find(node);
   if (it == remote_segments_.end()) return std::nullopt;
@@ -1018,88 +753,15 @@ Status SocketTransport::wait_for_segment(NodeId node, NodeId owner) {
   });
 }
 
-// --- two-sided receive & AM dispatch ------------------------------------------
-
-Status SocketTransport::register_am_handler(NodeId node, AmId id,
-                                            AmHandler handler) {
-  NodeState* state = local_state(node);
-  if (state == nullptr) {
-    return invalid_argument("register_am_handler: node " +
-                            std::to_string(node) + " is not local");
-  }
-  return state->worker.register_am(id, std::move(handler));
-}
-
-Status SocketTransport::unregister_am_handler(NodeId node, AmId id) {
-  NodeState* state = local_state(node);
-  if (state == nullptr) {
-    return invalid_argument("unregister_am_handler: node " +
-                            std::to_string(node) + " is not local");
-  }
-  return state->worker.unregister_am(id);
-}
-
-std::optional<ReceivedMessage> SocketTransport::try_recv(NodeId node) {
-  NodeState* state = local_state(node);
-  if (state == nullptr) return std::nullopt;
-  return state->worker.try_recv();
-}
-
-void SocketTransport::set_delivery_notifier(NodeId node,
-                                            std::function<void()> notify) {
-  NodeState* state = local_state(node);
-  if (state == nullptr) return;
-  state->worker.set_delivery_notifier(std::move(notify));
-}
-
-// --- timers & progress --------------------------------------------------------
-
-void SocketTransport::execute_on(NodeId node, std::int64_t cost_ns,
-                                 std::function<void()> fn, bool scale_cost) {
-  // Wall-clock backend: modeled charges are no-ops and the caller is, per
-  // the Transport contract, already on `node`'s progress context.
-  (void)node;
-  (void)cost_ns;
-  (void)scale_cost;
-  fn();
-}
-
-void SocketTransport::schedule_after(NodeId node, std::int64_t delay_ns,
-                                     std::function<void()> fn) {
-  NodeState* state = local_state(node);
-  if (state == nullptr) return;
-  std::lock_guard lock(state->timers_mu);
-  state->timers.push_back(Timer{now_ns() + delay_ns, std::move(fn)});
-}
-
-bool SocketTransport::fire_due_timers(NodeId node) {
-  NodeState& state = *nodes_[node];
-  std::vector<std::function<void()>> due;
-  {
-    std::lock_guard lock(state.timers_mu);
-    if (state.timers.empty()) return false;
-    const std::int64_t now = now_ns();
-    for (std::size_t i = 0; i < state.timers.size();) {
-      if (state.timers[i].deadline_ns <= now) {
-        due.push_back(std::move(state.timers[i].fn));
-        state.timers[i] = std::move(state.timers.back());
-        state.timers.pop_back();
-      } else {
-        ++i;
-      }
-    }
-  }
-  for (auto& fn : due) fn();
-  return !due.empty();
-}
+// --- progress -------------------------------------------------------------------
 
 bool SocketTransport::progress(NodeId node) {
-  NodeState* state = local_state(node);
-  if (state == nullptr) return false;
+  if (!is_local(node)) return false;
   bool did_work = fire_due_timers(node);
-  for (NodeId peer = 0; peer < node_count_; ++peer) {
+  std::vector<Link>& links = links_[node];
+  for (NodeId peer = 0; peer < links.size(); ++peer) {
     if (peer == node) continue;
-    Link& link = state->links[peer];
+    Link& link = links[peer];
     if (link.fd < 0 || !link.connected) continue;
     if (!link.tx.empty()) did_work |= flush_link(node, peer);
     did_work |= read_link(node, peer);
@@ -1107,84 +769,44 @@ bool SocketTransport::progress(NodeId node) {
   return did_work;
 }
 
-Status SocketTransport::run_until(NodeId node,
-                                  const std::function<bool()>& pred) {
-  if (local_state(node) == nullptr) {
-    return invalid_argument("run_until: node " + std::to_string(node) +
-                            " is not local");
-  }
-  const std::int64_t deadline =
-      now_ns() + options_.run_until_timeout_ms * 1'000'000;
-  int idle_spins = 0;
-  std::uint32_t iterations = 0;
-  while (!pred()) {
-    // Poll the budget even while busy: a self-sustaining forward loop must
-    // still hit the watchdog instead of hanging ctest.
-    if ((++iterations & 0xFF) == 0 && now_ns() > deadline) {
-      return resource_exhausted(
-          "socket run_until: timeout after " +
-          std::to_string(options_.run_until_timeout_ms) + " ms");
-    }
-    if (progress(node)) {
-      idle_spins = 0;
-      continue;
-    }
-    if (now_ns() > deadline) {
-      return resource_exhausted(
-          "socket run_until: timeout after " +
-          std::to_string(options_.run_until_timeout_ms) + " ms");
-    }
-    if (++idle_spins >= 64) {
-      std::this_thread::yield();
-    }
-  }
-  return Status::ok();
-}
-
 // --- process-mode coordination ------------------------------------------------
 
 Status SocketTransport::barrier(NodeId node, std::uint64_t id) {
-  NodeState* state = local_state(node);
-  if (state == nullptr || self_ == kAllLocal) {
+  if (self_ == kAllLocal || node != self_) {
     return failed_precondition("barrier: process mode only");
   }
-  if (node_count_ == 1) return Status::ok();
+  if (node_count() == 1) return Status::ok();
+  Frame frame;
+  frame.kind = FrameKind::kBarrier;
+  frame.src = node;
+  frame.f0 = id;
   if (node == 0) {
     // Coordinator: wait for everyone, then release everyone. Driving
     // progress here services peers' AMs/PUTs/GETs while they catch up.
-    TC_RETURN_IF_ERROR(run_until(node, [state, id, this] {
-      auto it = state->barrier_arrivals.find(id);
-      return it != state->barrier_arrivals.end() &&
-             it->second == node_count_ - 1;
+    TC_RETURN_IF_ERROR(run_until(node, [this, id] {
+      auto it = barrier_arrivals_.find(id);
+      return it != barrier_arrivals_.end() && it->second == node_count() - 1;
     }));
-    state->barrier_arrivals.erase(id);
-    for (NodeId peer = 1; peer < node_count_; ++peer) {
-      Status sent = send_frame(
-          node, peer,
-          encode_wire(static_cast<std::uint8_t>(FrameKind::kBarrier), 0, 0,
-                      node, 0, id, 1, 0, {}),
-          /*control=*/true);
-      if (!sent.is_ok()) return sent;
+    barrier_arrivals_.erase(id);
+    frame.f1 = 1;  // release
+    for (NodeId peer = 1; peer < node_count(); ++peer) {
+      TC_RETURN_IF_ERROR(
+          send_frame(node, peer, encode(frame, {}), /*control=*/true));
     }
     return Status::ok();
   }
-  TC_RETURN_IF_ERROR(send_frame(
-      node, 0,
-      encode_wire(static_cast<std::uint8_t>(FrameKind::kBarrier), 0, 0, node,
-                  0, id, 0, 0, {}),
-      /*control=*/true));
+  TC_RETURN_IF_ERROR(send_frame(node, 0, encode(frame, {}), /*control=*/true));
   TC_RETURN_IF_ERROR(run_until(
-      node, [state, id] { return state->barrier_released.count(id) != 0; }));
-  state->barrier_released.erase(id);
+      node, [this, id] { return barrier_released_.count(id) != 0; }));
+  barrier_released_.erase(id);
   return Status::ok();
 }
 
 Status SocketTransport::kill_connection(NodeId node, NodeId peer) {
-  NodeState* state = local_state(node);
-  if (state == nullptr || peer >= node_count_ || peer == node) {
+  if (!is_local(node) || peer >= node_count() || peer == node) {
     return invalid_argument("kill_connection: no such link");
   }
-  const int fd = state->links[peer].fd;
+  const int fd = links_[node][peer].fd;
   if (fd < 0) return invalid_argument("kill_connection: link never existed");
   // shutdown (not close) so the owning progress contexts observe EOF /
   // EPIPE on their next spin without any fd-reuse race; they then run the

@@ -30,11 +30,18 @@
 // kUnavailable and discards any partially received frame (counted in
 // Stats::rx_partial_discards).
 //
+// A frame's sender is the link it arrived on: a header `src` naming any
+// other node is a protocol error that disconnects the link, like a bad
+// length, so a peer can neither index past the link table nor pose as
+// another node (or as the receiver itself, to complete its pending ops).
+//
 // Threading contract: identical to the other backends — one progress
 // context per node; post_* from the initiating node's context; callbacks
 // fire on the owning node's context. Link state is only ever touched by
 // the owning node's progress context, which is what makes the nonblocking
-// read/flush loops lock-free.
+// read/flush loops lock-free. Node state, completion tables, timers,
+// progress threads and run_until are WallClockTransport's; this class
+// keeps the codec, the links and the process-mode coordination.
 #pragma once
 
 #include <atomic>
@@ -44,13 +51,11 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "fabric/memory.hpp"
-#include "fabric/transport.hpp"
+#include "fabric/wall_clock_transport.hpp"
 
 namespace tc::fabric {
 
@@ -63,12 +68,9 @@ struct SocketTransportOptions {
   /// Process mode: how long bootstrap keeps re-dialing a peer that has not
   /// bound its endpoint yet (and how long it waits for inbound hellos).
   std::int64_t connect_timeout_ms = 10'000;
-  /// Codec sanity bound; a longer frame on the wire is a protocol error
-  /// and disconnects the link.
-  std::size_t max_frame_bytes = 64 * 1024 * 1024;
 };
 
-class SocketTransport final : public Transport {
+class SocketTransport final : public WallClockTransport {
  public:
   /// Every node in this process, full socketpair mesh. The shape
   /// hetsim::Cluster's Backend::kSocket builds.
@@ -87,20 +89,8 @@ class SocketTransport final : public Transport {
                                                  const std::string& dir);
   ~SocketTransport() override;
 
-  static constexpr NodeId kAllLocal = ~NodeId{0};
   /// kAllLocal in threaded mode, this process's node id in process mode.
   NodeId self_node() const { return self_; }
-  bool is_local(NodeId node) const {
-    return self_ == kAllLocal || node == self_;
-  }
-
-  /// Allocates `length` bytes owned by the transport and registers them as
-  /// a window on the (local) node — malloc + ibv_reg_mr in one call.
-  StatusOr<MemRegion> allocate_window(NodeId node, std::size_t length);
-
-  /// Spawns one dedicated progress thread per listed (local) node.
-  void start_progress_threads(const std::vector<NodeId>& nodes);
-  void stop_progress_threads();
 
   /// Process mode: drives `node`'s progress until `owner`'s exposed-segment
   /// advert (kSegment) has arrived — the out-of-band rkey exchange real
@@ -117,8 +107,6 @@ class SocketTransport final : public Transport {
 
   // --- Transport ------------------------------------------------------------
   const char* name() const override { return "socket"; }
-  bool deterministic() const override { return false; }
-  std::size_t node_count() const override { return node_count_; }
 
   void post_send(NodeId src, NodeId dst, ByteSpan data, std::size_t fragments,
                  CompletionFn on_complete) override;
@@ -129,27 +117,14 @@ class SocketTransport final : public Transport {
   void post_get(NodeId src, const RemoteAddr& addr, std::size_t length,
                 GetCompletionFn on_complete) override;
 
-  StatusOr<MemRegion> register_window(NodeId node, void* base,
-                                      std::size_t length) override;
+  /// Local nodes: the core's. Process mode also adverts the segment to
+  /// every peer (kSegment).
   Status expose_segment(NodeId node, void* base, std::size_t length) override;
+  /// Local nodes: the core's. Remote nodes (process mode): the advert
+  /// learned from their kSegment frame, if it has arrived.
   std::optional<MemRegion> exposed_segment(NodeId node) const override;
 
-  Status register_am_handler(NodeId node, AmId id, AmHandler handler) override;
-  Status unregister_am_handler(NodeId node, AmId id) override;
-  std::optional<ReceivedMessage> try_recv(NodeId node) override;
-  void set_delivery_notifier(NodeId node,
-                             std::function<void()> notify) override;
-
-  std::int64_t now_ns() const override;
-  void consume_compute(NodeId, std::int64_t, bool) override {}
-  void execute_on(NodeId node, std::int64_t cost_ns, std::function<void()> fn,
-                  bool scale_cost) override;
-  void schedule_after(NodeId node, std::int64_t delay_ns,
-                      std::function<void()> fn) override;
-  void sync_to_compute_horizon(NodeId) override {}
-
   bool progress(NodeId node) override;
-  Status run_until(NodeId node, const std::function<bool()>& pred) override;
 
   struct Stats {
     std::uint64_t frames_sent = 0;
@@ -175,8 +150,6 @@ class SocketTransport final : public Transport {
         rx_partial_discards_.load(std::memory_order_relaxed);
     return s;
   }
-  /// Per-node dispatch counters (local nodes only).
-  Worker::Stats worker_stats(NodeId node) const;
 
  private:
   /// Frame kinds on the wire. Wire layout (little-endian):
@@ -214,43 +187,15 @@ class SocketTransport final : public Transport {
     std::size_t tx_queued = 0;     ///< total unwritten bytes across tx
   };
 
-  struct Timer {
-    std::int64_t deadline_ns;
-    std::function<void()> fn;
-  };
-  struct PendingCompletion {
-    CompletionFn fn;
-    NodeId dst = 0;  ///< fail fast if this peer disconnects
-  };
-  struct PendingGet {
-    GetCompletionFn fn;
-    NodeId dst = 0;
-  };
-
-  struct NodeState {
-    Worker worker;
-    mutable std::mutex mem_mu;
-    MemoryDomain memory;
-    std::optional<MemRegion> exposed;
-    std::mutex completions_mu;
-    std::uint64_t next_cid = 1;
-    std::unordered_map<std::uint64_t, PendingCompletion> completions;
-    std::unordered_map<std::uint64_t, PendingGet> get_completions;
-    std::mutex timers_mu;
-    std::vector<Timer> timers;
-    /// Indexed by peer id; links[self] unused. Owned by this node's
-    /// progress context.
-    std::vector<Link> links;
-    /// Process-mode barrier state (progress-context-only).
-    std::unordered_map<std::uint64_t, std::size_t> barrier_arrivals;
-    std::unordered_set<std::uint64_t> barrier_released;
-  };
-
   SocketTransport(std::size_t node_count, NodeId self,
                   SocketTransportOptions options);
 
-  NodeState* local_state(NodeId node);
-  const NodeState* local_state(NodeId node) const;
+  /// Encodes `frame`'s header followed by `payload` (frame.payload is not
+  /// read).
+  static Bytes encode(const Frame& frame, ByteSpan payload);
+  /// Posts a data frame from src to dst: loopback dispatches inline, and a
+  /// frame the link refuses fails its stashed completion.
+  void post_frame(NodeId src, NodeId dst, Frame frame, ByteSpan payload);
   /// Queues an encoded frame on node->peer and flushes what the kernel
   /// accepts. Control frames bypass the tx budget (see file comment).
   Status send_frame(NodeId node, NodeId peer, Bytes wire, bool control);
@@ -262,22 +207,18 @@ class SocketTransport final : public Transport {
   /// remote targets ride the wire as control frames.
   void reply(NodeId node, NodeId peer, Frame frame);
   void disconnect_link(NodeId node, NodeId peer, const char* reason);
-  void fail_completions_for_peer(NodeId node, NodeId peer);
-  bool fire_due_timers(NodeId node);
-  std::uint64_t stash_completion(NodeId node, NodeId dst, CompletionFn cb);
-  std::uint64_t stash_get_completion(NodeId node, NodeId dst,
-                                     GetCompletionFn cb);
-  void complete(NodeId node, std::uint64_t cid, Status status);
-  void complete_get(NodeId node, std::uint64_t cid, StatusOr<Bytes> result);
   /// Sends a kSegment advert for `node`'s exposed segment to every peer
   /// (process mode).
   void broadcast_segment(NodeId node, const MemRegion& region);
 
   SocketTransportOptions options_;
-  std::size_t node_count_ = 0;
   NodeId self_ = kAllLocal;
-  /// Only local nodes are non-null.
-  std::vector<std::unique_ptr<NodeState>> nodes_;
+  /// links_[node][peer]; only local nodes have links (links_[node][node]
+  /// unused). Owned by the node's progress context.
+  std::vector<std::vector<Link>> links_;
+  /// Process-mode barrier state (self_'s progress context only).
+  std::unordered_map<std::uint64_t, std::size_t> barrier_arrivals_;
+  std::unordered_set<std::uint64_t> barrier_released_;
   /// Process mode: rkey/length of remote nodes' exposed segments, learned
   /// from kSegment adverts (base is null — one-sided access is serviced on
   /// the owning process).
@@ -287,12 +228,6 @@ class SocketTransport final : public Transport {
   /// Process mode: listening socket + owned unix path (unlinked on exit).
   int listen_fd_ = -1;
   std::string listen_unix_path_;
-
-  std::mutex arena_mu_;
-  std::deque<std::vector<std::uint8_t>> arena_;
-
-  std::vector<std::thread> threads_;
-  std::atomic<bool> stop_{false};
 
   std::atomic<std::uint64_t> frames_sent_{0};
   std::atomic<std::uint64_t> frames_received_{0};

@@ -15,7 +15,15 @@
 //    length-prefixed wire codec, between threads of one process
 //    (socketpair mesh) or between separate OS processes.
 //
-// FaultyTransport decorates any of them with injected faults.
+// The two wall-clock backends derive from WallClockTransport
+// (wall_clock_transport.hpp), which owns what they do the same way: node
+// state, completion tables, timers, progress threads and run_until. They
+// keep only how bytes move. FaultyTransport decorates any backend with
+// injected faults.
+//
+// Every post_* first checks its endpoints: a `src` or `dst` outside
+// [0, node_count()) fails the completion with no_such_node() and posts
+// nothing, so a NodeId read off the wire can never index a node table.
 //
 // Threading contract: every node has exactly one *progress context* — the
 // thread currently driving progress(node) / run_until(node, ...). All
@@ -59,6 +67,15 @@ inline Status backpressure_status(NodeId src, NodeId dst) {
 inline bool is_backpressure(const Status& status) {
   return status.code() == ErrorCode::kResourceExhausted &&
          status.message().rfind("send buffer full", 0) == 0;
+}
+
+/// The completion Status of a post_* whose `node` (source or destination)
+/// is outside [0, node_count). Nothing was posted.
+inline Status no_such_node(const char* verb, NodeId node,
+                           std::size_t node_count) {
+  return invalid_argument(std::string(verb) + ": no node " +
+                          std::to_string(node) + " (cluster has " +
+                          std::to_string(node_count) + ")");
 }
 
 class Transport {

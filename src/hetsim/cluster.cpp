@@ -36,8 +36,7 @@ am::AmRuntime::Options am_options_for(const HwProfile& profile) {
 Cluster::~Cluster() {
   // The wall-clock progress threads dispatch into the runtimes (delivery
   // notifiers, AM handlers); they must stop before any runtime is freed.
-  if (shm_ != nullptr) shm_->stop_progress_threads();
-  if (socket_ != nullptr) socket_->stop_progress_threads();
+  if (wall_clock_ != nullptr) wall_clock_->stop_progress_threads();
 }
 
 Status Cluster::drive_until(fabric::NodeId node,
@@ -133,9 +132,9 @@ StatusOr<std::unique_ptr<Cluster>> Cluster::create(
     if (config.shm_run_until_timeout_ms >= 0) {
       shm_options.run_until_timeout_ms = config.shm_run_until_timeout_ms;
     }
-    cluster->shm_ =
+    cluster->wall_clock_ =
         std::make_unique<fabric::ShmTransport>(node_count, shm_options);
-    cluster->transport_ = cluster->shm_.get();
+    cluster->transport_ = cluster->wall_clock_.get();
   } else {
     fabric::SocketTransportOptions socket_options;
     if (config.shm_run_until_timeout_ms >= 0) {
@@ -144,8 +143,8 @@ StatusOr<std::unique_ptr<Cluster>> Cluster::create(
     auto socket_or = fabric::SocketTransport::create_threaded(
         node_count, socket_options);
     if (!socket_or.is_ok()) return socket_or.status();
-    cluster->socket_ = std::move(*socket_or);
-    cluster->transport_ = cluster->socket_.get();
+    cluster->wall_clock_ = std::move(*socket_or);
+    cluster->transport_ = cluster->wall_clock_.get();
   }
   for (std::size_t i = 0; i < config.client_count; ++i) {
     cluster->clients_.push_back(static_cast<fabric::NodeId>(i));
@@ -167,9 +166,6 @@ StatusOr<std::unique_ptr<Cluster>> Cluster::create(
   core::RuntimeOptions runtime_options = runtime_options_for(profile);
   runtime_options.max_send_retries = config.max_send_retries;
   runtime_options.retry_backoff_ns = config.retry_backoff_ns;
-  if (config.hll_guard_ns_override >= 0) {
-    runtime_options.hll_guard_cost_ns = config.hll_guard_ns_override;
-  }
   am::AmRuntime::Options am_options = am_options_for(profile);
   // Clusters host the DAPC-class workloads: per-hop request processing on
   // the servers is heavier than the bare TSI ping (see HwProfile).
@@ -186,28 +182,21 @@ StatusOr<std::unique_ptr<Cluster>> Cluster::create(
   cluster->metrics_ = config.metrics;
 
   for (fabric::NodeId node = 0; node < node_count; ++node) {
-    if (config.with_ifunc_runtimes) {
-      auto runtime_or =
-          core::Runtime::create(*cluster->transport_, node, runtime_options);
-      if (!runtime_or.is_ok()) return runtime_or.status();
-      (*runtime_or)->set_peers(cluster->servers_);
-      cluster->runtimes_.push_back(std::move(*runtime_or));
-    }
-    if (config.with_am_runtimes) {
-      auto am_or =
-          am::AmRuntime::create(*cluster->transport_, node, am_options);
-      if (!am_or.is_ok()) return am_or.status();
-      (*am_or)->set_peers(cluster->servers_);
-      cluster->am_runtimes_.push_back(std::move(*am_or));
-    }
+    auto runtime_or =
+        core::Runtime::create(*cluster->transport_, node, runtime_options);
+    if (!runtime_or.is_ok()) return runtime_or.status();
+    (*runtime_or)->set_peers(cluster->servers_);
+    cluster->runtimes_.push_back(std::move(*runtime_or));
+    auto am_or = am::AmRuntime::create(*cluster->transport_, node, am_options);
+    if (!am_or.is_ok()) return am_or.status();
+    (*am_or)->set_peers(cluster->servers_);
+    cluster->am_runtimes_.push_back(std::move(*am_or));
   }
 
-  if (config.backend == Backend::kShm) {
+  if (cluster->wall_clock_ != nullptr) {
     // Servers run the paper's daemon-thread model for real; initiator
     // nodes are driven inline by the workload's own threads.
-    cluster->shm_->start_progress_threads(cluster->servers_);
-  } else if (config.backend == Backend::kSocket) {
-    cluster->socket_->start_progress_threads(cluster->servers_);
+    cluster->wall_clock_->start_progress_threads(cluster->servers_);
   }
   return cluster;
 }

@@ -20,6 +20,11 @@
 //    serialized through the length-prefixed wire codec and the kernel's
 //    socket buffers. The in-tree stand-in for the true multi-process
 //    deployment (fabric::SocketTransport::create_process / tools/tc_launch).
+//
+// Both wall-clock backends are held as their shared core,
+// fabric::WallClockTransport, so the cluster starts and stops their
+// progress threads in one place. Every node gets a core::Runtime and an
+// am::AmRuntime.
 #pragma once
 
 #include <cstddef>
@@ -51,10 +56,6 @@ struct ClusterConfig {
   /// Initiator nodes. Node ids: clients [0, client_count), servers
   /// [client_count, client_count + server_count).
   std::size_t client_count = 1;
-  bool with_ifunc_runtimes = true;  ///< attach core::Runtime on every node
-  bool with_am_runtimes = true;     ///< attach am::AmRuntime on every node
-  /// Override the per-guard HLL cost (<0 keeps the profile value).
-  std::int64_t hll_guard_ns_override = -1;
   /// Optional observability sinks, shared by every runtime in the cluster.
   /// Null (the default) compiles all tracing out of the hot paths and keeps
   /// the wire protocol byte-for-byte identical to an untraced build.
@@ -101,9 +102,6 @@ class Cluster {
   }
   core::Runtime& client_runtime() { return runtime(client_node()); }
 
-  bool has_ifunc_runtimes() const { return !runtimes_.empty(); }
-  bool has_am_runtimes() const { return !am_runtimes_.empty(); }
-
   /// The observability sinks from ClusterConfig (null when not attached).
   obs::Tracer* tracer() { return tracer_; }
   obs::MetricsRegistry* metrics() { return metrics_; }
@@ -133,11 +131,11 @@ class Cluster {
 
   Backend backend_ = Backend::kSim;
   // Transports are declared before the runtimes so they are destroyed
-  // after them; the shm progress threads are stopped explicitly in the
-  // destructor before any runtime goes away.
+  // after them; the wall-clock progress threads are stopped explicitly in
+  // the destructor before any runtime goes away.
   fabric::Fabric fabric_;
-  std::unique_ptr<fabric::ShmTransport> shm_;
-  std::unique_ptr<fabric::SocketTransport> socket_;
+  /// The shm or socket backend (null on kSim).
+  std::unique_ptr<fabric::WallClockTransport> wall_clock_;
   std::unique_ptr<fabric::FaultyTransport> faulty_;
   fabric::Transport* transport_ = nullptr;
   const HwProfile* profile_ = nullptr;

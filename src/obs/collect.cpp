@@ -82,12 +82,8 @@ void collect_cluster_metrics(hetsim::Cluster& cluster,
                              MetricsRegistry& registry) {
   for (fabric::NodeId node = 0; node < cluster.node_count(); ++node) {
     const std::string prefix = node_prefix(node);
-    if (cluster.has_ifunc_runtimes()) {
-      collect_runtime(prefix, cluster.runtime(node), registry);
-    }
-    if (cluster.has_am_runtimes()) {
-      collect_am(prefix, cluster.am_runtime(node), registry);
-    }
+    collect_runtime(prefix, cluster.runtime(node), registry);
+    collect_am(prefix, cluster.am_runtime(node), registry);
   }
 
   if (cluster.backend() == hetsim::Backend::kSim) {
@@ -102,20 +98,18 @@ void collect_cluster_metrics(hetsim::Cluster& cluster,
       collect_worker(node_prefix(node) + "worker.",
                      cluster.fabric().node(node).worker.stats(), registry);
     }
-  } else if (auto* shm =
-                 dynamic_cast<fabric::ShmTransport*>(&cluster.transport())) {
+    return;
+  }
+  auto* core = dynamic_cast<fabric::WallClockTransport*>(&cluster.transport());
+  if (core == nullptr) return;  // wrapped in a fault shim
+  if (auto* shm = dynamic_cast<fabric::ShmTransport*>(core)) {
     const fabric::ShmTransport::Stats s = shm->stats();
     registry.counter("shm.ops_pushed").set(s.ops_pushed);
     registry.counter("shm.ops_drained").set(s.ops_drained);
     registry.counter("shm.producer_stalls").set(s.producer_stalls);
     registry.counter("shm.ops_dropped").set(s.ops_dropped);
     registry.counter("shm.backpressure_failures").set(s.backpressure_failures);
-    for (fabric::NodeId node = 0; node < cluster.node_count(); ++node) {
-      collect_worker(node_prefix(node) + "worker.", shm->worker_stats(node),
-                     registry);
-    }
-  } else if (auto* socket = dynamic_cast<fabric::SocketTransport*>(
-                 &cluster.transport())) {
+  } else if (auto* socket = dynamic_cast<fabric::SocketTransport*>(core)) {
     const fabric::SocketTransport::Stats s = socket->stats();
     registry.counter("socket.frames_sent").set(s.frames_sent);
     registry.counter("socket.frames_received").set(s.frames_received);
@@ -126,10 +120,10 @@ void collect_cluster_metrics(hetsim::Cluster& cluster,
         .set(s.backpressure_rejects);
     registry.counter("socket.disconnects").set(s.disconnects);
     registry.counter("socket.rx_partial_discards").set(s.rx_partial_discards);
-    for (fabric::NodeId node = 0; node < cluster.node_count(); ++node) {
-      collect_worker(node_prefix(node) + "worker.",
-                     socket->worker_stats(node), registry);
-    }
+  }
+  for (fabric::NodeId node = 0; node < cluster.node_count(); ++node) {
+    collect_worker(node_prefix(node) + "worker.", core->worker_stats(node),
+                   registry);
   }
 }
 

@@ -327,13 +327,6 @@ Status WorkloadEngine::setup(const WorkloadConfig& config) {
         " lanes but the cluster has only " +
         std::to_string(cluster_->client_nodes().size()) + " client node(s)");
   }
-  if (is_am_mode()) {
-    if (!cluster_->has_am_runtimes()) {
-      return failed_precondition("cluster built without AM runtimes");
-    }
-  } else if (!cluster_->has_ifunc_runtimes()) {
-    return failed_precondition("cluster built without ifunc runtimes");
-  }
   if (cluster_->metrics() != nullptr) {
     e2e_hist_ = &cluster_->metrics()->histogram(
         std::string("e2e_ns/") + workload_name(config_.workload) + "/" +
@@ -610,7 +603,7 @@ std::uint64_t WorkloadEngine::bfs_visited(std::size_t server,
 }
 
 std::pair<std::uint64_t, std::uint64_t> WorkloadEngine::frame_counts() const {
-  if (is_am_mode() || !cluster_->has_ifunc_runtimes()) return {0, 0};
+  if (is_am_mode()) return {0, 0};
   std::uint64_t full = 0, truncated = 0;
   const std::size_t nodes = cluster_->node_count();
   for (fabric::NodeId node = 0; node < nodes; ++node) {

@@ -77,9 +77,6 @@ StatusOr<BroadcastResult> tree_broadcast(hetsim::Cluster& cluster,
   if (slots.size() != servers.size()) {
     return invalid_argument("tree_broadcast: one slot per server required");
   }
-  if (!cluster.has_ifunc_runtimes()) {
-    return failed_precondition("cluster built without ifunc runtimes");
-  }
 
   core::Runtime& client = cluster.client_runtime();
   // Bitcode representation when the toolchain is available; the portable
@@ -190,9 +187,6 @@ StatusOr<std::unique_ptr<CollectiveEngine>> CollectiveEngine::create(
 }
 
 Status CollectiveEngine::setup(const CollectiveConfig& config) {
-  if (!cluster_->has_ifunc_runtimes()) {
-    return failed_precondition("cluster built without ifunc runtimes");
-  }
   if (config.lanes == 0) {
     return invalid_argument("collectives: at least one lane required");
   }

@@ -41,10 +41,8 @@ DapcDriver::~DapcDriver() {
 void DapcDriver::detach_result_handlers() {
   for (const Initiator& init : initiators_) {
     if (mode_ == ChaseMode::kActiveMessage) {
-      if (cluster_->has_am_runtimes()) {
-        cluster_->am_runtime(init.node).set_result_handler({});
-      }
-    } else if (mode_ != ChaseMode::kGet && cluster_->has_ifunc_runtimes()) {
+      cluster_->am_runtime(init.node).set_result_handler({});
+    } else if (mode_ != ChaseMode::kGet) {
       cluster_->runtime(init.node).set_result_handler({});
     }
   }
@@ -98,9 +96,6 @@ Status DapcDriver::setup() {
     case ChaseMode::kInterpreted:
     case ChaseMode::kHllBitcode:
     case ChaseMode::kHllDrivesC: {
-      if (!cluster_->has_ifunc_runtimes()) {
-        return failed_precondition("cluster built without ifunc runtimes");
-      }
       ir::CodeRepr repr = ir::CodeRepr::kBitcode;
       if (mode_ == ChaseMode::kCachedBinary) repr = ir::CodeRepr::kObject;
       if (mode_ == ChaseMode::kInterpreted) repr = ir::CodeRepr::kPortable;
@@ -150,9 +145,6 @@ Status DapcDriver::setup() {
       break;
     }
     case ChaseMode::kActiveMessage: {
-      if (!cluster_->has_am_runtimes()) {
-        return failed_precondition("cluster built without AM runtimes");
-      }
       // Predeployment: the handler is registered on every node, same index.
       TC_ASSIGN_OR_RETURN(am::AmHandlerFn handler, make_chase_am_handler());
       const std::size_t node_count = cluster_->node_count();

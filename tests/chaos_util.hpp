@@ -68,7 +68,6 @@ inline hetsim::ClusterConfig chaos_cluster_config(
 /// none may exhaust, no deferred forward may be dropped, and nothing the
 /// shim injected may surface as a protocol error.
 inline void expect_clean_recovery(hetsim::Cluster& cluster) {
-  if (!cluster.has_ifunc_runtimes()) return;
   for (fabric::NodeId node = 0; node < cluster.node_count(); ++node) {
     const core::Runtime::Stats& stats = cluster.runtime(node).stats();
     EXPECT_EQ(stats.send_retries_exhausted.load(), 0u) << "node " << node;

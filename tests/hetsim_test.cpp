@@ -78,8 +78,11 @@ TEST(Cluster, TopologyAndRuntimes) {
   EXPECT_EQ((*cluster)->fabric().node_count(), 5u);
   EXPECT_EQ((*cluster)->server_nodes().size(), 4u);
   EXPECT_EQ((*cluster)->client_node(), 0u);
-  EXPECT_TRUE((*cluster)->has_ifunc_runtimes());
-  EXPECT_TRUE((*cluster)->has_am_runtimes());
+  // Every node carries both runtimes.
+  for (fabric::NodeId node = 0; node < (*cluster)->node_count(); ++node) {
+    EXPECT_EQ((*cluster)->runtime(node).node_id(), node);
+    EXPECT_EQ((*cluster)->am_runtime(node).node_id(), node);
+  }
   // Every server runtime knows the peer table.
   for (auto node : (*cluster)->server_nodes()) {
     EXPECT_EQ(&(*cluster)->runtime(node), &(*cluster)->runtime(node));

@@ -176,7 +176,6 @@ TEST(CollectTest, RuntimeInterpreterCountersMirrorStats) {
   // interpreter work counter it exports.
   hetsim::ClusterConfig config;
   config.server_count = 1;
-  config.with_am_runtimes = false;
   auto cluster = hetsim::Cluster::create(config);
   ASSERT_TRUE(cluster.is_ok()) << cluster.status().to_string();
   core::Runtime& client = (*cluster)->client_runtime();

@@ -1,12 +1,17 @@
-// SocketTransport coverage: the shared transport conformance suite run
-// against the real-sockets backend in threaded (socketpair) mode, plus
-// socket-specific behaviour the other backends cannot exhibit — wire-codec
-// framing under concurrency, bounded-send-buffer backpressure, and abrupt
-// peer disconnect. The true multi-process deployment of the same codec is
-// exercised by socket_mp_test.cpp / tools/tc_launch.
+// SocketTransport coverage: the shared transport conformance and
+// wall-clock suites run against the real-sockets backend in threaded
+// (socketpair) mode, plus socket-specific behaviour the other backends
+// cannot exhibit — wire-codec framing under concurrency, bounded-send-buffer
+// backpressure, abrupt peer disconnect, and a hostile peer forging frame
+// headers. The true multi-process deployment of the same codec is exercised
+// by socket_mp_test.cpp / tools/tc_launch.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <deque>
 #include <memory>
@@ -17,6 +22,7 @@
 #include "fabric/socket_transport.hpp"
 #include "fabric/transport.hpp"
 #include "transport_conformance.hpp"
+#include "wall_clock_suite.hpp"
 
 namespace tc {
 namespace {
@@ -35,6 +41,23 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(conformance::ConformanceParam{
         "socket", /*deterministic=*/false, make_socket}),
     conformance::param_name);
+
+using wall_clock::WallClockP;
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, WallClockP,
+    ::testing::Values(wall_clock::WallClockParam{
+        "socket",
+        [](std::size_t nodes, std::int64_t run_until_timeout_ms)
+            -> std::shared_ptr<fabric::WallClockTransport> {
+          fabric::SocketTransportOptions options;
+          options.run_until_timeout_ms = run_until_timeout_ms;
+          auto socket_or =
+              fabric::SocketTransport::create_threaded(nodes, options);
+          if (!socket_or.is_ok()) return nullptr;
+          return std::move(*socket_or);
+        }}),
+    wall_clock::param_name);
 
 // --- socket-specific coverage ------------------------------------------------
 
@@ -55,81 +78,20 @@ TEST(SocketTransport, ProcessModeRejectsMalformedEndpoints) {
   EXPECT_FALSE(miscounted.is_ok());
 }
 
-TEST(SocketTransport, AmEchoStormAcrossProgressThreads) {
-  // Same storm the shm backend runs, but every AM and its ack crosses the
+TEST(SocketTransport, EchoStormWireStatsCountEveryFrame) {
+  // The wall-clock suite's storm, where every AM and its ack crosses the
   // wire codec and the kernel's socketpair buffers.
   auto socket_or = fabric::SocketTransport::create_threaded(3);
   ASSERT_TRUE(socket_or.is_ok()) << socket_or.status().to_string();
   fabric::SocketTransport& sock = **socket_or;
-  std::atomic<int> echoes{0};
-  ASSERT_TRUE(sock.register_am_handler(0, 5,
-                                       [&](ByteSpan, fabric::NodeId) {
-                                         echoes.fetch_add(
-                                             1, std::memory_order_relaxed);
-                                       })
-                  .is_ok());
-  for (fabric::NodeId server : {1u, 2u}) {
-    ASSERT_TRUE(sock.register_am_handler(
-                        server, 5,
-                        [&sock, server](ByteSpan payload,
-                                        fabric::NodeId source) {
-                          sock.post_am(server, source, 5, payload, {});
-                        })
-                    .is_ok());
-  }
-  sock.start_progress_threads({1, 2});
-
   constexpr int kPerServer = 500;
-  Bytes payload{0x42};
-  for (int i = 0; i < kPerServer; ++i) {
-    sock.post_am(0, 1, 5, as_span(payload), {});
-    sock.post_am(0, 2, 5, as_span(payload), {});
-  }
-  Status status = sock.run_until(
-      0, [&] { return echoes.load(std::memory_order_relaxed) ==
-                      2 * kPerServer; });
-  EXPECT_TRUE(status.is_ok()) << status.to_string();
-  sock.stop_progress_threads();
-  EXPECT_EQ(echoes.load(), 2 * kPerServer);
+  std::atomic<int> echoes{0};
+  const Status status = wall_clock::run_am_echo_storm(sock, kPerServer, echoes);
+  ASSERT_TRUE(status.is_ok()) << status.to_string();
   const fabric::SocketTransport::Stats stats = sock.stats();
   EXPECT_GE(stats.frames_sent, 2u * kPerServer);
   EXPECT_GE(stats.bytes_received, stats.frames_received * 44u)
       << "every frame carries at least the wire header";
-}
-
-TEST(SocketTransport, ConcurrentPutsLandInDistinctWindowSlots) {
-  auto socket_or = fabric::SocketTransport::create_threaded(4);
-  ASSERT_TRUE(socket_or.is_ok());
-  fabric::SocketTransport& sock = **socket_or;
-  auto window = sock.allocate_window(3, 3 * sizeof(std::uint64_t));
-  ASSERT_TRUE(window.is_ok());
-  sock.start_progress_threads({3});
-
-  std::vector<std::thread> initiators;
-  for (fabric::NodeId n = 0; n < 3; ++n) {
-    initiators.emplace_back([&sock, &window, n] {
-      const std::uint64_t value = 0x2000 + n;
-      Bytes data(sizeof(value));
-      std::memcpy(data.data(), &value, sizeof(value));
-      std::atomic<bool> done{false};
-      sock.post_put(n, window->remote_addr(3, n * sizeof(std::uint64_t)),
-                    as_span(data), [&](Status s) {
-                      ASSERT_TRUE(s.is_ok()) << s.to_string();
-                      done.store(true, std::memory_order_relaxed);
-                    });
-      Status st = sock.run_until(
-          n, [&] { return done.load(std::memory_order_relaxed); });
-      ASSERT_TRUE(st.is_ok()) << st.to_string();
-    });
-  }
-  for (auto& t : initiators) t.join();
-  sock.stop_progress_threads();
-
-  for (std::uint64_t n = 0; n < 3; ++n) {
-    std::uint64_t slot = 0;
-    std::memcpy(&slot, window->base + n * sizeof(slot), sizeof(slot));
-    EXPECT_EQ(slot, 0x2000 + n);
-  }
 }
 
 TEST(SocketTransport, SlowConsumerBackpressureFailsPostAndRecovers) {
@@ -233,6 +195,120 @@ TEST(SocketTransport, KillConnectionFailsPendingCompletionsWithUnavailable) {
   }
   ASSERT_TRUE(fired2);
   EXPECT_EQ(seen2.code(), ErrorCode::kUnavailable);
+}
+
+// --- hostile peer ----------------------------------------------------------
+// A raw client speaking the codec by hand plays node 1 of a process-mode
+// pair: it completes the bootstrap hello honestly, then forges the `src` of
+// a frame header. The receiver must treat the link as the sender and
+// disconnect on the lie — no thread fork, so the sanitizer jobs run it.
+
+void put_le(Bytes& out, std::uint64_t value, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+  }
+}
+
+// [u32 length][u8 kind][u8 code][u16 am_id][u32 src][u64 cid][u64 f0..f2]
+Bytes raw_frame(std::uint8_t kind, std::uint32_t src, std::uint64_t cid,
+                const Bytes& payload) {
+  Bytes out;
+  put_le(out, 40 + payload.size(), 4);
+  put_le(out, kind, 1);
+  put_le(out, 0, 1);
+  put_le(out, 0, 2);
+  put_le(out, src, 4);
+  put_le(out, cid, 8);
+  for (int f = 0; f < 3; ++f) put_le(out, 0, 8);  // f0..f2
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+constexpr std::uint8_t kRawHello = 1;
+constexpr std::uint8_t kRawSend = 2;
+
+class SocketHostilePeer : public ::testing::Test {
+ protected:
+  // Brings up node 0 of 2 in process mode with the raw client as node 1.
+  void SetUp() override {
+    path_ = "/tmp/tc_hostile_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".sock";
+    ::unlink(path_.c_str());
+    // create_process blocks until node 1 says hello, so the raw client
+    // dials from a thread; it retries until node 0 has bound its path.
+    std::thread dialer([this] {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (std::chrono::steady_clock::now() < deadline) {
+        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        std::strncpy(addr.sun_path, path_.c_str(), sizeof(addr.sun_path) - 1);
+        if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)) == 0) {
+          raw_fd_ = fd;
+          write_raw(raw_frame(kRawHello, /*src=*/1, 0, {}));
+          return;
+        }
+        ::close(fd);
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+    });
+    fabric::SocketTransportOptions options;
+    options.connect_timeout_ms = 10'000;
+    options.run_until_timeout_ms = 10'000;
+    auto sock_or = fabric::SocketTransport::create_process(
+        2, 0, {"unix:" + path_, "unix:" + path_ + ".peer"}, options);
+    dialer.join();
+    ASSERT_TRUE(sock_or.is_ok()) << sock_or.status().to_string();
+    ASSERT_GE(raw_fd_, 0);
+    sock_ = std::move(*sock_or);
+  }
+
+  void TearDown() override {
+    sock_.reset();
+    if (raw_fd_ >= 0) ::close(raw_fd_);
+    ::unlink(path_.c_str());
+  }
+
+  void write_raw(const Bytes& bytes) {
+    ASSERT_EQ(::send(raw_fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+  }
+
+  std::string path_;
+  int raw_fd_ = -1;
+  std::unique_ptr<fabric::SocketTransport> sock_;
+};
+
+TEST_F(SocketHostilePeer, OutOfRangeSourceDisconnectsTheLink) {
+  // src = 7 of 2 nodes: acking it would index past the link table.
+  write_raw(raw_frame(kRawSend, /*src=*/7, /*cid=*/1, Bytes{0xEE}));
+  const Status status =
+      sock_->run_until(0, [&] { return sock_->stats().disconnects > 0; });
+  ASSERT_TRUE(status.is_ok()) << status.to_string();
+  EXPECT_FALSE(sock_->try_recv(0).has_value()) << "forged frame delivered";
+  EXPECT_EQ(sock_->stats().frames_received, 0u);
+}
+
+TEST_F(SocketHostilePeer, ForgedSelfSourceCannotCompleteTheReceiversOps) {
+  // Node 0 waits on its first op (cid 1): a send the raw peer never acks.
+  Status seen = internal_error("never fired");
+  bool fired = false;
+  Bytes msg{1, 2, 3};
+  sock_->post_send(0, 1, as_span(msg), 1, [&](Status s) {
+    fired = true;
+    seen = std::move(s);
+  });
+  // A kSend "from node 0" with cid 1 would make node 0 ack itself and
+  // complete its own pending op with OK.
+  write_raw(raw_frame(kRawSend, /*src=*/0, /*cid=*/1, Bytes{0xEE}));
+  const Status status = sock_->run_until(0, [&] { return fired; });
+  ASSERT_TRUE(status.is_ok()) << status.to_string();
+  EXPECT_EQ(seen.code(), ErrorCode::kUnavailable) << seen.to_string();
+  EXPECT_EQ(sock_->stats().disconnects, 1u);
+  EXPECT_FALSE(sock_->try_recv(0).has_value()) << "forged frame delivered";
 }
 
 }  // namespace

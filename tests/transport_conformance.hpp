@@ -238,6 +238,47 @@ TEST_P(TransportConformance, ExposedSegmentPublishesOnce) {
             ErrorCode::kAlreadyExists);
 }
 
+// A NodeId read off the wire (a frame's origin, an AM's source) must never
+// index a node table: every post_* naming a node outside the cluster, as
+// source or destination, fails its completion with kInvalidArgument and
+// posts nothing.
+TEST_P(TransportConformance, OutOfRangeNodeIdsFailWithoutPosting) {
+  std::vector<std::uint8_t> window(8, 0);
+  auto region = transport_->register_window(1, window.data(), window.size());
+  ASSERT_TRUE(region.is_ok()) << region.status().to_string();
+  const Bytes payload{0x77};
+  std::vector<Status> refused;
+  const auto record = [&](Status s) { refused.push_back(std::move(s)); };
+  const auto record_get = [&](StatusOr<Bytes> r) {
+    refused.push_back(r.status());
+  };
+  for (const fabric::NodeId bad : {fabric::NodeId{kNodes}, fabric::NodeId{9}}) {
+    transport_->post_send(0, bad, as_span(payload), 1, record);
+    transport_->post_send(bad, 1, as_span(payload), 1, record);
+    transport_->post_am(0, bad, 7, as_span(payload), record);
+    transport_->post_am(bad, 1, 7, as_span(payload), record);
+    transport_->post_put(0, region->remote_addr(bad), as_span(payload),
+                         record);
+    transport_->post_put(bad, region->remote_addr(1), as_span(payload),
+                         record);
+    transport_->post_get(0, region->remote_addr(bad), 1, record_get);
+    transport_->post_get(bad, region->remote_addr(1), 1, record_get);
+  }
+  drive_until([&] { return refused.size() == 16; });
+  for (const Status& status : refused) {
+    EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument) << status.to_string();
+  }
+  // Nothing was delivered, dispatched or written anywhere.
+  for (int spin = 0; spin < 100; ++spin) {
+    for (fabric::NodeId n = 0; n < kNodes; ++n) (void)transport_->progress(n);
+  }
+  for (fabric::NodeId n = 0; n < kNodes; ++n) {
+    EXPECT_FALSE(transport_->try_recv(n).has_value()) << "node " << n;
+  }
+  EXPECT_EQ(window[0], 0);
+  EXPECT_EQ(refused.size(), 16u);
+}
+
 // The full cache-miss recovery protocol over each backend: a truncated
 // frame for an unknown ifunc must raise a NACK, the sender must re-ship
 // the code, and the stashed payload must then execute exactly once.

@@ -5,22 +5,21 @@
 // fabric::SocketTransport, and mp_launch's conformance role runs it
 // across real processes).
 //
-// The shm-specific threaded tests at the bottom exercise the SPSC rings and
+// The wall-clock suite (wall_clock_suite.hpp) and the shm-specific tests at
+// the bottom exercise the SPSC rings, the shared wall-clock core and the
 // per-node progress threads under real concurrency; they are the tests the
 // CI ThreadSanitizer job is aimed at.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstring>
 #include <memory>
 #include <thread>
-#include <vector>
 
 #include "fabric/fabric.hpp"
 #include "fabric/shm_transport.hpp"
 #include "fabric/spsc_ring.hpp"
 #include "fabric/transport.hpp"
 #include "transport_conformance.hpp"
+#include "wall_clock_suite.hpp"
 
 namespace tc {
 namespace {
@@ -48,6 +47,19 @@ INSTANTIATE_TEST_SUITE_P(
         conformance::ConformanceParam{"shm", /*deterministic=*/false,
                                       make_shm}),
     conformance::param_name);
+
+using wall_clock::WallClockP;
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, WallClockP,
+    ::testing::Values(wall_clock::WallClockParam{
+        "shm",
+        [](std::size_t nodes, std::int64_t run_until_timeout_ms) {
+          fabric::ShmTransportOptions options;
+          options.run_until_timeout_ms = run_until_timeout_ms;
+          return std::make_shared<fabric::ShmTransport>(nodes, options);
+        }}),
+    wall_clock::param_name);
 
 // --- SPSC ring unit coverage -------------------------------------------------
 
@@ -92,42 +104,6 @@ TEST(SpscRing, ConcurrentProducerConsumerKeepsOrder) {
 }
 
 // --- shm-specific threaded coverage ------------------------------------------
-
-TEST(ShmTransportThreaded, AmEchoStormAcrossProgressThreads) {
-  // Node 0 (driven by this thread) fires AMs at nodes 1 and 2 (dedicated
-  // progress threads); their handlers echo back; node 0 counts echoes.
-  fabric::ShmTransport shm(3);
-  std::atomic<int> echoes{0};
-  ASSERT_TRUE(shm.register_am_handler(0, 5,
-                                      [&](ByteSpan, fabric::NodeId) {
-                                        echoes.fetch_add(
-                                            1, std::memory_order_relaxed);
-                                      })
-                  .is_ok());
-  for (fabric::NodeId server : {1u, 2u}) {
-    ASSERT_TRUE(shm.register_am_handler(
-                       server, 5,
-                       [&shm, server](ByteSpan payload,
-                                      fabric::NodeId source) {
-                         shm.post_am(server, source, 5, payload, {});
-                       })
-                    .is_ok());
-  }
-  shm.start_progress_threads({1, 2});
-
-  constexpr int kPerServer = 500;
-  Bytes payload{0x42};
-  for (int i = 0; i < kPerServer; ++i) {
-    shm.post_am(0, 1, 5, as_span(payload), {});
-    shm.post_am(0, 2, 5, as_span(payload), {});
-  }
-  Status status = shm.run_until(
-      0, [&] { return echoes.load(std::memory_order_relaxed) ==
-                      2 * kPerServer; });
-  EXPECT_TRUE(status.is_ok()) << status.to_string();
-  shm.stop_progress_threads();
-  EXPECT_EQ(echoes.load(), 2 * kPerServer);
-}
 
 TEST(ShmTransportThreaded, FullRingFailsCompletionWithBackpressure) {
   // A consumer that never runs: once the ring fills and full_ring_wait_ms
@@ -174,40 +150,6 @@ TEST(ShmTransportThreaded, FullRingFailsCompletionWithBackpressure) {
   }
   ASSERT_TRUE(ok_fired);
   EXPECT_TRUE(ok_status.is_ok()) << ok_status.to_string();
-}
-
-TEST(ShmTransportThreaded, ConcurrentPutsLandInDistinctWindowSlots) {
-  fabric::ShmTransport shm(4);
-  auto window = shm.allocate_window(3, 3 * sizeof(std::uint64_t));
-  ASSERT_TRUE(window.is_ok());
-  shm.start_progress_threads({3});
-
-  // Three initiator threads, each PUTting its id into its own slot.
-  std::vector<std::thread> initiators;
-  for (fabric::NodeId n = 0; n < 3; ++n) {
-    initiators.emplace_back([&shm, &window, n] {
-      const std::uint64_t value = 0x1000 + n;
-      Bytes data(sizeof(value));
-      std::memcpy(data.data(), &value, sizeof(value));
-      std::atomic<bool> done{false};
-      shm.post_put(n, window->remote_addr(3, n * sizeof(std::uint64_t)),
-                   as_span(data), [&](Status s) {
-                     ASSERT_TRUE(s.is_ok());
-                     done.store(true, std::memory_order_relaxed);
-                   });
-      Status st = shm.run_until(
-          n, [&] { return done.load(std::memory_order_relaxed); });
-      ASSERT_TRUE(st.is_ok()) << st.to_string();
-    });
-  }
-  for (auto& t : initiators) t.join();
-  shm.stop_progress_threads();
-
-  for (std::uint64_t n = 0; n < 3; ++n) {
-    std::uint64_t slot = 0;
-    std::memcpy(&slot, window->base + n * sizeof(slot), sizeof(slot));
-    EXPECT_EQ(slot, 0x1000 + n);
-  }
 }
 
 }  // namespace

@@ -32,7 +32,6 @@ std::unique_ptr<hetsim::Cluster> make_cluster(
 // counter means a cross-shard probe silently went nowhere (the bug class
 // is logged-but-lost forwards).
 void expect_no_forward_send_failures(hetsim::Cluster& cluster) {
-  if (!cluster.has_ifunc_runtimes()) return;
   const std::size_t nodes = cluster.node_count();
   for (fabric::NodeId node = 0; node < nodes; ++node) {
     EXPECT_EQ(cluster.runtime(node).stats().forward_send_failures.load(), 0u)
