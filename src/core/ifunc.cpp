@@ -1,8 +1,10 @@
 #include "core/ifunc.hpp"
 
+#include "core/runtime.hpp"
 #if TC_WITH_LLVM
 #include "ir/bitcode.hpp"
 #include "ir/kernel_builder.hpp"
+#include "jit/compiler.hpp"
 #endif
 #include "vm/lower.hpp"
 
@@ -34,38 +36,61 @@ StatusOr<IfuncLibrary> IfuncLibrary::from_archive(std::string name,
   return lib;
 }
 
-StatusOr<IfuncLibrary> IfuncLibrary::from_kernel(
-    ir::KernelKind kind, const ir::KernelOptions& options) {
-#if TC_WITH_LLVM
-  TC_ASSIGN_OR_RETURN(ir::FatBitcode archive,
-                      ir::build_default_fat_kernel(kind, options));
-  declare_kernel_deps(kind, archive);
+std::string stock_library_name(ir::KernelKind kind, ir::CodeRepr repr,
+                               const ir::KernelOptions& options) {
   std::string name = ir::kernel_name(kind);
+  if (repr == ir::CodeRepr::kPortable) name += "_vm";
   if (options.hll_guards) name += "_hll";
+  if (repr == ir::CodeRepr::kObject) name += "_bin";
   if (options.chaser_tagged) name += "_w";
-  return from_archive(std::move(name), std::move(archive));
-#else
-  (void)kind;
-  (void)options;
-  return failed_precondition(
-      "bitcode kernels need LLVM (built with TC_WITH_LLVM=OFF); use "
-      "from_portable_kernel");
-#endif
+  return name;
 }
 
-std::string portable_kernel_name(ir::KernelKind kind) {
-  return std::string(ir::kernel_name(kind)) + "_vm";
+StatusOr<IfuncLibrary> IfuncLibrary::from_stock_kernel(
+    ir::KernelKind kind, ir::CodeRepr repr, const ir::KernelOptions& options) {
+  ir::FatBitcode archive;
+  if (repr == ir::CodeRepr::kPortable) {
+    TC_ASSIGN_OR_RETURN(archive, vm::build_portable_kernel(kind, options));
+  } else {
+#if TC_WITH_LLVM
+    TC_ASSIGN_OR_RETURN(archive, ir::build_default_fat_kernel(kind, options));
+#else
+    return failed_precondition(
+        "bitcode/object kernels need LLVM (built with TC_WITH_LLVM=OFF); "
+        "use ir::CodeRepr::kPortable");
+#endif
+  }
+  declare_kernel_deps(kind, archive);
+#if TC_WITH_LLVM
+  if (repr == ir::CodeRepr::kObject) {
+    TC_ASSIGN_OR_RETURN(archive, jit::compile_archive_to_objects(archive));
+  }
+#endif
+  return from_archive(stock_library_name(kind, repr, options),
+                      std::move(archive));
+}
+
+StatusOr<IfuncLibrary> IfuncLibrary::from_kernel(
+    ir::KernelKind kind, const ir::KernelOptions& options) {
+  return from_stock_kernel(kind, ir::CodeRepr::kBitcode, options);
 }
 
 StatusOr<IfuncLibrary> IfuncLibrary::from_portable_kernel(
     ir::KernelKind kind, const ir::KernelOptions& options) {
-  TC_ASSIGN_OR_RETURN(ir::FatBitcode archive,
-                      vm::build_portable_kernel(kind, options));
-  declare_kernel_deps(kind, archive);
-  std::string name = portable_kernel_name(kind);
-  if (options.hll_guards) name += "_hll";
-  if (options.chaser_tagged) name += "_w";
-  return from_archive(std::move(name), std::move(archive));
+  return from_stock_kernel(kind, ir::CodeRepr::kPortable, options);
+}
+
+StatusOr<std::uint64_t> register_stock_kernel(
+    Runtime& runtime, ir::KernelKind kind, ir::CodeRepr repr,
+    const ir::KernelOptions& options) {
+  if (auto existing =
+          runtime.ifunc_id_by_name(stock_library_name(kind, repr, options));
+      existing.is_ok()) {
+    return *existing;
+  }
+  TC_ASSIGN_OR_RETURN(IfuncLibrary library,
+                      IfuncLibrary::from_stock_kernel(kind, repr, options));
+  return runtime.register_ifunc(std::move(library));
 }
 
 StatusOr<IfuncLibrary> IfuncLibrary::from_tiered_kernel(

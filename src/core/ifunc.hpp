@@ -15,14 +15,26 @@
 
 namespace tc::core {
 
+class Runtime;
+
 /// Wire identity of an ifunc: FNV-1a of its registered name.
 inline std::uint64_t ifunc_id_for_name(std::string_view name) {
   return fnv1a64(name);
 }
 
-/// Registered name of a stock kernel's portable-bytecode variant (the
-/// naming convention from_portable_kernel applies).
-std::string portable_kernel_name(ir::KernelKind kind);
+/// Registered name of stock kernel `kind` built as `repr` under `options`:
+/// `<kernel>[_vm][_hll][_bin][_w]`, with `_vm` for portable bytecode and
+/// `_bin` for objects. The name hashes to the wire ifunc id, so every
+/// variant keeps its own identity.
+std::string stock_library_name(ir::KernelKind kind, ir::CodeRepr repr,
+                               const ir::KernelOptions& options = {});
+
+/// Registers IfuncLibrary::from_stock_kernel(kind, repr, options) on
+/// `runtime`, or returns the id of an earlier registration under the same
+/// name without building anything.
+StatusOr<std::uint64_t> register_stock_kernel(
+    Runtime& runtime, ir::KernelKind kind, ir::CodeRepr repr,
+    const ir::KernelOptions& options = {});
 
 class IfuncLibrary {
  public:
@@ -30,15 +42,22 @@ class IfuncLibrary {
   static StatusOr<IfuncLibrary> from_archive(std::string name,
                                              ir::FatBitcode archive);
 
-  /// Builds one of the stock kernels for the default target set — the
-  /// one-call path used by examples and benchmarks. Requires TC_WITH_LLVM
-  /// (fails with kFailedPrecondition otherwise).
+  /// Builds one of the stock kernels as `repr` under
+  /// stock_library_name(kind, repr, options): kPortable is a portable-only
+  /// ('TCFP') archive, available with or without LLVM; kBitcode is the
+  /// multi-ISA fat bitcode for the default target set and kObject its
+  /// AOT-compiled objects, both of which need TC_WITH_LLVM (they fail with
+  /// kFailedPrecondition otherwise).
+  static StatusOr<IfuncLibrary> from_stock_kernel(
+      ir::KernelKind kind, ir::CodeRepr repr,
+      const ir::KernelOptions& options = {});
+
+  /// from_stock_kernel(kind, kBitcode, options) — the one-call path used by
+  /// examples and benchmarks.
   static StatusOr<IfuncLibrary> from_kernel(
       ir::KernelKind kind, const ir::KernelOptions& options = {});
 
-  /// Builds a stock kernel as a portable-only ('TCFP') archive — the
-  /// interpreter tier, available with or without LLVM. Library name is
-  /// `<kernel>_vm`, a distinct wire identity from the bitcode variants.
+  /// from_stock_kernel(kind, kPortable, options): the interpreter tier.
   static StatusOr<IfuncLibrary> from_portable_kernel(
       ir::KernelKind kind, const ir::KernelOptions& options = {});
 

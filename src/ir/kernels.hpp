@@ -3,8 +3,8 @@
 // This header is LLVM-free on purpose — the KIR definitions (src/kir/),
 // the portable-bytecode lowering (src/vm/lower.cpp) and the runtime
 // registry need the catalogue in TC_WITH_LLVM=OFF builds, where the
-// IRBuilder emitters of ir/kernel_builder.hpp are compiled out. Which kinds
-// have a single-source KIR definition is kir::has_kernel_def's to say.
+// IRBuilder emitters of ir/kernel_builder.hpp are compiled out. Every kind
+// has one KIR definition (kir::kernel_def).
 #pragma once
 
 #include "common/status.hpp"

@@ -3,8 +3,9 @@
 #include <cmath>
 
 #include "common/log.hpp"
-#include "kir/eval.hpp"
 #include "kir/kernels.hpp"
+#include "vm/interp.hpp"
+#include "vm/lower.hpp"
 
 namespace tc::kir {
 
@@ -12,8 +13,9 @@ namespace {
 
 double am_sin(double x) { return std::sin(x); }
 
-}  // namespace
-
+/// A hook table over an AmContext: target/peer/shard queries read the
+/// context, forward re-sends the handler's own index through the runtime,
+/// reply sends a result frame to the chain origin. The table borrows `ctx`.
 vm::HookTable am_hooks(am::AmContext& ctx) {
   vm::HookTable hooks;
   hooks.ctx = &ctx;
@@ -59,42 +61,49 @@ vm::HookTable am_hooks(am::AmContext& ctx) {
   };
   // inject/remote_write are ifunc-runtime operations with no AM analogue
   // (the AM baseline predeployes all code and has no exposed segments);
-  // kernels that need them are not AM-portable, and a def that still calls
-  // them observes the failure rc instead of a crash.
+  // kernels that need them are not AM-portable, and a program that still
+  // calls them observes the failure rc instead of a crash.
   hooks.inject = [](void*, std::uint64_t, const char*, const std::uint8_t*,
                     std::uint64_t) -> std::int32_t { return -1; };
   hooks.remote_write = [](void*, std::uint64_t, std::uint64_t,
                           const std::uint8_t*,
                           std::uint64_t) -> std::int32_t { return -1; };
-  // Native AM handlers never carried HLL guards; the marker is a no-op
-  // here rather than a fault so guarded defs stay AM-runnable.
+  // AM handlers never carried HLL guards; the hook is a no-op here rather
+  // than a fault so guarded programs stay AM-runnable.
   hooks.hll_guard = [](void*) {};
   hooks.sin_fn = am_sin;
   return hooks;
 }
 
-Status run_in_am_context(const Def& def, am::AmContext& ctx,
-                         std::uint8_t* payload, std::uint64_t size) {
-  vm::HookTable hooks = am_hooks(ctx);
-  return evaluate(def, hooks, payload, size).status();
-}
+}  // namespace
 
 StatusOr<am::AmHandlerFn> make_am_handler(ir::KernelKind kind,
-                                          const ir::KernelOptions& options) {
+                                          const ir::KernelOptions& options,
+                                          AmGate gate) {
   TC_ASSIGN_OR_RETURN(Def def, prepared_def(kind, options));
-  return am::AmHandlerFn(
-      [def = std::move(def)](am::AmContext& ctx, std::uint8_t* payload,
-                             std::uint64_t size) {
-        if (size < def.min_payload_bytes) {
-          TC_LOG(kWarn, "kir") << "AM " << def.name << ": bad payload";
-          return;
-        }
-        Status status = run_in_am_context(def, ctx, payload, size);
-        if (!status.is_ok()) {
-          TC_LOG(kWarn, "kir")
-              << "AM " << def.name << ": " << status.message();
-        }
-      });
+  TC_ASSIGN_OR_RETURN(vm::Program program, vm::lower_kernel(kind, options));
+  if (!gate) {
+    gate = [floor = def.min_payload_bytes](const am::AmContext&,
+                                           const std::uint8_t*,
+                                           std::uint64_t size) {
+      return size >= floor;
+    };
+  }
+  return am::AmHandlerFn([name = std::move(def.name),
+                          program = std::move(program),
+                          gate = std::move(gate)](am::AmContext& ctx,
+                                                  std::uint8_t* payload,
+                                                  std::uint64_t size) {
+    if (!gate(ctx, payload, size)) {
+      TC_LOG(kWarn, "kir") << "AM " << name << ": bad payload";
+      return;
+    }
+    auto result = vm::execute(program, am_hooks(ctx), payload, size);
+    if (!result.is_ok()) {
+      TC_LOG(kWarn, "kir") << "AM " << name << ": "
+                           << result.status().message();
+    }
+  });
 }
 
 }  // namespace tc::kir

@@ -1,43 +1,41 @@
-// kir→am, stage 2: KIR definitions as predeployed Active-Message handlers.
+// The predeployed Active-Message handlers of the stock kernels.
 //
-// Bridges the AmContext surface onto the vm::HookTable the evaluator (and
-// the bytecode interpreter) consume — forward becomes
+// A handler interprets its kernel's portable bytecode — the
+// vm::lower_kernel program emitted from the kernel's one KIR definition,
+// built once when the handler is made — against a vm::HookTable bridged
+// onto the AmContext surface: forward becomes
 // AmRuntime::send(peers[i], handler_index, ...) with the chain origin
-// preserved, reply becomes AmRuntime::reply — and wraps evaluation of a
-// prepared def into an am::AmHandlerFn. The AM baseline stays the paper's
-// lower bound: on the simulated fabric a handler invocation is charged the
-// calibrated constant profile cost regardless of how the handler body is
-// implemented, so routing AM execution through the evaluator leaves every
-// figure byte-identical.
+// preserved (a peer outside the peer table is refused), reply becomes
+// AmRuntime::reply, and inject/remote_write, which the AM surface lacks,
+// return -1. The AM baseline stays the paper's lower bound: on the
+// simulated fabric a handler invocation is charged the calibrated constant
+// profile cost regardless of how the handler body is implemented, so
+// interpreting the bytecode leaves every figure byte-identical.
 #pragma once
+
+#include <functional>
 
 #include "am/am_runtime.hpp"
 #include "common/status.hpp"
 #include "ir/kernels.hpp"
-#include "kir/kir.hpp"
-#include "vm/interp.hpp"
 
 namespace tc::kir {
 
-/// A hook table over an AmContext: target/peer/shard queries read the
-/// context, forward re-sends the handler's own index through the runtime
-/// (origin preserved), reply sends a result frame to the chain origin.
-/// inject/remote_write are not part of the AM surface and return -1;
-/// hll_guard is a no-op (native AM handlers never carried guards); sin is
-/// libm's. The returned table borrows `ctx` — it must outlive the table.
-vm::HookTable am_hooks(am::AmContext& ctx);
+/// A handler's payload gate, checked before the program runs. The kernels
+/// trust their payload words, so the gate must reject every invocation the
+/// program could not survive: a frame of the wrong size, a missing shard,
+/// target or peer table, and any wire word the kernel uses to index memory.
+using AmGate = std::function<bool(const am::AmContext& ctx,
+                                  const std::uint8_t* payload,
+                                  std::uint64_t size)>;
 
-/// Evaluates `def` once inside an AM handler invocation. Errors are
-/// returned, not swallowed — callers decide whether to log-and-drop (the
-/// handler contract) or propagate (tests).
-Status run_in_am_context(const Def& def, am::AmContext& ctx,
-                         std::uint8_t* payload, std::uint64_t size);
-
-/// Builds the predeployed AM handler for a KIR-sourced kernel: evaluates
-/// the prepared def, logging and dropping malformed invocations (payloads
-/// below the def's declared floor) and evaluation faults, like the native
-/// handlers it replaces.
+/// Builds the predeployed AM handler for a stock kernel: interprets
+/// vm::lower_kernel(kind, options) behind `gate` (without one, payloads
+/// below the def's declared floor are refused), logging and dropping
+/// refused invocations and interpreter faults. Fails if the kernel does not
+/// lower.
 StatusOr<am::AmHandlerFn> make_am_handler(ir::KernelKind kind,
-                                          const ir::KernelOptions& options = {});
+                                          const ir::KernelOptions& options = {},
+                                          AmGate gate = {});
 
 }  // namespace tc::kir

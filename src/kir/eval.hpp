@@ -1,13 +1,15 @@
-// kir→am, stage 1: a direct evaluator over KIR definitions.
+// A direct evaluator over KIR definitions: the reference semantics of the
+// kernel IR.
 //
-// This is what runs when a KIR-sourced kernel executes as a *predeployed*
-// Active-Message handler (am_backend.hpp wraps it in an AmHandlerFn): the
-// def is walked instruction by instruction against the same vm::HookTable
-// surface the bytecode interpreter uses, with identical semantics —
-// sign-extended i32 hook results, IEEE bit-pattern floats, trapping
-// unsigned division, tear-free aligned word accesses, a fuel limit. The
-// differential suite runs the evaluator against the interpreter on the same
-// hook table and asserts identical payload/target/traffic outcomes.
+// The def is walked instruction by instruction against the same
+// vm::HookTable surface the bytecode interpreter uses, with identical
+// semantics — sign-extended i32 hook results, IEEE bit-pattern floats,
+// trapping unsigned division, tear-free aligned word accesses, a fuel
+// limit. Nothing in production runs it: the predeployed AM handlers
+// interpret the bytecode (am_backend.hpp). It is what the differentials in
+// tests/kir_test.cpp compare against — the interpreter on the emitted
+// bytecode, and the kir→llvm module JIT'd through ORC — asserting identical
+// payload/target/traffic outcomes.
 //
 // Unlike the backends, the evaluator also accepts *raw* defs: a kGuard
 // marker calls the hll_guard hook when one is installed and is a no-op

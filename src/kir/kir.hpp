@@ -1,11 +1,12 @@
 // KIR: the single-source kernel IR of the catalogue.
 //
-// One KIR definition per kernel generates every code representation this
+// One KIR definition per kernel generates the code representations this
 // reproduction ships — the portable bytecode (kir→vm, src/kir/vm_backend),
-// the LLVM IR for the JIT/AOT tiers (kir→llvm, src/kir/llvm_backend,
-// compiled out under TC_WITH_LLVM=OFF), and the predeployed Active-Message
-// handler (kir→am, a direct evaluator over the def) — replacing the three
-// hand-synchronized emitters the legacy kernels keep in lockstep by review.
+// which the predeployed Active-Message handlers interpret too
+// (src/kir/am_backend), and value-equivalent LLVM IR for the JIT/AOT tiers
+// (kir→llvm, src/kir/llvm_backend, compiled out under TC_WITH_LLVM=OFF) —
+// replacing the hand-synchronized emitters the legacy kernels kept in
+// lockstep by review.
 //
 // The IR is deliberately tiny: SSA-free and register-oriented, mirroring
 // the portable-bytecode machine one to one so that the vm backend is a

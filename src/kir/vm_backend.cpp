@@ -40,8 +40,8 @@ StatusOr<vm::Program> emit_vm(const Def& def) {
   TC_RETURN_IF_ERROR(verify(def));
   vm::Assembler a;
   // One vm label per branch-target instruction index, bound right before
-  // that instruction is emitted — the hand lowerings' bind() placement,
-  // which the pinned bytes in kir_test depend on.
+  // that instruction is emitted; the pinned bytes in kir_test depend on
+  // this placement.
   std::vector<vm::Assembler::Label> labels(def.code.size(), 0);
   std::vector<bool> is_target(def.code.size(), false);
   for (const Inst& in : def.code) {

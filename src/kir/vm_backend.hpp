@@ -4,7 +4,7 @@
 // trace passes, every remaining KIR instruction maps to exactly one
 // bytecode instruction, so the def's schedule — instruction order, branch
 // targets, the li/pool-spill choices — is the shipped bytecode. This is the
-// production lowering of every ported kernel (vm::lower_kernel);
+// production lowering of every kernel (vm::lower_kernel);
 // tests/kir_test.cpp pins the serialized bytes of each program.
 #pragma once
 

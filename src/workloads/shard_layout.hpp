@@ -1,9 +1,9 @@
 // The single source of truth for the shard word layouts shared between the
 // data-structure builders (workloads/{hash_table,ordered_index,graph}.hpp),
-// the kernel frontends (the KIR definitions in src/kir/, the IRBuilder
-// emitters in ir/kernel_builder.cpp, the hand lowerings of the unported
-// kernels in vm/lower.cpp) and the native AM handlers. These used to live
-// as comments plus magic numbers duplicated across all of those files;
+// the kernel frontends (the KIR definitions in src/kir/ and the IRBuilder
+// emitters in ir/kernel_builder.cpp) and the AM handlers' payload gates.
+// These used to live as comments plus magic numbers duplicated across
+// all of those files;
 // every consumer now derives its offsets from here, so a layout change
 // breaks loudly at compile time instead of silently desynchronizing one
 // kernel backend from the rest.

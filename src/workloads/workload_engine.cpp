@@ -7,15 +7,10 @@
 #include <utility>
 
 #include "common/bytes.hpp"
-#include "common/log.hpp"
 #include "common/rng.hpp"
+#include "core/ifunc.hpp"
 #include "ir/kernels.hpp"
 #include "kir/am_backend.hpp"
-#include "kir/kernels.hpp"
-#if TC_WITH_LLVM
-#include "ir/kernel_builder.hpp"
-#include "jit/compiler.hpp"
-#endif
 
 namespace tc::workloads {
 
@@ -50,61 +45,16 @@ ir::KernelKind kernel_for(Workload workload) {
   return ir::KernelKind::kHashProbe;
 }
 
-/// The registered name build_workload_library() will produce — computed up
-/// front so the reuse check costs a lookup, not an archive build (the same
-/// convention as the chaser and collective libraries).
-std::string workload_library_name(ir::KernelKind kind, WorkloadMode mode) {
+/// The stock-library variant a code-shipping mode registers.
+ir::CodeRepr code_repr(WorkloadMode mode) {
   switch (mode) {
-    case WorkloadMode::kPortable: return core::portable_kernel_name(kind);
-    case WorkloadMode::kObject:
-      return std::string(ir::kernel_name(kind)) + "_bin";
-    case WorkloadMode::kHllBitcode:
-      return std::string(ir::kernel_name(kind)) + "_hll";
+    case WorkloadMode::kObject: return ir::CodeRepr::kObject;
+    case WorkloadMode::kPortable: return ir::CodeRepr::kPortable;
     case WorkloadMode::kBitcode:
+    case WorkloadMode::kHllBitcode:
     case WorkloadMode::kActiveMessage: break;
   }
-  return ir::kernel_name(kind);
-}
-
-/// Builds a workload kernel library in the requested representation,
-/// mirroring build_chaser_library(): portable archives work in every build
-/// flavor, bitcode/object/HLL need LLVM.
-StatusOr<core::IfuncLibrary> build_workload_library(ir::KernelKind kind,
-                                                    WorkloadMode mode) {
-  if (mode == WorkloadMode::kPortable) {
-    return core::IfuncLibrary::from_portable_kernel(kind);
-  }
-#if TC_WITH_LLVM
-  ir::KernelOptions options;
-  options.hll_guards = mode == WorkloadMode::kHllBitcode;
-  TC_ASSIGN_OR_RETURN(ir::FatBitcode archive,
-                      ir::build_default_fat_kernel(kind, options));
-  std::string name = ir::kernel_name(kind);
-  if (mode == WorkloadMode::kHllBitcode) name += "_hll";
-  if (mode == WorkloadMode::kObject) {
-    TC_ASSIGN_OR_RETURN(archive, jit::compile_archive_to_objects(archive));
-    name += "_bin";
-  }
-  return core::IfuncLibrary::from_archive(std::move(name),
-                                          std::move(archive));
-#else
-  return failed_precondition(
-      "bitcode/object/HLL workload libraries need LLVM (TC_WITH_LLVM=OFF); "
-      "use WorkloadMode::kPortable");
-#endif
-}
-
-StatusOr<std::uint64_t> register_or_reuse(core::Runtime& runtime,
-                                          ir::KernelKind kind,
-                                          WorkloadMode mode) {
-  if (auto existing =
-          runtime.ifunc_id_by_name(workload_library_name(kind, mode));
-      existing.is_ok()) {
-    return *existing;
-  }
-  TC_ASSIGN_OR_RETURN(core::IfuncLibrary library,
-                      build_workload_library(kind, mode));
-  return runtime.register_ifunc(std::move(library));
+  return ir::CodeRepr::kBitcode;
 }
 
 std::uint64_t read_u64(const std::uint8_t* p) {
@@ -113,171 +63,46 @@ std::uint64_t read_u64(const std::uint8_t* p) {
   return v;
 }
 
-void write_u64(std::uint8_t* p, std::uint64_t v) {
-  std::memcpy(p, &v, sizeof(v));
-}
-
 // --- predeployed Active-Message handlers -------------------------------------
-// The hash probe evaluates its KIR definition. The other two mirror their
-// ifunc kernels instruction for instruction; the pairs are kept in lockstep
-// by the workloads_test mode-equivalence matrix.
-
-StatusOr<am::AmHandlerFn> make_hash_probe_handler() {
-  // The validation gate (exact frame size, attached shard and peer table)
-  // and the silent-drop contract live here; the sim charges the calibrated
-  // AM exec cost whatever the handler body does.
-  TC_ASSIGN_OR_RETURN(kir::Def def,
-                      kir::prepared_def(ir::KernelKind::kHashProbe, {}));
-  return am::AmHandlerFn([def = std::move(def)](am::AmContext& ctx,
-                                                std::uint8_t* p,
-                                                std::uint64_t n) {
-    if (n != 32 || ctx.shard_base == nullptr || ctx.peers == nullptr) return;
-    Status status = kir::run_in_am_context(def, ctx, p, n);
-    if (!status.is_ok()) {
-      TC_LOG(kWarn, "workloads") << "AM hash_probe: " << status.message();
-    }
-  });
-}
-
-am::AmHandlerFn make_ordered_search_handler() {
-  return [](am::AmContext& ctx, std::uint8_t* p, std::uint64_t n) {
-    if (n != 32 || ctx.shard_base == nullptr || ctx.peers == nullptr) return;
-    const std::uint64_t target = read_u64(p);
-    std::uint64_t node = read_u64(p + 8);
-    std::uint64_t level = read_u64(p + 16);
-    const std::uint64_t tag = read_u64(p + 24);
-    const std::uint64_t nps =
-        ctx.shard_size / ShardedOrderedIndex::kRecordWords;
-    while (true) {
-      const std::uint64_t owner = node / nps;
-      if (owner != ctx.self_peer) {
-        write_u64(p + 8, node);
-        write_u64(p + 16, level);
-        (void)ctx.runtime->send((*ctx.peers)[owner], ctx.handler_index,
-                                ByteSpan(p, n), ctx.origin_node);
-        return;
-      }
-      const std::uint64_t* rec =
-          ctx.shard_base + (node % nps) * ShardedOrderedIndex::kRecordWords;
-      bool hopped = false;
-      while (true) {
-        const std::uint64_t next_id = rec[2 + 2 * level];
-        const std::uint64_t next_key = rec[3 + 2 * level];
-        if (next_id != ShardedOrderedIndex::kNil && next_key <= target) {
-          node = next_id;
-          hopped = true;
-          break;
-        }
-        if (level == 0) break;
-        --level;
-      }
-      if (hopped) continue;
-      write_u64(p, rec[0] == target ? rec[1] : kMiss);
-      write_u64(p + 8, tag);
-      (void)ctx.runtime->reply(ctx, ByteSpan(p, 16));
-      return;
-    }
-  };
-}
-
-am::AmHandlerFn make_bfs_handler() {
-  return [](am::AmContext& ctx, std::uint8_t* p, std::uint64_t n) {
-    if ((n != 16 && n != 32) || ctx.peers == nullptr ||
-        ctx.target_ptr == nullptr) {
-      return;
-    }
-    const std::uint64_t kind = read_u64(p);
-    // Size must match the kind: a visit carries [0][lane][vertex][from],
-    // an ack just [1][lane] — a truncated visit must not be read past.
-    if ((kind == 0 && n != 32) || (kind == 1 && n != 16) || kind > 1) {
-      return;
-    }
-    const std::uint64_t lane = read_u64(p + 8);
-    WorkloadCell& cell = static_cast<WorkloadCell*>(ctx.target_ptr)[lane];
-    // Resolves a finished engagement: ack our own DS parent, or reply
-    // [lane][0] to the chain origin at the engagement root.
-    auto resolve = [&](std::uint64_t parent) {
-      if (parent == ~0ull) {
-        write_u64(p, lane);
-        write_u64(p + 8, 0);
-        (void)ctx.runtime->reply(ctx, ByteSpan(p, 16));
-        return;
-      }
-      write_u64(p, 1);  // kind = ack
-      write_u64(p + 8, lane);
-      (void)ctx.runtime->send((*ctx.peers)[parent], ctx.handler_index,
-                              ByteSpan(p, 16), ctx.origin_node);
-    };
-    if (kind == 1) {  // a child server acked
-      const std::uint64_t deficit =
-          cell.deficit.load(std::memory_order_relaxed) - 1;
-      cell.deficit.store(deficit, std::memory_order_relaxed);
-      if (deficit != 0) return;
-      cell.engaged.store(0, std::memory_order_relaxed);
-      resolve(cell.parent.load(std::memory_order_relaxed));
-      return;
-    }
-    if (ctx.shard_base == nullptr) return;
-    const std::uint64_t v = read_u64(p + 16);
-    const std::uint64_t from = read_u64(p + 24);
-    const std::uint64_t* shard = ctx.shard_base;
-    const std::uint64_t vps = shard[0];
-    const std::uint64_t owner = v / vps;
-    if (owner != ctx.self_peer) {
-      (void)ctx.runtime->send((*ctx.peers)[owner], ctx.handler_index,
-                              ByteSpan(p, n), ctx.origin_node);
-      return;
-    }
-    auto* bitmap = reinterpret_cast<std::uint64_t*>(
-        cell.bitmap.load(std::memory_order_relaxed));
-    auto* worklist = reinterpret_cast<std::uint64_t*>(
-        cell.worklist.load(std::memory_order_relaxed));
-    std::uint64_t sp = 0, spawned = 0;
-    worklist[sp++] = v;
-    while (sp != 0) {
-      const std::uint64_t lu = worklist[--sp] % vps;
-      std::uint64_t& word = bitmap[lu >> 6];
-      const std::uint64_t bit = 1ull << (lu & 63);
-      if ((word & bit) != 0) continue;
-      word |= bit;
-      cell.visited.fetch_add(1, std::memory_order_relaxed);
-      const std::uint64_t row = shard[1 + lu];
-      const std::uint64_t end = shard[2 + lu];
-      for (std::uint64_t e = row; e < end; ++e) {
-        const std::uint64_t nb = shard[2 + vps + e];
-        const std::uint64_t nb_owner = nb / vps;
-        if (nb_owner == ctx.self_peer) {
-          worklist[sp++] = nb;
-        } else {
-          write_u64(p + 16, nb);
-          write_u64(p + 24, ctx.self_peer);  // the child acks us
-          (void)ctx.runtime->send((*ctx.peers)[nb_owner], ctx.handler_index,
-                                  ByteSpan(p, 32), ctx.origin_node);
-          ++spawned;
-        }
-      }
-    }
-    cell.deficit.fetch_add(spawned, std::memory_order_relaxed);
-    if (cell.engaged.load(std::memory_order_relaxed) != 0) {
-      resolve(from);  // engaged elsewhere: ack the sender right away
-      return;
-    }
-    if (spawned == 0) {
-      resolve(from);  // neutral and childless: resolve immediately
-      return;
-    }
-    cell.parent.store(from, std::memory_order_relaxed);
-    cell.engaged.store(1, std::memory_order_relaxed);
-  };
-}
-
-StatusOr<am::AmHandlerFn> make_workload_handler(Workload workload) {
+// Each handler interprets its kernel's bytecode (kir::make_am_handler). The
+// kernels trust their payload words, so the gate below is the AM surface's
+// hostile-input check: exact frame sizes, the attached shard, target and
+// peer table, and the wire words a kernel indexes memory with — the
+// ordered-search level (record fingers) and the BFS lane (cell array).
+// Node ids and peers need no check here: a forward to a peer outside the
+// peer table is refused by the AM hooks.
+bool am_payload_ok(Workload workload, std::size_t lanes,
+                   const am::AmContext& ctx, const std::uint8_t* p,
+                   std::uint64_t n) {
+  if (ctx.peers == nullptr) return false;
   switch (workload) {
-    case Workload::kHashProbe: return make_hash_probe_handler();
-    case Workload::kOrderedSearch: return make_ordered_search_handler();
-    case Workload::kBfs: return make_bfs_handler();
+    case Workload::kHashProbe:
+      return n == 32 && ctx.shard_base != nullptr;
+    case Workload::kOrderedSearch:
+      return n == 32 && ctx.shard_base != nullptr &&
+             read_u64(p + 16) < kIndexLevels;
+    case Workload::kBfs: {
+      // A visit carries [0][lane][vertex][from] and needs the shard, an
+      // ack just [1][lane]: the size must match the kind.
+      if (n != 16 && n != 32) return false;
+      const std::uint64_t kind = read_u64(p);
+      const bool visit = kind == 0 && n == 32 && ctx.shard_base != nullptr;
+      const bool ack = kind == 1 && n == 16;
+      return (visit || ack) && ctx.target_ptr != nullptr &&
+             read_u64(p + 8) < lanes;
+    }
   }
-  return invalid_argument("workloads: unknown workload");
+  return false;
+}
+
+StatusOr<am::AmHandlerFn> make_workload_handler(Workload workload,
+                                                std::size_t lanes) {
+  return kir::make_am_handler(
+      kernel_for(workload), {},
+      [workload, lanes](const am::AmContext& ctx, const std::uint8_t* p,
+                        std::uint64_t n) {
+        return am_payload_ok(workload, lanes, ctx, p, n);
+      });
 }
 
 }  // namespace
@@ -414,8 +239,9 @@ Status WorkloadEngine::setup_lanes() {
   if (is_am_mode()) {
     // Predeployment discipline: the handler is registered on every node in
     // the same order, so the index is cluster-wide.
-    TC_ASSIGN_OR_RETURN(am::AmHandlerFn handler,
-                        make_workload_handler(config_.workload));
+    TC_ASSIGN_OR_RETURN(
+        am::AmHandlerFn handler,
+        make_workload_handler(config_.workload, config_.lanes));
     const std::size_t node_count = cluster_->node_count();
     for (fabric::NodeId node = 0; node < node_count; ++node) {
       TC_ASSIGN_OR_RETURN(am_handler_index_,
@@ -430,8 +256,10 @@ Status WorkloadEngine::setup_lanes() {
     if (!is_am_mode()) {
       TC_ASSIGN_OR_RETURN(
           lane.ifunc_id,
-          register_or_reuse(cluster_->runtime(lane.node),
-                            kernel_for(config_.workload), config_.mode));
+          core::register_stock_kernel(
+              cluster_->runtime(lane.node), kernel_for(config_.workload),
+              code_repr(config_.mode),
+              {.hll_guards = config_.mode == WorkloadMode::kHllBitcode}));
     }
     install_result_handler(i);
   }

@@ -56,9 +56,9 @@ StatusOr<core::IfuncLibrary> build_chaser_library(
     bool tagged = false);
 
 /// The predeployed AM handler (the paper's Active Message evaluation
-/// baseline): evaluates the chaser's KIR definition, classic or tagged by
+/// baseline): interprets the chaser's bytecode, classic or tagged by
 /// payload size. Must be registered under the same index on every node.
-/// Fails if the definition does not build.
+/// Fails if the kernel does not lower.
 StatusOr<am::AmHandlerFn> make_chase_am_handler();
 
 }  // namespace tc::xrdma

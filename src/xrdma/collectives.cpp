@@ -5,67 +5,18 @@
 #include <utility>
 
 #include "ir/kernels.hpp"
-#if TC_WITH_LLVM
-#include "ir/kernel_builder.hpp"
-#include "jit/compiler.hpp"
-#endif
 
 namespace tc::xrdma {
 
 namespace {
 
-/// Builds a collective kernel library in the requested representation,
-/// mirroring build_chaser_library(): portable archives work in every build
-/// flavor, bitcode/object need LLVM. Names (and thus wire identities) are
-/// representation-distinct: `<kernel>`, `<kernel>_bin`, `<kernel>_vm`.
-StatusOr<core::IfuncLibrary> build_collective_library(ir::KernelKind kind,
-                                                      CollectiveRepr repr) {
-  if (repr == CollectiveRepr::kPortable) {
-    return core::IfuncLibrary::from_portable_kernel(kind);
-  }
-#if TC_WITH_LLVM
-  if (repr == CollectiveRepr::kBitcode) {
-    return core::IfuncLibrary::from_kernel(kind);
-  }
-  TC_ASSIGN_OR_RETURN(ir::FatBitcode archive,
-                      ir::build_default_fat_kernel(kind, {}));
-  TC_ASSIGN_OR_RETURN(archive, jit::compile_archive_to_objects(archive));
-  return core::IfuncLibrary::from_archive(
-      std::string(ir::kernel_name(kind)) + "_bin", std::move(archive));
-#else
-  return failed_precondition(
-      "bitcode/object collective libraries need LLVM (TC_WITH_LLVM=OFF); "
-      "use CollectiveRepr::kPortable");
-#endif
-}
-
-/// The registered name build_collective_library() will produce — computed
-/// up front so the reuse check costs a lookup, not an archive build.
-std::string collective_library_name(ir::KernelKind kind,
-                                    CollectiveRepr repr) {
+ir::CodeRepr code_repr(CollectiveRepr repr) {
   switch (repr) {
-    case CollectiveRepr::kPortable: return core::portable_kernel_name(kind);
-    case CollectiveRepr::kObject:
-      return std::string(ir::kernel_name(kind)) + "_bin";
+    case CollectiveRepr::kObject: return ir::CodeRepr::kObject;
+    case CollectiveRepr::kPortable: return ir::CodeRepr::kPortable;
     case CollectiveRepr::kBitcode: break;
   }
-  return ir::kernel_name(kind);
-}
-
-/// Registers `kind`/`repr` on `runtime`, or reuses a registration a
-/// previous engine (or broadcast call) already made on it — without
-/// paying the IR build / AOT compile when the library already exists.
-StatusOr<std::uint64_t> register_or_reuse(core::Runtime& runtime,
-                                          ir::KernelKind kind,
-                                          CollectiveRepr repr) {
-  if (auto existing =
-          runtime.ifunc_id_by_name(collective_library_name(kind, repr));
-      existing.is_ok()) {
-    return *existing;
-  }
-  TC_ASSIGN_OR_RETURN(core::IfuncLibrary library,
-                      build_collective_library(kind, repr));
-  return runtime.register_ifunc(std::move(library));
+  return ir::CodeRepr::kBitcode;
 }
 
 }  // namespace
@@ -81,27 +32,11 @@ StatusOr<BroadcastResult> tree_broadcast(hetsim::Cluster& cluster,
   core::Runtime& client = cluster.client_runtime();
   // Bitcode representation when the toolchain is available; the portable
   // interpreter tier otherwise (distinct wire name, identical semantics).
-#if TC_WITH_LLVM
-  const std::string kernel = ir::kernel_name(ir::KernelKind::kTreeBroadcast);
-#else
-  const std::string kernel =
-      core::portable_kernel_name(ir::KernelKind::kTreeBroadcast);
-#endif
-  std::uint64_t ifunc_id = 0;
-  if (auto existing = client.ifunc_id_by_name(kernel); existing.is_ok()) {
-    ifunc_id = *existing;  // reuse across repeated broadcasts
-  } else {
-#if TC_WITH_LLVM
-    TC_ASSIGN_OR_RETURN(
-        core::IfuncLibrary library,
-        core::IfuncLibrary::from_kernel(ir::KernelKind::kTreeBroadcast));
-#else
-    TC_ASSIGN_OR_RETURN(core::IfuncLibrary library,
-                        core::IfuncLibrary::from_portable_kernel(
-                            ir::KernelKind::kTreeBroadcast));
-#endif
-    TC_ASSIGN_OR_RETURN(ifunc_id, client.register_ifunc(std::move(library)));
-  }
+  // Repeated broadcasts reuse the registration.
+  TC_ASSIGN_OR_RETURN(
+      const std::uint64_t ifunc_id,
+      core::register_stock_kernel(client, ir::KernelKind::kTreeBroadcast,
+                                  code_repr(default_collective_repr())));
 
   for (std::size_t i = 0; i < servers.size(); ++i) {
     slots[i].arrivals.store(0, std::memory_order_relaxed);
@@ -215,12 +150,14 @@ Status CollectiveEngine::setup(const CollectiveConfig& config) {
     core::Runtime& runtime = cluster_->runtime(lane.node);
     TC_ASSIGN_OR_RETURN(
         lane.bcast_ifunc,
-        register_or_reuse(runtime, ir::KernelKind::kCollectiveBroadcast,
-                          config.repr));
+        core::register_stock_kernel(runtime,
+                                    ir::KernelKind::kCollectiveBroadcast,
+                                    code_repr(config.repr)));
     TC_ASSIGN_OR_RETURN(
         lane.reduce_ifunc,
-        register_or_reuse(runtime, ir::KernelKind::kCollectiveReduce,
-                          config.repr));
+        core::register_stock_kernel(runtime,
+                                    ir::KernelKind::kCollectiveReduce,
+                                    code_repr(config.repr)));
     install_result_handler(i);
   }
   return Status::ok();

@@ -3,7 +3,7 @@
 // a given depth against a table sharded over N servers, in one of seven
 // execution modes:
 //
-//   kActiveMessage — predeployed native handler, index+payload requests
+//   kActiveMessage — predeployed handler, index+payload requests
 //                    (the paper's baseline upper bound);
 //   kGet           — GBPC: client-driven iterative RDMA GETs (lower bound);
 //   kCachedBitcode — X-RDMA Chaser ifunc, fat-bitcode representation;

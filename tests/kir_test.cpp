@@ -1,12 +1,14 @@
 // Tests for the single-source kernel frontend (src/kir/): catalogue
 // completeness, verifier rejections of the lockstep bug classes, the pinned
 // size and fnv1a64 of every portable program vm::lower_kernel serves,
-// differential execution of the evaluator (the AM backend's engine) against
-// the interpreter, AM-mode equivalence on live clusters, and — with LLVM —
-// the kir→llvm backend run end to end through ORC.
+// differential execution of the reference evaluator against the
+// interpreter on all sixteen kernels, AM-mode equivalence on live clusters,
+// and — with LLVM — the kir→llvm backend run end to end through ORC.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -149,16 +151,6 @@ TEST(KirCatalogue, EveryKernelKindFullyDescribed) {
     const auto kind = static_cast<ir::KernelKind>(k);
     EXPECT_STRNE(ir::kernel_name(kind), "unknown") << "kind " << k;
     EXPECT_STRNE(ir::kernel_description(kind), "") << "kind " << k;
-    // has_kernel_def is the registry of ported kernels: a kind it names must
-    // have a definition that builds and verifies, and no other kind may.
-    auto def = kernel_def(kind, {});
-    if (has_kernel_def(kind)) {
-      EXPECT_TRUE(def.is_ok())
-          << ir::kernel_name(kind) << ": " << def.status().to_string();
-    } else {
-      EXPECT_EQ(def.status().code(), ErrorCode::kNotFound)
-          << ir::kernel_name(kind);
-    }
     // Every program of the kind is pinned: guards off and on, and both
     // again for the tagged chaser.
     std::size_t pinned = 0;
@@ -170,20 +162,26 @@ TEST(KirCatalogue, EveryKernelKindFullyDescribed) {
   }
 }
 
-TEST(KirCatalogue, PortedSetIsExactlyTheSixKernels) {
-  const std::vector<ir::KernelKind> ported = {
-      ir::KernelKind::kTargetSideIncrement, ir::KernelKind::kPayloadSum,
-      ir::KernelKind::kVecReduce,           ir::KernelKind::kRingHop,
-      ir::KernelKind::kChaser,              ir::KernelKind::kHashProbe,
-  };
-  std::size_t kir_count = 0;
+TEST(KirCatalogue, EveryKindHasADefinition) {
+  // KIR is the one frontend: every kind has a def that builds, verifies and
+  // prepares with guards off and on, and an out-of-range kind is refused.
   for (int k = 0; k < ir::kKernelKindCount; ++k) {
-    if (has_kernel_def(static_cast<ir::KernelKind>(k))) ++kir_count;
+    const auto kind = static_cast<ir::KernelKind>(k);
+    auto def = kernel_def(kind, {});
+    ASSERT_TRUE(def.is_ok())
+        << ir::kernel_name(kind) << ": " << def.status().to_string();
+    EXPECT_EQ(def->name, ir::kernel_name(kind));
+    for (bool hll : {false, true}) {
+      ir::KernelOptions options;
+      options.hll_guards = hll;
+      auto prepared = prepared_def(kind, options);
+      EXPECT_TRUE(prepared.is_ok())
+          << ir::kernel_name(kind) << ": " << prepared.status().to_string();
+    }
   }
-  EXPECT_EQ(kir_count, ported.size());
-  for (ir::KernelKind kind : ported) {
-    EXPECT_TRUE(has_kernel_def(kind)) << ir::kernel_name(kind);
-  }
+  auto bogus =
+      kernel_def(static_cast<ir::KernelKind>(ir::kKernelKindCount), {});
+  EXPECT_EQ(bogus.status().code(), ErrorCode::kInvalidArgument);
 }
 
 TEST(KirCatalogue, TaggedRejectedForNonChaserPortableKernels) {
@@ -283,17 +281,27 @@ TEST(KirBackends, RawDefsWithMarkersRejected) {
 // --- evaluator ↔ interpreter differential --------------------------------------
 
 struct StubEnv {
-  std::uint64_t target[4] = {};
+  /// One 64-byte lane cell: the target of the lane-cell kernels, a
+  /// {value, arrivals} slot or the Welford state for the others.
+  std::uint64_t target[8] = {};
+  /// Memory the target's words may point at (the BFS cell's visited bitmap
+  /// and worklist). Pointers into it compare as offsets across envs.
+  std::uint64_t arena[16] = {};
   std::uint64_t* shard = nullptr;
   std::uint64_t shard_size = 0;
   std::uint64_t self_peer = 0;
   std::uint64_t peer_count = 0;
   std::uint64_t guards = 0;
+  /// A send to a peer: a forward's payload, an injected ifunc's name plus
+  /// its argument, or a remote write's offset plus its bytes.
   struct Forward {
     std::uint64_t peer;
     Bytes payload;
+    bool operator==(const Forward&) const = default;
   };
   std::vector<Forward> forwards;
+  std::vector<Forward> injects;
+  std::vector<Forward> remote_writes;
   std::vector<Bytes> replies;
 };
 
@@ -321,16 +329,26 @@ vm::HookTable stub_hooks(StubEnv& env) {
     static_cast<StubEnv*>(c)->forwards.push_back({peer, Bytes(p, p + n)});
     return 0;
   };
-  h.inject = [](void*, std::uint64_t, const char*, const std::uint8_t*,
-                std::uint64_t) -> std::int32_t { return 0; };
+  h.inject = [](void* c, std::uint64_t peer, const char* name,
+                const std::uint8_t* arg, std::uint64_t n) -> std::int32_t {
+    Bytes sent(name, name + std::strlen(name) + 1);
+    sent.insert(sent.end(), arg, arg + n);
+    static_cast<StubEnv*>(c)->injects.push_back({peer, std::move(sent)});
+    return 0;
+  };
   h.reply = [](void* c, const std::uint8_t* p,
                std::uint64_t n) -> std::int32_t {
     static_cast<StubEnv*>(c)->replies.push_back(Bytes(p, p + n));
     return 0;
   };
-  h.remote_write = [](void*, std::uint64_t, std::uint64_t,
-                      const std::uint8_t*, std::uint64_t) -> std::int32_t {
-    return -3;
+  h.remote_write = [](void* c, std::uint64_t peer, std::uint64_t offset,
+                      const std::uint8_t* p, std::uint64_t n) -> std::int32_t {
+    ByteWriter sent;
+    sent.u64(offset);
+    sent.raw(ByteSpan(p, n));
+    static_cast<StubEnv*>(c)->remote_writes.push_back(
+        {peer, std::move(sent).take()});
+    return -3;  // a refused write: the kernel replies the rc
   };
   h.hll_guard = [](void* c) { ++static_cast<StubEnv*>(c)->guards; };
   h.sin_fn = [](double x) { return std::sin(x); };
@@ -339,16 +357,44 @@ vm::HookTable stub_hooks(StubEnv& env) {
 
 /// One differential case: identical env + payload through the evaluator
 /// (kir defs) and the interpreter (the production vm::lower_kernel
-/// bytecode); every observable — target, payload mutation, forwards,
-/// replies, guard count — must match.
+/// bytecode); every observable — target, arena, payload mutation,
+/// forwards, injects, remote writes, replies, guard count — must match.
 struct DiffCase {
   ir::KernelKind kind;
   Bytes payload;
-  std::vector<std::uint64_t> shard;
+  std::vector<std::uint64_t> shard = {};
   std::uint64_t shard_size = 0;
   std::uint64_t self_peer = 0;
   std::uint64_t peer_count = 0;
+  /// Initial target words (StubEnv::target).
+  std::vector<std::uint64_t> target = {};
+  /// Target words that start as pointers into the env's arena:
+  /// {target word, arena word}.
+  std::vector<std::pair<int, int>> arena_ptrs = {};
 };
+
+/// Loads `c`'s target, arena pointers and shard geometry into `env`;
+/// `shard` is the env's own copy of the case's shard.
+void init_env(StubEnv& env, const DiffCase& c,
+              std::vector<std::uint64_t>& shard) {
+  shard = c.shard;
+  env.shard = shard.data();
+  env.shard_size = c.shard_size;
+  env.self_peer = c.self_peer;
+  env.peer_count = c.peer_count;
+  std::copy(c.target.begin(), c.target.end(), env.target);
+  for (const auto& [word, at] : c.arena_ptrs) {
+    env.target[word] = reinterpret_cast<std::uint64_t>(&env.arena[at]);
+  }
+}
+
+/// A target word with pointers into the env's own arena rewritten
+/// as offsets, so two envs compare equal when their layouts agree.
+std::uint64_t portable_word(const StubEnv& env, std::uint64_t word) {
+  const auto base = reinterpret_cast<std::uint64_t>(env.arena);
+  return word >= base && word < base + sizeof(env.arena) ? word - base
+                                                           : word;
+}
 
 void run_differential(const DiffCase& c, bool hll) {
   ir::KernelOptions options;
@@ -362,13 +408,9 @@ void run_differential(const DiffCase& c, bool hll) {
   ASSERT_TRUE(program.is_ok()) << program.status().to_string();
 
   StubEnv kir_env, vm_env;
-  std::vector<std::uint64_t> kir_shard = c.shard;
-  std::vector<std::uint64_t> vm_shard = c.shard;
-  kir_env.shard = kir_shard.data();
-  vm_env.shard = vm_shard.data();
-  kir_env.shard_size = vm_env.shard_size = c.shard_size;
-  kir_env.self_peer = vm_env.self_peer = c.self_peer;
-  kir_env.peer_count = vm_env.peer_count = c.peer_count;
+  std::vector<std::uint64_t> kir_shard, vm_shard;
+  init_env(kir_env, c, kir_shard);
+  init_env(vm_env, c, vm_shard);
 
   Bytes kir_payload = c.payload;
   Bytes vm_payload = c.payload;
@@ -387,19 +429,22 @@ void run_differential(const DiffCase& c, bool hll) {
   const std::string label =
       def->name + std::string(hll ? " (hll)" : "");
   EXPECT_EQ(kir_payload, vm_payload) << label << ": payload diverged";
-  for (int w = 0; w < 4; ++w) {
-    EXPECT_EQ(kir_env.target[w], vm_env.target[w])
+  for (int w = 0; w < 8; ++w) {
+    EXPECT_EQ(portable_word(kir_env, kir_env.target[w]),
+              portable_word(vm_env, vm_env.target[w]))
         << label << ": target word " << w;
+  }
+  for (int w = 0; w < 16; ++w) {
+    EXPECT_EQ(kir_env.arena[w], vm_env.arena[w])
+        << label << ": arena word " << w;
   }
   EXPECT_EQ(kir_shard, vm_shard) << label << ": shard mutation diverged";
   EXPECT_EQ(kir_env.guards, vm_env.guards) << label << ": guard count";
-  ASSERT_EQ(kir_env.forwards.size(), vm_env.forwards.size()) << label;
-  for (std::size_t i = 0; i < kir_env.forwards.size(); ++i) {
-    EXPECT_EQ(kir_env.forwards[i].peer, vm_env.forwards[i].peer) << label;
-    EXPECT_EQ(kir_env.forwards[i].payload, vm_env.forwards[i].payload)
-        << label;
-  }
-  EXPECT_EQ(kir_env.replies, vm_env.replies) << label;
+  EXPECT_EQ(kir_env.forwards, vm_env.forwards) << label << ": forwards";
+  EXPECT_EQ(kir_env.injects, vm_env.injects) << label << ": injects";
+  EXPECT_EQ(kir_env.remote_writes, vm_env.remote_writes)
+      << label << ": remote writes";
+  EXPECT_EQ(kir_env.replies, vm_env.replies) << label << ": replies";
   // The plain variant must never guard. (Whether the hll variant guards
   // depends on the path taken — KirEval.HllGuardsActuallyFire pins the
   // positive case.)
@@ -408,63 +453,128 @@ void run_differential(const DiffCase& c, bool hll) {
   }
 }
 
+Bytes words(std::initializer_list<std::uint64_t> ws) {
+  ByteWriter w;
+  for (std::uint64_t v : ws) w.u64(v);
+  return std::move(w).take();
+}
+
+std::uint64_t f64_word(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 std::vector<DiffCase> differential_cases() {
   std::vector<DiffCase> cases;
   cases.push_back({ir::KernelKind::kTargetSideIncrement, Bytes{0}});
   cases.push_back(
       {ir::KernelKind::kPayloadSum, Bytes{3, 1, 4, 1, 5, 9, 250, 255}});
   {
+    // saxpy over five floats: [n][a:f32][x:f32*n][y:f32*n].
+    ByteWriter w;
+    const std::vector<float> xs = {1.5f, -2.25f, 4.0f, 1e9f, 3.125f};
+    const std::vector<float> ys = {0.5f, 8.0f, -1.0f, 2.0f, 1e-3f};
+    w.u64(xs.size());
+    w.u32(std::bit_cast<std::uint32_t>(2.5f));
+    for (float x : xs) w.u32(std::bit_cast<std::uint32_t>(x));
+    for (float y : ys) w.u32(std::bit_cast<std::uint32_t>(y));
+    cases.push_back({ir::KernelKind::kSaxpy, std::move(w).take()});
+  }
+  {
     ByteWriter w;
     const std::vector<double> xs = {1.5, -2.25, 4.0, 1e9, 3.125};
     w.u64(xs.size());
     for (double x : xs) w.f64(x);
-    cases.push_back({ir::KernelKind::kVecReduce, std::move(w).take()});
+    cases.push_back({ir::KernelKind::kVecReduce, w.bytes()});
+    cases.push_back({ir::KernelKind::kSinSum, w.bytes()});
+    // Welford over a running state {count = 2, mean = 1.5, M2 = 0.5}.
+    cases.push_back({ir::KernelKind::kStatsSummary, std::move(w).take(), {},
+                     0, 0, 0, {f64_word(2.0), f64_word(1.5), f64_word(0.5)}});
   }
   {
     // Ring hop with live TTL: decrement, forward to the next peer.
-    ByteWriter w;
-    w.u64(5);  // ttl
-    w.u64(2);  // hops so far
-    DiffCase c{ir::KernelKind::kRingHop, std::move(w).take()};
+    DiffCase c{ir::KernelKind::kRingHop, words({5, 2})};  // ttl, hops
     c.self_peer = 1;
     c.peer_count = 3;
     cases.push_back(c);
     // Drained TTL: reply.
-    ByteWriter w2;
-    w2.u64(0);
-    w2.u64(7);
-    DiffCase done{ir::KernelKind::kRingHop, std::move(w2).take()};
-    done.self_peer = 1;
-    done.peer_count = 3;
+    DiffCase done = c;
+    done.payload = words({0, 7});
     cases.push_back(done);
   }
   {
     // Chaser over a 4-entry shard owned by peer 1 (addresses 4..7):
     // two local hops, then the chain leaves the shard → forward.
-    DiffCase c{ir::KernelKind::kChaser, {}};
-    ByteWriter w;
-    w.u64(5);  // address
-    w.u64(3);  // depth
-    c.payload = std::move(w).take();
+    DiffCase c{ir::KernelKind::kChaser, words({5, 3})};  // address, depth
     c.shard = {6, 7, 4, 12};
     c.shard_size = 4;
     c.self_peer = 1;
     c.peer_count = 4;
     cases.push_back(c);
-    // Same shard, depth drains locally → reply. Classic and tagged.
+    // Same shard, depth drains locally → reply. Classic and tagged (the
+    // third word is the window tag).
     DiffCase done = c;
-    ByteWriter w2;
-    w2.u64(5);
-    w2.u64(1);
-    done.payload = std::move(w2).take();
+    done.payload = words({5, 1});
     cases.push_back(done);
     DiffCase tagged = c;
-    ByteWriter w3;
-    w3.u64(5);
-    w3.u64(2);
-    w3.u64(0xBEEF);  // window tag
-    tagged.payload = std::move(w3).take();
+    tagged.payload = words({5, 2, 0xBEEF});
     cases.push_back(tagged);
+  }
+  {
+    // Spawner: inject "tsi" with one argument word into peer 2.
+    Bytes payload = words({2, 0x1234});
+    for (char ch : std::string("tsi")) payload.push_back(ch);
+    payload.push_back(0);
+    cases.push_back({ir::KernelKind::kSpawner, std::move(payload)});
+  }
+  // Remote store: the write is refused (rc -3), and the rc is the reply.
+  cases.push_back(
+      {ir::KernelKind::kRemoteStore, words({1, 16, 0xABCD})});
+  {
+    // Tree broadcast: fan out a span of 5 (three forwards, then local
+    // delivery), and a leaf that only delivers.
+    DiffCase fan{ir::KernelKind::kTreeBroadcast, words({0, 5, 77})};
+    fan.target = {0, 2};  // {value, arrivals}
+    cases.push_back(fan);
+    DiffCase leaf = fan;
+    leaf.payload = words({4, 1, 9});
+    cases.push_back(leaf);
+  }
+  {
+    // Collective broadcast, lane 0 rooted at server 1 of 4: fan out and
+    // deliver, and a leaf that delivers and acks the origin.
+    DiffCase fan{ir::KernelKind::kCollectiveBroadcast,
+                 words({0, 4, 55, 0, 1})};  // base, span, value, lane, root
+    fan.peer_count = 4;
+    fan.target = {0, 3};  // lane 0's cell: {value, arrivals}
+    cases.push_back(fan);
+    DiffCase leaf = fan;
+    leaf.payload = words({3, 1, 55, 0, 1});
+    cases.push_back(leaf);
+  }
+  {
+    // Collective reduce on lane 0. Cell words: 2 contrib, 3 acc,
+    // 4 expected, 5 arrived, 6 parent, 7 op.
+    constexpr std::uint64_t kRoot = ~0ull;
+    auto reduce = [](Bytes payload, std::vector<std::uint64_t> cell,
+                     std::uint64_t self) {
+      DiffCase c{ir::KernelKind::kCollectiveReduce, std::move(payload)};
+      c.self_peer = self;
+      c.peer_count = 4;
+      c.target = std::move(cell);
+      return c;
+    };
+    // Fan-out [0][base][span][parent][lane][op][root]: the root forwards
+    // two halves and parks its partial sum.
+    cases.push_back(
+        reduce(words({0, 0, 4, kRoot, 0, 0, 0}), {0, 0, 10}, 0));
+    // A childless leaf contributes its min straight to its parent, and a
+    // one-server tree's root replies its count.
+    cases.push_back(reduce(words({0, 3, 1, 2, 0, 1, 0}), {0, 0, 10}, 3));
+    cases.push_back(reduce(words({0, 0, 1, kRoot, 0, 3, 0}), {}, 0));
+    // Contribute [1][lane][value]: not yet complete (max), the last child
+    // climbs to the parent (min), the last child at the root replies (sum).
+    cases.push_back(reduce(words({1, 0, 9}), {0, 0, 0, 5, 2, 0, 3, 2}, 1));
+    cases.push_back(reduce(words({1, 0, 2}), {0, 0, 0, 5, 2, 1, 3, 1}, 1));
+    cases.push_back(
+        reduce(words({1, 0, 7}), {0, 0, 0, 5, 1, 0, kRoot, 0}, 0));
   }
   {
     // Hash probe over 4 buckets/shard, 2 shards. Bucket layout per
@@ -476,13 +586,8 @@ std::vector<DiffCase> differential_cases() {
     base.peer_count = 2;
     auto probe = [&](std::uint64_t key, std::uint64_t slot,
                      std::uint64_t probes, std::uint64_t tag) {
-      ByteWriter w;
-      w.u64(key);
-      w.u64(slot);
-      w.u64(probes);
-      w.u64(tag);
       DiffCase c = base;
-      c.payload = std::move(w).take();
+      c.payload = words({key, slot, probes, tag});
       return c;
     };
     cases.push_back(probe(100, 0, 3, 9));  // hit in the first bucket
@@ -490,6 +595,62 @@ std::vector<DiffCase> differential_cases() {
     cases.push_back(probe(500, 2, 1, 9));  // probe budget drains → miss
     cases.push_back(probe(500, 3, 4, 9));  // linear probe leaves the shard
                                            // → forward to peer 1
+  }
+  {
+    // Ordered search on server 0 of 2, four 10-word records per shard:
+    // nodes 0..3 (keys 0, 10, 20, 30) live here, nodes 4..7 (keys 40..70)
+    // on server 1. Fingers: level 0 links i → i+1, level 1 links
+    // 0 → 2 → 4, level 2 links 0 → 4, level 3 is NIL.
+    constexpr std::uint64_t kNil = workloads::kIndexNil;
+    DiffCase base{ir::KernelKind::kOrderedSearch, {}};
+    base.shard = {
+        0,  1000, 1, 10, 2,    20,   4,    40,   kNil, kNil,   // node 0
+        10, 1010, 2, 20, kNil, kNil, kNil, kNil, kNil, kNil,   // node 1
+        20, 1020, 3, 30, 4,    40,   kNil, kNil, kNil, kNil,   // node 2
+        30, 1030, 4, 40, kNil, kNil, kNil, kNil, kNil, kNil};  // node 3
+    base.shard_size = base.shard.size();
+    base.peer_count = 2;
+    auto search = [&](std::uint64_t target, std::uint64_t node,
+                      std::uint64_t level) {
+      DiffCase c = base;
+      c.payload = words({target, node, level, 0x7A6});
+      return c;
+    };
+    cases.push_back(search(20, 0, 3));  // in-shard descent, hit
+    cases.push_back(search(25, 0, 3));  // in-shard descent, miss
+    cases.push_back(search(35, 0, 0));  // three level-0 hops, then a miss
+    cases.push_back(search(45, 0, 2));  // down-link leaves the shard
+    cases.push_back(search(45, 5, 1));  // arrived at the wrong shard
+  }
+  {
+    // BFS on server 0 of 2 with 4 vertices per shard: the CSR slice
+    // [vps][row offsets x 5][cols] has edges 0 → {1, 4}, 1 → {2},
+    // 2 → {0, 5}, 3 → {}. Lane 0's cell: 0 visited, 1 bitmap*, 2
+    // worklist*, 3 engaged, 4 parent, 5 deficit, 6 parked `from`.
+    constexpr std::uint64_t kOrigin = ~0ull;
+    auto bfs = [](Bytes payload, std::vector<std::uint64_t> cell) {
+      DiffCase c{ir::KernelKind::kBfsFrontier, std::move(payload)};
+      c.shard = {4, 0, 2, 3, 5, 5, 1, 4, 2, 0, 5};
+      c.shard_size = c.shard.size();
+      c.peer_count = 2;
+      c.target = std::move(cell);
+      c.arena_ptrs = {{1, 0}, {2, 8}};  // bitmap word 0, worklist 8..15
+      return c;
+    };
+    // The seed visit from the origin: the local closure {0, 1, 2} expands
+    // through the worklist, 4 and 5 forward, the server engages.
+    cases.push_back(bfs(words({0, 0, 0, kOrigin}), {}));
+    // A visit to an engaged server is acked right away; a childless visit
+    // to a neutral one resolves at once; a mis-routed visit forwards.
+    cases.push_back(bfs(words({0, 0, 3, 1}), {0, 0, 0, 1, kOrigin, 1}));
+    cases.push_back(bfs(words({0, 0, 3, 1}), {}));
+    cases.push_back(bfs(words({0, 0, 6, 1}), {}));
+    // Acks [1][lane]: one that leaves children outstanding, one that drains
+    // the deficit at the engagement root (origin reply), one that drains it
+    // under a parent server (the ack cascades).
+    cases.push_back(bfs(words({1, 0}), {0, 0, 0, 1, kOrigin, 2}));
+    cases.push_back(bfs(words({1, 0}), {0, 0, 0, 1, kOrigin, 1}));
+    cases.push_back(bfs(words({1, 0}), {0, 0, 0, 1, 1, 1}));
   }
   return cases;
 }
@@ -504,33 +665,50 @@ TEST(KirEvalDifferential, EvaluatorMatchesInterpreterOnEveryObservable) {
 
 TEST(KirEval, CoverageSanity) {
   // The differential matrix is only convincing if the interesting paths
-  // actually fire: at least one forward and one reply per sendful kernel.
-  for (ir::KernelKind kind :
-       {ir::KernelKind::kRingHop, ir::KernelKind::kChaser,
-        ir::KernelKind::kHashProbe}) {
-    std::size_t forwards = 0, replies = 0;
+  // actually fire: every sendful kernel must send each way it can.
+  struct Sends {
+    ir::KernelKind kind;
+    bool forwards, replies, injects, remote_writes;
+  };
+  for (const Sends& want : {
+           Sends{ir::KernelKind::kRingHop, true, true, false, false},
+           Sends{ir::KernelKind::kChaser, true, true, false, false},
+           Sends{ir::KernelKind::kSpawner, false, false, true, false},
+           Sends{ir::KernelKind::kRemoteStore, false, true, false, true},
+           Sends{ir::KernelKind::kTreeBroadcast, true, false, false, false},
+           Sends{ir::KernelKind::kCollectiveBroadcast, true, true, false,
+                 false},
+           Sends{ir::KernelKind::kCollectiveReduce, true, true, false,
+                 false},
+           Sends{ir::KernelKind::kHashProbe, true, true, false, false},
+           Sends{ir::KernelKind::kOrderedSearch, true, true, false, false},
+           Sends{ir::KernelKind::kBfsFrontier, true, true, false, false},
+       }) {
+    std::size_t forwards = 0, replies = 0, injects = 0, remote_writes = 0;
     for (const DiffCase& c : differential_cases()) {
-      if (c.kind != kind) continue;
+      if (c.kind != want.kind) continue;
       ir::KernelOptions options;
       options.chaser_tagged =
-          kind == ir::KernelKind::kChaser && c.payload.size() == 24;
-      auto def = prepared_def(kind, options);
+          want.kind == ir::KernelKind::kChaser && c.payload.size() == 24;
+      auto def = prepared_def(want.kind, options);
       ASSERT_TRUE(def.is_ok());
       StubEnv env;
-      std::vector<std::uint64_t> shard = c.shard;
-      env.shard = shard.data();
-      env.shard_size = c.shard_size;
-      env.self_peer = c.self_peer;
-      env.peer_count = c.peer_count;
+      std::vector<std::uint64_t> shard;
+      init_env(env, c, shard);
       Bytes payload = c.payload;
       auto hooks = stub_hooks(env);
       ASSERT_TRUE(
           evaluate(*def, hooks, payload.data(), payload.size()).is_ok());
       forwards += env.forwards.size();
       replies += env.replies.size();
+      injects += env.injects.size();
+      remote_writes += env.remote_writes.size();
     }
-    EXPECT_GT(forwards, 0u) << ir::kernel_name(kind);
-    EXPECT_GT(replies, 0u) << ir::kernel_name(kind);
+    const char* name = ir::kernel_name(want.kind);
+    EXPECT_EQ(forwards > 0, want.forwards) << name;
+    EXPECT_EQ(replies > 0, want.replies) << name;
+    EXPECT_EQ(injects > 0, want.injects) << name;
+    EXPECT_EQ(remote_writes > 0, want.remote_writes) << name;
   }
 }
 
@@ -632,7 +810,6 @@ TEST(KirAmBackend, MalformedPayloadDroppedNotEvaluated) {
 TEST(KirAmEquivalence, DapcChaserAmMatchesInterpretedValues) {
   // The AM chaser evaluates the KIR def (xrdma/chaser.cpp); the observed
   // chase values must match the interpreted-bytecode pipeline exactly.
-  ASSERT_TRUE(has_kernel_def(ir::KernelKind::kChaser));
   xrdma::DapcConfig config;
   config.depth = 32;
   config.chases = 4;
@@ -659,7 +836,6 @@ TEST(KirAmEquivalence, DapcChaserAmMatchesInterpretedValues) {
 }
 
 TEST(KirAmEquivalence, HashProbeAmMatchesPortableOnAllTransports) {
-  ASSERT_TRUE(has_kernel_def(ir::KernelKind::kHashProbe));
   for (hetsim::Backend backend :
        {hetsim::Backend::kSim, hetsim::Backend::kShm,
         hetsim::Backend::kSocket}) {
@@ -730,7 +906,6 @@ TEST(KirHll, TaggedRejectedForNonChaserKernels) {
 TEST(KirLlvmBackend, FatArchivesBuildForEveryPortedKernel) {
   for (int k = 0; k < ir::kKernelKindCount; ++k) {
     const auto kind = static_cast<ir::KernelKind>(k);
-    if (!has_kernel_def(kind)) continue;
     auto archive = build_default_kir_fat_kernel(kind);
     ASSERT_TRUE(archive.is_ok())
         << ir::kernel_name(kind) << ": " << archive.status().to_string();
@@ -740,8 +915,10 @@ TEST(KirLlvmBackend, FatArchivesBuildForEveryPortedKernel) {
 }
 
 /// JIT the kir→llvm emission of a target-only kernel through ORC and
-/// compare every observable against the evaluator on the same def.
-void run_jit_differential(ir::KernelKind kind, const Bytes& payload) {
+/// compare every observable against the evaluator on the same def, both
+/// starting from the same target words.
+void run_jit_differential(ir::KernelKind kind, const Bytes& payload,
+                          const std::vector<std::uint64_t>& target = {}) {
   auto def = prepared_def(kind, {});
   ASSERT_TRUE(def.is_ok());
   llvm::LLVMContext context;
@@ -757,13 +934,15 @@ void run_jit_differential(ir::KernelKind kind, const Bytes& payload) {
                                             {"libm.so.6"});
   ASSERT_TRUE(entry.is_ok()) << entry.status().to_string();
 
-  std::array<std::uint64_t, 4> jit_target = {};
+  std::array<std::uint64_t, 8> jit_target = {};
+  std::copy(target.begin(), target.end(), jit_target.begin());
   core::ExecContext ctx;
   ctx.target_ptr = jit_target.data();
   Bytes jit_payload = payload;
   (*entry)(&ctx, jit_payload.data(), jit_payload.size());
 
   StubEnv env;
+  std::copy(target.begin(), target.end(), env.target);
   Bytes eval_payload = payload;
   auto hooks = stub_hooks(env);
   auto r = evaluate(*def, hooks, eval_payload.data(), eval_payload.size());
@@ -771,7 +950,7 @@ void run_jit_differential(ir::KernelKind kind, const Bytes& payload) {
 
   EXPECT_EQ(jit_payload, eval_payload)
       << def->name << ": payload mutation diverged";
-  for (int w = 0; w < 4; ++w) {
+  for (int w = 0; w < 8; ++w) {
     EXPECT_EQ(jit_target[w], env.target[w])
         << def->name << ": target word " << w;
   }
@@ -785,7 +964,17 @@ TEST(KirLlvmBackend, TargetOnlyKernelsBitIdenticalUnderJit) {
   const std::vector<double> xs = {0.5, -1.25, 3.75, 1e-3, 9.5, -2e6};
   w.u64(xs.size());
   for (double x : xs) w.f64(x);
-  run_jit_differential(ir::KernelKind::kVecReduce, std::move(w).take());
+  run_jit_differential(ir::KernelKind::kVecReduce, w.bytes());
+  run_jit_differential(ir::KernelKind::kSinSum, w.bytes());
+  run_jit_differential(ir::KernelKind::kStatsSummary, w.bytes(),
+                       {f64_word(3.0), f64_word(-0.5), f64_word(2.25)});
+  ByteWriter saxpy;
+  const std::vector<float> sx = {0.5f, -1.25f, 3.75f, 1e-3f, 9.5f, -2e6f};
+  saxpy.u64(sx.size());
+  saxpy.u32(std::bit_cast<std::uint32_t>(-1.5f));
+  for (float x : sx) saxpy.u32(std::bit_cast<std::uint32_t>(x));
+  for (float x : sx) saxpy.u32(std::bit_cast<std::uint32_t>(x * 0.25f));
+  run_jit_differential(ir::KernelKind::kSaxpy, std::move(saxpy).take());
 }
 
 StatusOr<core::IfuncLibrary> kir_host_library(std::string name,

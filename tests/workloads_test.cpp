@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 
+#include "common/bytes.hpp"
 #include "workloads/workload_engine.hpp"
 
 namespace tc::workloads {
@@ -402,6 +404,76 @@ TEST_P(MultiInitiatorP, ConcurrentBfsLanesStayIsolated) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, MultiInitiatorP,
+                         ::testing::Values(hetsim::Backend::kSim,
+                                           hetsim::Backend::kShm,
+                                           hetsim::Backend::kSocket),
+                         [](const ::testing::TestParamInfo<hetsim::Backend>&
+                               info) {
+                           return hetsim::backend_name(info.param);
+                         });
+
+// --- hostile AM payloads -----------------------------------------------------
+// Wire words the AM kernels use to index server memory. The handlers must
+// refuse them — at the payload gate (ordered-search level, BFS lane) or at
+// the forward hook (a node on no server) — and keep serving honest requests.
+
+class HostileAmP : public ::testing::TestWithParam<hetsim::Backend> {
+ protected:
+  /// Sends `words` from the client to server 0's AM handler. The engine
+  /// is the only AM user of a fresh cluster, so its handler has index 0 on
+  /// every node. The later honest requests to server 0 travel the same
+  /// link, so server 0 has handled these first.
+  static void send_to_server0(hetsim::Cluster& cluster,
+                              std::initializer_list<std::uint64_t> words) {
+    ByteWriter w;
+    for (std::uint64_t v : words) w.u64(v);
+    ASSERT_TRUE(cluster.am_runtime(cluster.client_node())
+                    .send(cluster.server_nodes()[0], 0, as_span(w.bytes()))
+                    .is_ok());
+  }
+};
+
+constexpr std::uint64_t kHostileWord = 1ull << 40;
+
+TEST_P(HostileAmP, OrderedSearchRefusesOutOfRangeLevelAndNode) {
+  auto cluster = make_cluster(4, GetParam());
+  WorkloadConfig config;
+  config.workload = Workload::kOrderedSearch;
+  config.mode = WorkloadMode::kActiveMessage;
+  config.keys_per_shard = 32;
+  auto engine = WorkloadEngine::create(*cluster, config);
+  ASSERT_TRUE(engine.is_ok()) << engine.status().to_string();
+  // [target][node][level][tag]: a level past the record's fingers, then a
+  // node id no server owns.
+  send_to_server0(*cluster, {5, 0, kHostileWord, 0});
+  send_to_server0(*cluster, {5, kHostileWord, 0, 0});
+  cluster->settle();
+  const auto queries = (*engine)->sample_queries(0, 16, /*hit_percent=*/70);
+  auto result = (*engine)->run_lookups(queries);
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(result->values[i], (*engine)->expected_lookup(queries[i]))
+        << "query " << i;
+  }
+}
+
+TEST_P(HostileAmP, BfsRefusesOutOfRangeLane) {
+  auto cluster = make_cluster(4, GetParam());
+  WorkloadConfig config;
+  config.workload = Workload::kBfs;
+  config.mode = WorkloadMode::kActiveMessage;
+  config.vertices_per_shard = 32;
+  config.avg_degree = 3;
+  auto engine = WorkloadEngine::create(*cluster, config);
+  ASSERT_TRUE(engine.is_ok()) << engine.status().to_string();
+  send_to_server0(*cluster, {1, kHostileWord});  // ack [1][lane]
+  cluster->settle();
+  auto result = (*engine)->run_bfs(0);  // vertex 0 lives on server 0
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_EQ(result->hits, (*engine)->expected_bfs(0));
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, HostileAmP,
                          ::testing::Values(hetsim::Backend::kSim,
                                            hetsim::Backend::kShm,
                                            hetsim::Backend::kSocket),

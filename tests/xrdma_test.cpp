@@ -140,6 +140,26 @@ TEST(ChaserCodec, ShortPayloadRejected) {
 }
 
 TEST(ChaserCodec, LibraryNamesEncodeVariant) {
+  // Every stock library is named `<kernel>[_vm][_hll][_bin][_w]`; the name
+  // hashes to the wire ifunc id, so none of these may move.
+  using K = ir::KernelKind;
+  EXPECT_EQ(core::stock_library_name(K::kChaser, ir::CodeRepr::kObject,
+                                     {.hll_guards = true,
+                                      .chaser_tagged = true}),
+            "dapc_chaser_hll_bin_w");
+  EXPECT_EQ(core::stock_library_name(K::kChaser, ir::CodeRepr::kPortable,
+                                     {.hll_guards = true,
+                                      .chaser_tagged = true}),
+            "dapc_chaser_vm_hll_w");
+  EXPECT_EQ(core::stock_library_name(K::kCollectiveReduce,
+                                     ir::CodeRepr::kObject),
+            "coll_reduce_bin");
+  EXPECT_EQ(core::stock_library_name(K::kOrderedSearch,
+                                     ir::CodeRepr::kPortable),
+            "ordered_search_vm");
+  EXPECT_EQ(core::stock_library_name(K::kBfsFrontier, ir::CodeRepr::kBitcode,
+                                     {.hll_guards = true}),
+            "bfs_frontier_hll");
   auto portable = build_chaser_library(ir::CodeRepr::kPortable, false);
   ASSERT_TRUE(portable.is_ok());
   EXPECT_EQ(portable->name(), "dapc_chaser_vm");
@@ -213,7 +233,7 @@ INSTANTIATE_TEST_SUITE_P(AllModes, DapcModeP, ::testing::ValuesIn(kAllModes),
 
 TEST(DapcEquivalence, EveryModeObservesIdenticalValues) {
   // The strongest property in the system: six completely different
-  // execution pipelines (native AM handler, client-driven GETs, JIT'd
+  // execution pipelines (predeployed AM handler, client-driven GETs, JIT'd
   // bitcode, linked objects, HLL-guarded bitcode) must produce the same
   // value sequence for the same seed.
   std::vector<std::uint64_t> reference;

@@ -17,10 +17,9 @@
 //                                        (wire name + one-line description)
 //   tc_inspect kir <kernel> [--hll] [--tagged]
 //                                        dump one kernel's portable program:
-//                                        the raw KIR definition (ported
-//                                        kernels), the production
-//                                        disassembly, and the size + fnv1a64
-//                                        line kir_test pins
+//                                        the raw KIR definition, the
+//                                        production disassembly, and the
+//                                        size + fnv1a64 line kir_test pins
 //
 // Useful when debugging what actually travels on the wire: entry triples,
 // code sizes, deps manifests, header fields, delimiter placement.
@@ -251,8 +250,8 @@ int cmd_emit_vm_demo(const char* path) {
 }
 
 // The lens CI attaches when a kir_test pinned-bytecode case fails: the raw
-// KIR definition (when the kernel has one), the bytecode vm::lower_kernel
-// ships, and its size + fnv1a64 in the format of kir_test's pinned table.
+// KIR definition, the bytecode vm::lower_kernel ships, and its size +
+// fnv1a64 in the format of kir_test's pinned table.
 int cmd_kir(const char* kernel, bool hll, bool tagged) {
   int found = -1;
   for (int k = 0; k < ir::kKernelKindCount; ++k) {
@@ -277,24 +276,19 @@ int cmd_kir(const char* kernel, bool hll, bool tagged) {
     return 2;
   }
 
-  const bool ported = kir::has_kernel_def(kind);
-  if (ported) {
-    auto raw = kir::kernel_def(kind, options);
-    if (!raw.is_ok()) {
-      std::fprintf(stderr, "%s\n", raw.status().to_string().c_str());
-      return 1;
-    }
-    std::printf(
-        "--- KIR definition (raw: guard/trace markers in place) ---\n");
-    std::fputs(kir::dump(*raw).c_str(), stdout);
+  auto raw = kir::kernel_def(kind, options);
+  if (!raw.is_ok()) {
+    std::fprintf(stderr, "%s\n", raw.status().to_string().c_str());
+    return 1;
   }
+  std::printf("--- KIR definition (raw: guard/trace markers in place) ---\n");
+  std::fputs(kir::dump(*raw).c_str(), stdout);
   auto program = vm::lower_kernel(kind, options);
   if (!program.is_ok()) {
     std::fprintf(stderr, "%s\n", program.status().to_string().c_str());
     return 1;
   }
-  std::printf("--- production bytecode (%s) ---\n",
-              ported ? "kir→vm" : "vm/lower.cpp");
+  std::printf("--- production bytecode (kir→vm) ---\n");
   std::fputs(vm::disassemble(*program).c_str(), stdout);
   const Bytes wire = program->serialize();
   std::printf("bytes=%zu fnv1a64=0x%016llx\n", wire.size(),
