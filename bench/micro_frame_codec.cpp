@@ -1,10 +1,12 @@
 // Micro/ablation benchmarks for the wire layer (google-benchmark):
-// frame assembly/validation cost, the size effect of truncation (the §III-D
-// caching ablation), and fat-bitcode archive handling vs entry count.
+// frame assembly/validation cost, the warm (truncated) encode, the size
+// effect of truncation (the §III-D caching ablation), and fat-bitcode
+// archive handling vs entry count.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
 #include "core/frame.hpp"
+#include "core/ifunc.hpp"
 #include "ir/fat_bitcode.hpp"
 #include "ir/kernel_builder.hpp"
 
@@ -31,6 +33,30 @@ void BM_FrameBuild(benchmark::State& state) {
                           static_cast<std::int64_t>(code.size()));
 }
 BENCHMARK(BM_FrameBuild)->Arg(65)->Arg(5159)->Arg(65536);
+
+// A warm send's encode: only the bytes that ship (header, payload, MAGIC1)
+// for the real hash-probe bitcode archive, which it never copies.
+void BM_FrameEncodeTruncated(benchmark::State& state) {
+  auto lib = core::IfuncLibrary::from_kernel(ir::KernelKind::kHashProbe);
+  if (!lib.is_ok()) {
+    state.SkipWithError(lib.status().to_string().c_str());
+    return;
+  }
+  const Bytes payload = random_bytes(32, 7);
+  core::FrameParts parts;
+  parts.ifunc_id = lib->id();
+  parts.repr = lib->repr();
+  parts.code_archive = as_span(lib->serialized_archive());
+  parts.payload = as_span(payload);
+  for (auto _ : state) {
+    auto wire = core::Frame::encode(parts, /*include_code=*/false);
+    benchmark::DoNotOptimize(wire);
+    benchmark::ClobberMemory();
+  }
+  state.counters["archive_bytes"] =
+      static_cast<double>(parts.code_archive.size());
+}
+BENCHMARK(BM_FrameEncodeTruncated);
 
 void BM_FrameValidateFull(benchmark::State& state) {
   const Bytes code = random_bytes(static_cast<std::size_t>(state.range(0)));

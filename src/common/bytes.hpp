@@ -51,6 +51,10 @@ class ByteWriter {
 
   void raw(ByteSpan s) { buf_.insert(buf_.end(), s.begin(), s.end()); }
 
+  /// Reserves room for `n` bytes in total, so an encoder that knows its
+  /// final size allocates once.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   /// Length-prefixed (u32) byte string.
   void blob(ByteSpan s) {
     u32(static_cast<std::uint32_t>(s.size()));

@@ -32,65 +32,86 @@ void encode_header(ByteWriter& w, const FrameHeader& h) {
   }
 }
 
+FrameHeader header_for(const FrameParts& parts) {
+  FrameHeader h;
+  h.repr = static_cast<std::uint8_t>(parts.repr);
+  h.code_only = parts.code_only;
+  h.ifunc_id = parts.ifunc_id;
+  h.origin_node = parts.origin_node;
+  h.payload_size = static_cast<std::uint32_t>(parts.payload.size());
+  h.code_size = static_cast<std::uint32_t>(parts.code_archive.size());
+  if (parts.trace.traced()) h.trace = parts.trace;
+  return h;
+}
+
 }  // namespace
+
+Status Frame::check(const FrameParts& parts) {
+  if (parts.code_archive.empty()) {
+    return invalid_argument("frame: empty code archive");
+  }
+  if (parts.code_only && !parts.payload.empty()) {
+    return invalid_argument("frame: code-only frame with payload");
+  }
+  constexpr auto kMax = std::numeric_limits<std::uint32_t>::max();
+  if (parts.payload.size() > kMax || parts.code_archive.size() > kMax) {
+    return invalid_argument("frame: section exceeds u32");
+  }
+  return Status::ok();
+}
+
+StatusOr<Bytes> Frame::encode(const FrameParts& parts, bool include_code) {
+  TC_RETURN_IF_ERROR(check(parts));
+  const FrameHeader h = header_for(parts);
+  std::size_t size = h.prefix_size() + parts.payload.size() + kMagicSize;
+  if (include_code) size += parts.code_archive.size() + kMagicSize;
+  ByteWriter w;
+  w.reserve(size);
+  encode_header(w, h);
+  w.raw(parts.payload);
+  w.u32(kMagicPayloadEnd);
+  if (include_code) {
+    w.raw(parts.code_archive);
+    w.u32(kMagicCodeEnd);
+  }
+  return std::move(w).take();
+}
 
 StatusOr<Frame> Frame::build(std::uint64_t ifunc_id, ir::CodeRepr repr,
                              ByteSpan code_archive, ByteSpan payload,
                              std::uint32_t origin_node, bool code_only,
                              const obs::TraceContext* trace) {
-  if (code_archive.empty()) {
-    return invalid_argument("Frame::build: empty code archive");
-  }
-  if (code_only && !payload.empty()) {
-    return invalid_argument("Frame::build: code-only frame with payload");
-  }
-  constexpr auto kMax = std::numeric_limits<std::uint32_t>::max();
-  if (payload.size() > kMax || code_archive.size() > kMax) {
-    return invalid_argument("Frame::build: section exceeds u32");
-  }
-
+  FrameParts parts;
+  parts.ifunc_id = ifunc_id;
+  parts.repr = repr;
+  parts.code_archive = code_archive;
+  parts.payload = payload;
+  parts.origin_node = origin_node;
+  parts.code_only = code_only;
+  if (trace != nullptr) parts.trace = *trace;
   Frame frame;
-  frame.header_.repr = static_cast<std::uint8_t>(repr);
-  frame.header_.code_only = code_only;
-  frame.header_.ifunc_id = ifunc_id;
-  frame.header_.origin_node = origin_node;
-  frame.header_.payload_size = static_cast<std::uint32_t>(payload.size());
-  frame.header_.code_size = static_cast<std::uint32_t>(code_archive.size());
-  if (trace != nullptr && trace->traced()) frame.header_.trace = *trace;
-
-  ByteWriter w;
-  encode_header(w, frame.header_);
-  w.raw(payload);
-  w.u32(kMagicPayloadEnd);
-  w.raw(code_archive);
-  w.u32(kMagicCodeEnd);
-  frame.bytes_ = std::move(w).take();
+  TC_ASSIGN_OR_RETURN(frame.bytes_, encode(parts, /*include_code=*/true));
+  frame.header_ = header_for(parts);
   return frame;
 }
 
 StatusOr<Frame> Frame::with_trace(const Frame& frame,
                                   const obs::TraceContext& trace) {
-  const FrameHeader& h = frame.header();
-  ByteSpan data = frame.full_view();
-  return build(h.ifunc_id, static_cast<ir::CodeRepr>(h.repr),
-               code_view(data, h), payload_view(data, h), h.origin_node,
-               h.code_only, &trace);
+  const FrameParts parts = frame.parts();
+  return build(parts.ifunc_id, parts.repr, parts.code_archive, parts.payload,
+               parts.origin_node, parts.code_only, &trace);
 }
 
-Bytes Frame::traced_wire(const Frame& frame, const obs::TraceContext& trace,
-                         bool include_code) {
-  FrameHeader h = frame.header();
-  h.trace = trace;
-  const ByteSpan data = frame.full_view();
-  ByteWriter w;
-  encode_header(w, h);
-  w.raw(payload_view(data, frame.header()));
-  w.u32(kMagicPayloadEnd);
-  if (include_code) {
-    w.raw(code_view(data, frame.header()));
-    w.u32(kMagicCodeEnd);
-  }
-  return std::move(w).take();
+FrameParts Frame::parts() const {
+  FrameParts parts;
+  parts.ifunc_id = header_.ifunc_id;
+  parts.repr = static_cast<ir::CodeRepr>(header_.repr);
+  parts.code_archive = code_view(full_view(), header_);
+  parts.payload = payload_view(full_view(), header_);
+  parts.origin_node = header_.origin_node;
+  parts.code_only = header_.code_only;
+  parts.trace = header_.trace;
+  return parts;
 }
 
 StatusOr<FrameHeader> Frame::peek_header(ByteSpan data) {
@@ -158,8 +179,10 @@ Status check_magic(ByteSpan data, std::size_t offset,
 }
 }  // namespace
 
-StatusOr<bool> Frame::validate(ByteSpan data) {
-  TC_ASSIGN_OR_RETURN(FrameHeader h, peek_header(data));
+StatusOr<DecodedFrame> Frame::decode(ByteSpan data) {
+  DecodedFrame frame;
+  TC_ASSIGN_OR_RETURN(frame.header, peek_header(data));
+  const FrameHeader& h = frame.header;
   const std::size_t truncated =
       h.prefix_size() + h.payload_size + kMagicSize;
   const std::size_t full = truncated + h.code_size + kMagicSize;
@@ -170,12 +193,17 @@ StatusOr<bool> Frame::validate(ByteSpan data) {
   }
   TC_RETURN_IF_ERROR(check_magic(data, h.prefix_size() + h.payload_size,
                                  kMagicPayloadEnd, "payload-end"));
-  const bool has_code = data.size() == full;
-  if (has_code) {
+  frame.has_code = data.size() == full;
+  if (frame.has_code) {
     TC_RETURN_IF_ERROR(
         check_magic(data, full - kMagicSize, kMagicCodeEnd, "code-end"));
   }
-  return has_code;
+  return frame;
+}
+
+StatusOr<bool> Frame::validate(ByteSpan data) {
+  TC_ASSIGN_OR_RETURN(DecodedFrame frame, decode(data));
+  return frame.has_code;
 }
 
 ByteSpan Frame::payload_view(ByteSpan data, const FrameHeader& header) {
@@ -189,8 +217,11 @@ ByteSpan Frame::code_view(ByteSpan data, const FrameHeader& header) {
 
 Bytes encode_result_frame(std::uint32_t origin_node, ByteSpan data,
                           const obs::TraceContext* trace) {
+  const bool traced = trace != nullptr && trace->traced();
+  // u16 magic | u32 origin | [trace extension] | u32 size | data
   ByteWriter w;
-  if (trace != nullptr && trace->traced()) {
+  w.reserve(2 + 4 + (traced ? kTraceExtSize : 0) + 4 + data.size());
+  if (traced) {
     w.u16(kResultTracedMagic);
     w.u32(origin_node);
     w.u64(trace->trace_id);

@@ -2,11 +2,13 @@
 //
 //   [HEADER][PAYLOAD][MAGIC1][CODE (serialized fat archive)][MAGIC2]
 //
-// The same buffer serves both protocol states: a *full* send transmits the
-// whole frame; a *truncated* send (code already cached at the target)
-// transmits only the prefix through MAGIC1. The frame is never modified —
-// truncation is just a shorter send size, exactly as the paper passes a
-// smaller length to the UCP PUT.
+// Two protocol states share one layout: a *full* frame runs through MAGIC2;
+// a *truncated* frame (code already cached at the target) is its prefix
+// through MAGIC1 — the paper passes a smaller length to the same UCP PUT.
+// Frame::encode writes exactly the bytes one send ships, into one buffer
+// sized up front: a truncated encode reads the archive's size and never
+// its bytes. A Frame holds the full form, for callers that keep a message
+// to send again.
 //
 // 26-byte header layout (little-endian):
 //   u16 frame magic | u8 version | u8 repr | u64 ifunc_id |
@@ -43,14 +45,42 @@ struct FrameHeader {
   }
 };
 
+/// The sections one ifunc frame is encoded from. Views only: the archive
+/// and payload must outlive the encode.
+struct FrameParts {
+  std::uint64_t ifunc_id = 0;
+  ir::CodeRepr repr = ir::CodeRepr::kBitcode;
+  ByteSpan code_archive;
+  ByteSpan payload;
+  std::uint32_t origin_node = 0;
+  bool code_only = false;  ///< ships the archive but no payload to execute
+  /// trace.traced() attaches the v3 trace extension; untraced adds nothing.
+  obs::TraceContext trace;
+};
+
+/// A received frame's header and whether its code section is present.
+struct DecodedFrame {
+  FrameHeader header;
+  bool has_code = false;
+};
+
 /// An immutable, reusable ifunc message (paper: "the ifunc message is never
 /// modified... the user might want to send it to another process later").
 class Frame {
  public:
-  /// Assembles a frame from an ifunc's identity, serialized code archive,
-  /// and payload. A non-null `trace` with trace.traced() attaches the v3
-  /// trace extension (kTraceExtSize bytes after the header); null or an
-  /// untraced context adds nothing to the wire.
+  /// Checks that `parts` fit a frame: a non-empty code archive, no payload
+  /// on a code-only frame, and sections within the wire's u32 sizes.
+  static Status check(const FrameParts& parts);
+
+  /// The frame encoder. Writes exactly the bytes one send ships into a
+  /// buffer reserved at its final size: the header, the trace extension
+  /// when parts.trace is traced, the payload and MAGIC1 and, only when
+  /// `include_code`, the code archive and MAGIC2. Fails as check() does.
+  static StatusOr<Bytes> encode(const FrameParts& parts, bool include_code);
+
+  /// The full form of encode(), kept as a Frame. A non-null `trace` with
+  /// trace.traced() attaches the trace extension; null or an untraced
+  /// context adds nothing to the wire.
   static StatusOr<Frame> build(std::uint64_t ifunc_id, ir::CodeRepr repr,
                                ByteSpan code_archive, ByteSpan payload,
                                std::uint32_t origin_node,
@@ -62,15 +92,10 @@ class Frame {
   static StatusOr<Frame> with_trace(const Frame& frame,
                                     const obs::TraceContext& trace);
 
-  /// Traced wire image of `frame` in its full or truncated form. Unlike
-  /// with_trace this splices only the bytes that actually ship — a traced
-  /// truncated send copies ~tens of bytes instead of the whole code
-  /// archive, which is what keeps tracing overhead flat on warm paths.
-  static Bytes traced_wire(const Frame& frame, const obs::TraceContext& trace,
-                           bool include_code);
-
   const Bytes& bytes() const { return bytes_; }
   const FrameHeader& header() const { return header_; }
+  /// The sections this frame was built from, as views into bytes().
+  FrameParts parts() const;
 
   /// Size of a full transmission (through MAGIC2).
   std::size_t full_size() const { return bytes_.size(); }
@@ -89,9 +114,11 @@ class Frame {
   /// Decodes and checks the fixed header of an incoming buffer.
   static StatusOr<FrameHeader> peek_header(ByteSpan data);
 
-  /// Validates a received buffer: header check, magic delimiters, and that
-  /// its length matches either the full or the truncated form. Returns true
-  /// if the code section is present.
+  /// Decodes a received buffer once: header check, magic delimiters, and
+  /// that its length matches either the full or the truncated form.
+  static StatusOr<DecodedFrame> decode(ByteSpan data);
+
+  /// decode() reduced to whether the code section is present.
   static StatusOr<bool> validate(ByteSpan data);
 
   /// Views into a received buffer (header must have been validated).

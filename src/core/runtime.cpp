@@ -22,6 +22,18 @@ std::uint64_t sent_key(fabric::NodeId peer, std::uint64_t ifunc_id) {
   return hash_combine(peer, ifunc_id);
 }
 
+/// The sections a send of `lib` under the wire id `ifunc_id` encodes.
+FrameParts library_parts(std::uint64_t ifunc_id, const IfuncLibrary& lib,
+                         ByteSpan payload, std::uint32_t origin_node) {
+  FrameParts parts;
+  parts.ifunc_id = ifunc_id;
+  parts.repr = lib.repr();
+  parts.code_archive = as_span(lib.serialized_archive());
+  parts.payload = payload;
+  parts.origin_node = origin_node;
+  return parts;
+}
+
 }  // namespace
 
 StatusOr<std::unique_ptr<Runtime>> Runtime::create(
@@ -277,12 +289,15 @@ void Runtime::post_wire_attempt(fabric::NodeId dst,
       });
 }
 
-Status Runtime::send_frame(fabric::NodeId dst, const Frame& frame,
+Status Runtime::send_parts(fabric::NodeId dst, FrameParts parts,
                            fabric::CompletionFn on_complete) {
   if (dst == node_) {
-    return invalid_argument("send_frame: destination is the local node");
+    return invalid_argument("send: destination is the local node");
   }
-  const std::uint64_t key = sent_key(dst, frame.header().ifunc_id);
+  // Checked before the decision below, so a refused send marks no peer as
+  // holding the code.
+  TC_RETURN_IF_ERROR(Frame::check(parts));
+  const std::uint64_t key = sent_key(dst, parts.ifunc_id);
   bool peer_has_code = false;
   {
     std::lock_guard lock(sent_code_mu_);
@@ -291,38 +306,40 @@ Status Runtime::send_frame(fabric::NodeId dst, const Frame& frame,
   }
   if (peer_has_code) {
     ++stats_.frames_sent_truncated;
-    stats_.code_bytes_saved += frame.full_size() - frame.truncated_size();
+    stats_.code_bytes_saved += parts.code_archive.size() + kMagicSize;
   } else {
     ++stats_.frames_sent_full;
-    stats_.code_bytes_sent += frame.header().code_size;
+    stats_.code_bytes_sent += parts.code_archive.size();
   }
-  if (tracing() && !frame.header().traced()) {
-    // Root of a new request chain: mint a trace id, stamp hop 0, and ship
-    // a traced wire image instead. Everything downstream — the arrival, the
-    // execute span, any forwards — inherits this context. traced_wire
-    // splices only the bytes that actually ship, so the warm (truncated)
-    // path never copies the code archive.
-    obs::TraceContext root;
-    root.trace_id = options_.tracer->next_trace_id();
-    root.hop = 0;
-    const std::uint32_t span = options_.tracer->next_span_id();
-    // The frame carries the send span as parent, so the receiving node's
-    // spans hang under it.
-    root.parent_span = span;
-    const Bytes wire =
-        Frame::traced_wire(frame, root, /*include_code=*/!peer_has_code);
-    obs::TraceContext at_send = root;
+  const bool root = tracing() && !parts.trace.traced();
+  std::uint32_t root_span = 0;
+  if (root) {
+    // Root of a new request chain: mint a trace id and stamp hop 0.
+    // Everything downstream — the arrival, the execute span, any forwards —
+    // inherits this context. The frame carries the send span as parent, so
+    // the receiving node's spans hang under it.
+    parts.trace.trace_id = options_.tracer->next_trace_id();
+    parts.trace.hop = 0;
+    root_span = options_.tracer->next_span_id();
+    parts.trace.parent_span = root_span;
+  }
+  TC_ASSIGN_OR_RETURN(Bytes wire,
+                      Frame::encode(parts, /*include_code=*/!peer_has_code));
+  if (root) {
+    obs::TraceContext at_send = parts.trace;
     at_send.parent_span = 0;  // the root send has no parent
-    record_span(obs::SpanKind::kRootSend, at_send, span, transport_->now_ns(),
-                0, frame.header().ifunc_id, static_cast<std::uint32_t>(dst),
-                frame.header().repr, 0);
-    dispatch_frame_bytes(dst, as_span(wire), std::move(on_complete));
-    return Status::ok();
+    record_span(obs::SpanKind::kRootSend, at_send, root_span,
+                transport_->now_ns(), 0, parts.ifunc_id,
+                static_cast<std::uint32_t>(dst),
+                static_cast<std::uint8_t>(parts.repr), 0);
   }
-  dispatch_frame_bytes(
-      dst, peer_has_code ? frame.truncated_view() : frame.full_view(),
-      std::move(on_complete));
+  dispatch_frame_bytes(dst, as_span(wire), std::move(on_complete));
   return Status::ok();
+}
+
+Status Runtime::send_frame(fabric::NodeId dst, const Frame& frame,
+                           fabric::CompletionFn on_complete) {
+  return send_parts(dst, frame.parts(), std::move(on_complete));
 }
 
 void Runtime::set_batch_options(BatchOptions batch) {
@@ -471,8 +488,35 @@ void Runtime::ship_batch(fabric::NodeId dst, std::vector<Bytes> frames,
 Status Runtime::send_ifunc(fabric::NodeId dst, std::uint64_t ifunc_id,
                            ByteSpan payload,
                            fabric::CompletionFn on_complete) {
-  TC_ASSIGN_OR_RETURN(Frame frame, create_message(ifunc_id, payload));
-  return send_frame(dst, frame, std::move(on_complete));
+  auto it = registry_.find(ifunc_id);
+  if (it == registry_.end()) {
+    return failed_precondition("send_ifunc: ifunc " +
+                               std::to_string(ifunc_id) + " not registered");
+  }
+  // The same identity create_message builds under.
+  const IfuncLibrary& lib = it->second.library;
+  return send_parts(dst, library_parts(lib.id(), lib, payload, node_),
+                    std::move(on_complete));
+}
+
+void Runtime::send_deferred(fabric::NodeId dst, std::uint64_t ifunc_id,
+                            std::uint32_t origin_node, ByteSpan payload,
+                            const obs::TraceContext& trace, const char* what) {
+  Status sent;
+  if (auto it = registry_.find(ifunc_id); it == registry_.end()) {
+    sent = not_found("ifunc " + std::to_string(ifunc_id) +
+                     " is no longer registered");
+  } else {
+    FrameParts parts =
+        library_parts(ifunc_id, it->second.library, payload, origin_node);
+    parts.trace = trace;
+    sent = send_parts(dst, parts, {});
+  }
+  if (sent.is_ok()) return;
+  ++stats_.forward_send_failures;
+  TC_LOG(kWarn, "runtime") << "node " << node_ << " deferred " << what
+                           << " to node " << dst
+                           << " failed: " << sent.to_string();
 }
 
 // --- receive path -------------------------------------------------------------
@@ -544,14 +588,13 @@ Status Runtime::process_frame(ByteSpan data, fabric::NodeId source) {
     }
     // Re-ship the code in a payload-less frame and forget the cached-at-peer
     // assumption so future regular sends stay consistent.
-    const IfuncLibrary& lib = it->second.library;
-    TC_ASSIGN_OR_RETURN(
-        Frame frame,
-        Frame::build(ifunc_id, lib.repr(), as_span(lib.serialized_archive()),
-                     {}, node_, /*code_only=*/true));
-    post_wire(source, frame.full_view(), /*fragments=*/1, {});
+    FrameParts parts = library_parts(ifunc_id, it->second.library, {}, node_);
+    parts.code_only = true;
+    TC_ASSIGN_OR_RETURN(Bytes frame,
+                        Frame::encode(parts, /*include_code=*/true));
+    post_wire(source, as_span(frame), /*fragments=*/1, {});
     ++stats_.frames_sent_full;
-    stats_.code_bytes_sent += frame.header().code_size;
+    stats_.code_bytes_sent += parts.code_archive.size();
     return Status::ok();
   }
   return process_ifunc_frame(data, source);
@@ -572,15 +615,17 @@ std::int64_t Runtime::charge(std::int64_t configured_ns,
 Status Runtime::process_ifunc_frame(ByteSpan data, fabric::NodeId source) {
   const bool tracing_on = tracing();
   const std::int64_t t_arrive = tracing_on ? transport_->now_ns() : 0;
-  TC_ASSIGN_OR_RETURN(bool has_code, Frame::validate(data));
-  TC_ASSIGN_OR_RETURN(FrameHeader header, Frame::peek_header(data));
+  TC_ASSIGN_OR_RETURN(const DecodedFrame decoded, Frame::decode(data));
+  const FrameHeader& header = decoded.header;
+  const bool has_code = decoded.has_code;
 
   if (header.traced() && tracing_on) {
     record_span(obs::SpanKind::kArrival, header.trace,
                 options_.tracer->next_span_id(), t_arrive, 0, header.ifunc_id,
                 static_cast<std::uint32_t>(source), header.repr, 0);
-    // Decode covers validate + header peek: virtual time does not advance
-    // in sim (the span collapses to an instant), wall time on shm.
+    // Decode covers the one header decode and its length/delimiter checks:
+    // virtual time does not advance in sim (the span collapses to an
+    // instant), wall time on shm.
     const std::int64_t decode_ns = transport_->now_ns() - t_arrive;
     record_span(obs::SpanKind::kDecode, header.trace,
                 options_.tracer->next_span_id(), t_arrive, decode_ns,
@@ -1132,7 +1177,6 @@ Status Runtime::ctx_forward(ExecContext& ctx, std::uint64_t peer,
   }
   const IfuncLibrary& lib = it->second.library;
   obs::TraceContext child;
-  const obs::TraceContext* child_ptr = nullptr;
   if (ctx.trace.traced() && tracing()) {
     // The forwarded frame is the next hop of this chain, parented under
     // the send span so the tree reads root → execute → forward → execute.
@@ -1140,7 +1184,6 @@ Status Runtime::ctx_forward(ExecContext& ctx, std::uint64_t peer,
     child.trace_id = ctx.trace.trace_id;
     child.hop = ctx.trace.hop + 1;
     child.parent_span = send_span;
-    child_ptr = &child;
     obs::TraceContext at_send = child;
     at_send.parent_span = ctx.span_id;
     record_span(obs::SpanKind::kForwardSend, at_send, send_span,
@@ -1148,23 +1191,15 @@ Status Runtime::ctx_forward(ExecContext& ctx, std::uint64_t peer,
                 static_cast<std::uint32_t>(peers_[peer]),
                 static_cast<std::uint8_t>(lib.repr()), 0);
   }
-  TC_ASSIGN_OR_RETURN(
-      Frame frame,
-      Frame::build(ctx.ifunc_id, lib.repr(), as_span(lib.serialized_archive()),
-                   payload, ctx.origin_node, /*code_only=*/false, child_ptr));
   ++ctx.forwards_issued;
   // Depart after the compute this invocation has charged so far (e.g. HLL
-  // guard costs for the loop iterations that preceded the forward).
+  // guard costs for the loop iterations that preceded the forward). The
+  // send decides full or truncated, and encodes, only then.
   transport_->execute_on(
       node_, 0,
-      [this, dst = peers_[peer], frame = std::move(frame)] {
-        Status sent = send_frame(dst, frame);
-        if (!sent.is_ok()) {
-          ++stats_.forward_send_failures;
-          TC_LOG(kWarn, "runtime")
-              << "node " << node_ << " deferred forward to node " << dst
-              << " failed: " << sent.to_string();
-        }
+      [this, dst = peers_[peer], id = ctx.ifunc_id, origin = ctx.origin_node,
+       child, bytes = Bytes(payload.begin(), payload.end())] {
+        send_deferred(dst, id, origin, as_span(bytes), child, "forward");
       },
       /*scale_cost=*/true);
   return Status::ok();
@@ -1179,7 +1214,6 @@ Status Runtime::ctx_inject(ExecContext& ctx, std::uint64_t peer,
   TC_ASSIGN_OR_RETURN(std::uint64_t id, ifunc_id_by_name(ifunc_name));
   const IfuncLibrary& lib = registry_.at(id).library;
   obs::TraceContext child;
-  const obs::TraceContext* child_ptr = nullptr;
   if (ctx.trace.traced() && tracing()) {
     // Injected work stays on the parent chain (same trace id, next hop) —
     // it is caused by this invocation even though a different ifunc runs.
@@ -1187,7 +1221,6 @@ Status Runtime::ctx_inject(ExecContext& ctx, std::uint64_t peer,
     child.trace_id = ctx.trace.trace_id;
     child.hop = ctx.trace.hop + 1;
     child.parent_span = send_span;
-    child_ptr = &child;
     obs::TraceContext at_send = child;
     at_send.parent_span = ctx.span_id;
     record_span(obs::SpanKind::kForwardSend, at_send, send_span,
@@ -1195,17 +1228,14 @@ Status Runtime::ctx_inject(ExecContext& ctx, std::uint64_t peer,
                 static_cast<std::uint32_t>(peers_[peer]),
                 static_cast<std::uint8_t>(lib.repr()), 0);
   }
+  ++ctx.injects_issued;
   // Keep the chain origin: results of injected work route to the request's
   // originator, not to this intermediate node.
-  TC_ASSIGN_OR_RETURN(
-      Frame frame,
-      Frame::build(id, lib.repr(), as_span(lib.serialized_archive()), payload,
-                   ctx.origin_node, /*code_only=*/false, child_ptr));
-  ++ctx.injects_issued;
   transport_->execute_on(
       node_, 0,
-      [this, dst = peers_[peer], frame = std::move(frame)] {
-        (void)send_frame(dst, frame);
+      [this, dst = peers_[peer], id, origin = ctx.origin_node, child,
+       bytes = Bytes(payload.begin(), payload.end())] {
+        send_deferred(dst, id, origin, as_span(bytes), child, "inject");
       },
       /*scale_cost=*/true);
   return Status::ok();

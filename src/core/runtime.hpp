@@ -187,11 +187,14 @@ class Runtime {
                                  ByteSpan payload) const;
 
   /// Sends a frame, applying the code-caching protocol: the first frame to
-  /// a peer travels in full, subsequent ones truncated (paper §III-D).
+  /// a peer travels in full, subsequent ones truncated (paper §III-D). The
+  /// wire bytes are re-encoded from the frame's sections (Frame::encode),
+  /// so a truncated send writes only the prefix through MAGIC1.
   Status send_frame(fabric::NodeId dst, const Frame& frame,
                     fabric::CompletionFn on_complete = {});
 
-  /// create_message + send_frame in one call.
+  /// Sends create_message(ifunc_id, payload) without building the full
+  /// frame: only the bytes that ship are encoded.
   Status send_ifunc(fabric::NodeId dst, std::uint64_t ifunc_id,
                     ByteSpan payload, fabric::CompletionFn on_complete = {});
 
@@ -270,8 +273,9 @@ class Runtime {
     /// Background promotion compiles that failed (logged once per kernel;
     /// the ifunc keeps interpreting).
     std::atomic<std::uint64_t> promotions_failed{0};
-    /// Deferred ctx_forward sends that failed after the ifunc returned
-    /// (the forward was already charged; the frame never left the node).
+    /// Deferred ctx_forward and ctx_inject sends that failed after the
+    /// ifunc returned (the send was already charged; the frame never left
+    /// the node).
     std::atomic<std::uint64_t> forward_send_failures{0};
     /// Wire sends re-shipped after a failed completion (max_send_retries).
     std::atomic<std::uint64_t> send_retries{0};
@@ -368,9 +372,23 @@ class Runtime {
   /// One logical (non-batch) frame: result / NACK / ifunc dispatch.
   Status process_frame(ByteSpan data, fabric::NodeId source);
   Status process_ifunc_frame(ByteSpan data, fabric::NodeId source);
+  /// The one ifunc send path (paper §III-D). Decides full or truncated for
+  /// (dst, ifunc) — the sent-code check-and-insert and the frames_sent_* /
+  /// code_bytes_* counters — and mints a root trace when tracing is on and
+  /// `parts` carries none. Only then does it encode, so a warm send never
+  /// copies the code archive.
+  Status send_parts(fabric::NodeId dst, FrameParts parts,
+                    fabric::CompletionFn on_complete);
+  /// Runs on the progress context after a ctx_forward/ctx_inject returned:
+  /// looks the ifunc up by id and sends it through send_parts, counting a
+  /// failure in Stats::forward_send_failures. `what` names the hook in the
+  /// warning.
+  void send_deferred(fabric::NodeId dst, std::uint64_t ifunc_id,
+                     std::uint32_t origin_node, ByteSpan payload,
+                     const obs::TraceContext& trace, const char* what);
   /// Hands encoded frame bytes to the batcher or straight to the transport.
   /// Both paths copy `bytes` before returning, so views into temporaries
-  /// (e.g. a traced wire image) are safe.
+  /// (e.g. a freshly encoded frame) are safe.
   void dispatch_frame_bytes(fabric::NodeId dst, ByteSpan bytes,
                             fabric::CompletionFn on_complete);
   /// The single wire-send chokepoint every runtime send funnels through.

@@ -358,6 +358,7 @@ Status WorkloadEngine::issue_lookup(Lane& lane, std::uint64_t index) {
   }
   const std::uint64_t key = (*lane.queries)[index];
   ByteWriter w;
+  w.reserve(4 * sizeof(std::uint64_t));  // both payloads are four words
   fabric::NodeId dst = 0;
   if (config_.workload == Workload::kHashProbe) {
     const std::uint64_t slot = hash_.start_slot(key);

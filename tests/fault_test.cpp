@@ -1020,8 +1020,11 @@ TEST(TracedBatchNackTest, TracedFramesInContainersSurviveRedelivery) {
     ctx.hop = 0;
     ctx.parent_span = tracer.next_span_id();
     trace_ids.push_back(ctx.trace_id);
-    parts.push_back(core::Frame::traced_wire(*frame, ctx,
-                                             /*include_code=*/false));
+    core::FrameParts traced = frame->parts();
+    traced.trace = ctx;
+    auto wire = core::Frame::encode(traced, /*include_code=*/false);
+    ASSERT_TRUE(wire.is_ok()) << wire.status().to_string();
+    parts.push_back(std::move(*wire));
   }
   auto container = core::encode_batch_frame(parts);
   ASSERT_TRUE(container.is_ok()) << container.status().to_string();

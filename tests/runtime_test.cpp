@@ -439,6 +439,32 @@ TEST_F(RuntimeTest, SpawnerInjectsAnotherIfunc) {
   EXPECT_EQ(rt_c->stats().auto_registered, 1u);
 }
 
+TEST_F(RuntimeTest, FailedDeferredInjectIsCounted) {
+  // An inject that cannot leave the node is counted like a failed forward:
+  // the spawner names its own node's peer index, and the deferred
+  // self-send is refused after the ifunc has returned.
+  std::vector<NodeId> peers{a_, b_};
+  rt_a_->set_peers(peers);
+  rt_b_->set_peers(peers);
+  auto spawner_id = rt_a_->register_ifunc(make_library(ir::KernelKind::kSpawner));
+  ASSERT_TRUE(spawner_id.is_ok());
+  ASSERT_TRUE(
+      rt_b_->register_ifunc(make_library(ir::KernelKind::kTargetSideIncrement))
+          .is_ok());
+
+  ByteWriter w;
+  w.u64(1);  // peer index of b, where the spawner runs
+  w.u64(0);
+  w.raw(as_span(std::string_view("tsi")));
+  w.u8(0);  // NUL
+  ASSERT_TRUE(rt_a_->send_ifunc(b_, *spawner_id, as_span(w.bytes())).is_ok());
+  fabric_.run_until_idle();
+
+  EXPECT_EQ(rt_b_->stats().injects, 1u);
+  EXPECT_EQ(rt_b_->stats().forward_send_failures, 1u);
+  EXPECT_EQ(rt_b_->stats().frames_executed, 1u);  // the spawner only
+}
+
 TEST_F(RuntimeTest, HllLibraryExecutesWithGuardCost) {
   RuntimeOptions options;
   options.hll_guard_cost_ns = 100;
@@ -480,6 +506,40 @@ TEST_F(RuntimeTest, ManualPollMode) {
   fabric_.run_until_idle();  // the execute event
   EXPECT_EQ(counter, 1u);
   EXPECT_EQ(rt_b2->poll(), 0u);
+}
+
+TEST_F(RuntimeTest, WarmSendShipsTheTruncatedView) {
+  // Paper §III-D: once the peer holds the code, a send ships the prefix
+  // through MAGIC1 — byte for byte the truncated view of the frame
+  // create_message builds — and counts the code section it left out.
+  RuntimeOptions options;
+  options.auto_poll = false;
+  rt_b_.reset();
+  auto rt_b2 = create_runtime(b_, options);
+
+  auto id = rt_a_->register_ifunc(make_library(ir::KernelKind::kHashProbe));
+  ASSERT_TRUE(id.is_ok());
+  const Bytes payload(32, 0x5a);
+  auto frame = rt_a_->create_message(*id, as_span(payload));
+  ASSERT_TRUE(frame.is_ok());
+
+  ASSERT_TRUE(rt_a_->send_ifunc(b_, *id, as_span(payload)).is_ok());
+  const std::uint64_t saved = rt_a_->stats().code_bytes_saved;
+  ASSERT_TRUE(rt_a_->send_ifunc(b_, *id, as_span(payload)).is_ok());
+  fabric_.run_until_idle();
+
+  auto cold = fabric_.try_recv(b_);
+  auto warm = fabric_.try_recv(b_);
+  ASSERT_TRUE(cold.has_value());
+  ASSERT_TRUE(warm.has_value());
+  const ByteSpan full = frame->full_view();
+  const ByteSpan truncated = frame->truncated_view();
+  EXPECT_EQ(cold->data, Bytes(full.begin(), full.end()));
+  EXPECT_EQ(warm->data, Bytes(truncated.begin(), truncated.end()));
+  EXPECT_EQ(rt_a_->stats().code_bytes_saved - saved,
+            frame->full_size() - frame->truncated_size());
+  EXPECT_EQ(rt_a_->stats().frames_sent_full, 1u);
+  EXPECT_EQ(rt_a_->stats().frames_sent_truncated, 1u);
 }
 
 TEST_F(RuntimeTest, VirtualTimeChargesJitConstant) {
