@@ -8,9 +8,9 @@
 #include <fstream>
 
 #include "am/am_runtime.hpp"
+#include "core/ifunc.hpp"
 #include "core/runtime.hpp"
 #include "hetsim/cluster.hpp"
-#include "ir/kernel_builder.hpp"
 
 namespace tc::bench {
 

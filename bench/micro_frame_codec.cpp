@@ -8,7 +8,7 @@
 #include "core/frame.hpp"
 #include "core/ifunc.hpp"
 #include "ir/fat_bitcode.hpp"
-#include "ir/kernel_builder.hpp"
+#include "kir/llvm_backend.hpp"
 
 namespace {
 
@@ -95,7 +95,7 @@ BENCHMARK(BM_HeaderPeek);
 // full send for the real TSI archive.
 void BM_TruncationSaving(benchmark::State& state) {
   auto archive =
-      ir::build_default_fat_kernel(ir::KernelKind::kTargetSideIncrement);
+      kir::build_default_kir_fat_kernel(ir::KernelKind::kTargetSideIncrement);
   const Bytes serialized = archive->serialize();
   auto frame = core::Frame::build(1, ir::CodeRepr::kBitcode,
                                   as_span(serialized), as_span(Bytes{0}), 0);
@@ -132,7 +132,7 @@ void BM_FatArchiveSerialize(benchmark::State& state) {
 BENCHMARK(BM_FatArchiveSerialize)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_FatArchiveSelect(benchmark::State& state) {
-  auto archive = ir::build_default_fat_kernel(ir::KernelKind::kChaser);
+  auto archive = kir::build_default_kir_fat_kernel(ir::KernelKind::kChaser);
   for (auto _ : state) {
     auto entry = archive->select(ir::host_triple());
     benchmark::DoNotOptimize(entry);

@@ -29,9 +29,9 @@
 
 #if TC_WITH_LLVM
 #include "ir/bitcode.hpp"
-#include "ir/kernel_builder.hpp"
 #include "jit/compiler.hpp"
 #include "jit/engine.hpp"
+#include "kir/llvm_backend.hpp"
 #endif
 
 namespace {
@@ -269,15 +269,15 @@ BENCHMARK(BM_Dispatch_Bfs)->ArgName("goto")->Arg(0)->Arg(1);
 
 Bytes tsi_bitcode() {
   llvm::LLVMContext context;
-  auto module = ir::build_kernel(context, ir::KernelKind::kTargetSideIncrement,
-                                 ir::host_descriptor());
+  auto module = kir::build_kir_module(
+      context, ir::KernelKind::kTargetSideIncrement, ir::host_descriptor());
   return ir::module_to_bitcode(**module);
 }
 
 Bytes tsi_object() {
   llvm::LLVMContext context;
-  auto module = ir::build_kernel(context, ir::KernelKind::kTargetSideIncrement,
-                                 ir::host_descriptor());
+  auto module = kir::build_kir_module(
+      context, ir::KernelKind::kTargetSideIncrement, ir::host_descriptor());
   auto object = jit::compile_to_object(**module, ir::host_descriptor());
   return std::move(object).value();
 }
@@ -326,8 +326,8 @@ BENCHMARK(BM_FirstInvocation_ObjectLink)->Unit(benchmark::kMicrosecond);
 // Steady state, JIT tier: what promotion buys once the ifunc is hot.
 void BM_SteadyState_Jit(benchmark::State& state) {
   llvm::LLVMContext context;
-  auto module = ir::build_kernel(context, ir::KernelKind::kPayloadSum,
-                                 ir::host_descriptor());
+  auto module = kir::build_kir_module(context, ir::KernelKind::kPayloadSum,
+                                      ir::host_descriptor());
   auto engine = jit::OrcEngine::create(hook_options());
   auto entry = (*engine)->add_ifunc_bitcode(
       "payload_sum", as_span(ir::module_to_bitcode(**module)), {});

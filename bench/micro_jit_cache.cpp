@@ -6,9 +6,9 @@
 
 #include "core/context.hpp"
 #include "ir/bitcode.hpp"
-#include "ir/kernel_builder.hpp"
 #include "jit/compiler.hpp"
 #include "jit/engine.hpp"
+#include "kir/llvm_backend.hpp"
 
 namespace {
 
@@ -16,15 +16,15 @@ using namespace tc;
 
 Bytes tsi_bitcode() {
   llvm::LLVMContext context;
-  auto module = ir::build_kernel(context, ir::KernelKind::kTargetSideIncrement,
-                                 ir::host_descriptor());
+  auto module = kir::build_kir_module(
+      context, ir::KernelKind::kTargetSideIncrement, ir::host_descriptor());
   return ir::module_to_bitcode(**module);
 }
 
 Bytes tsi_object() {
   llvm::LLVMContext context;
-  auto module = ir::build_kernel(context, ir::KernelKind::kTargetSideIncrement,
-                                 ir::host_descriptor());
+  auto module = kir::build_kir_module(
+      context, ir::KernelKind::kTargetSideIncrement, ir::host_descriptor());
   auto object = jit::compile_to_object(**module, ir::host_descriptor());
   return std::move(object).value();
 }
@@ -101,8 +101,8 @@ BENCHMARK(BM_JitDeployByOptLevel)
 // Chaser (a larger kernel with control flow) deploy cost, both paths.
 void BM_JitDeployChaserBitcode(benchmark::State& state) {
   llvm::LLVMContext context;
-  auto module = ir::build_kernel(context, ir::KernelKind::kChaser,
-                                 ir::host_descriptor());
+  auto module = kir::build_kir_module(context, ir::KernelKind::kChaser,
+                                      ir::host_descriptor());
   const Bytes bitcode = ir::module_to_bitcode(**module);
   int n = 0;
   for (auto _ : state) {

@@ -9,8 +9,8 @@
 // Run: ./quickstart
 #include <cstdio>
 
+#include "core/ifunc.hpp"
 #include "core/runtime.hpp"
-#include "ir/kernel_builder.hpp"
 
 using namespace tc;
 

@@ -11,8 +11,8 @@
 #include <cstdlib>
 #include <vector>
 
+#include "core/ifunc.hpp"
 #include "core/runtime.hpp"
-#include "ir/kernel_builder.hpp"
 
 using namespace tc;
 

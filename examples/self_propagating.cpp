@@ -12,8 +12,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "core/ifunc.hpp"
 #include "core/runtime.hpp"
-#include "ir/kernel_builder.hpp"
 
 using namespace tc;
 

@@ -2,9 +2,8 @@
 
 #include "core/runtime.hpp"
 #if TC_WITH_LLVM
-#include "ir/bitcode.hpp"
-#include "ir/kernel_builder.hpp"
 #include "jit/compiler.hpp"
+#include "kir/llvm_backend.hpp"
 #endif
 #include "vm/lower.hpp"
 
@@ -53,7 +52,8 @@ StatusOr<IfuncLibrary> IfuncLibrary::from_stock_kernel(
     TC_ASSIGN_OR_RETURN(archive, vm::build_portable_kernel(kind, options));
   } else {
 #if TC_WITH_LLVM
-    TC_ASSIGN_OR_RETURN(archive, ir::build_default_fat_kernel(kind, options));
+    TC_ASSIGN_OR_RETURN(archive,
+                        kir::build_default_kir_fat_kernel(kind, options));
 #else
     return failed_precondition(
         "bitcode/object kernels need LLVM (built with TC_WITH_LLVM=OFF); "
@@ -101,12 +101,10 @@ StatusOr<IfuncLibrary> IfuncLibrary::from_tiered_kernel(
   // Ride the per-ISA bitcode alongside the portable entry so the receiving
   // runtime can promote past the interpreter once the ifunc is hot. Without
   // LLVM the archive stays portable-only and runs interpreted forever.
-  for (const ir::TargetDescriptor& target : ir::default_fat_targets()) {
-    llvm::LLVMContext context;
-    TC_ASSIGN_OR_RETURN(auto module,
-                        ir::build_kernel(context, kind, target, options));
-    TC_RETURN_IF_ERROR(
-        archive.add_entry(target, ir::module_to_bitcode(*module)));
+  TC_ASSIGN_OR_RETURN(ir::FatBitcode bitcode,
+                      kir::build_default_kir_fat_kernel(kind, options));
+  for (const ir::ArchiveEntry& entry : bitcode.entries()) {
+    TC_RETURN_IF_ERROR(archive.add_entry(entry.target, entry.code));
   }
 #endif
   declare_kernel_deps(kind, archive);

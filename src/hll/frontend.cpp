@@ -13,14 +13,13 @@ StatusOr<core::IfuncLibrary> build_library(ir::KernelKind kind,
   ir::KernelOptions options;
   options.hll_guards = !drive_with_c;
   options.chaser_tagged = tagged;
-  TC_RETURN_IF_ERROR(ir::check_kernel_options(kind, options));
-  TC_ASSIGN_OR_RETURN(ir::FatBitcode archive,
-                      ir::build_default_fat_kernel(kind, options));
+  TC_ASSIGN_OR_RETURN(core::IfuncLibrary stock,
+                      core::IfuncLibrary::from_stock_kernel(
+                          kind, ir::CodeRepr::kBitcode, options));
   std::string name = std::string("hll_") + ir::kernel_name(kind);
   if (drive_with_c) name += "_c";
   if (tagged) name += "_w";
-  return core::IfuncLibrary::from_archive(std::move(name),
-                                          std::move(archive));
+  return core::IfuncLibrary::from_archive(std::move(name), stock.archive());
 }
 
 StatusOr<unsigned> count_guard_calls(ByteSpan bitcode) {

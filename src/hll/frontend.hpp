@@ -11,20 +11,23 @@
 //    tc_hll_guard dynamic-dispatch guards (the type-instability tax);
 //  * build_library(kind, /*drive_with_c=*/true) — the plain C-frontend
 //    kernel under an HLL-owned name, modeling "HLL driving C ifuncs".
+//
+// Both are the stock bitcode library (core::IfuncLibrary::from_stock_kernel,
+// with its deps manifest) under an `hll_…` name; the guards are the KIR
+// definitions' kGuard markers, resolved by kir::prepared_def.
 #pragma once
 
 #include "common/status.hpp"
 #include "core/ifunc.hpp"
-#include "ir/kernel_builder.hpp"
 
 namespace tc::hll {
 
-/// Builds an ifunc library through the HLL frontend. With drive_with_c the
-/// code itself is the C-frontend emission (no guards) — only the client-side
-/// integration is "high-level". `tagged` builds the async-window chaser
-/// variant (see xrdma::build_chaser_library) and is only valid with
-/// KernelKind::kChaser — any other kind returns an invalid-argument Status
-/// (ir::check_kernel_options).
+/// Builds an ifunc library through the HLL frontend, named
+/// `hll_<kernel>[_c][_w]`. With drive_with_c the code itself is the
+/// C-frontend emission (no guards) — only the client-side integration is
+/// "high-level". `tagged` builds the async-window chaser variant (see
+/// xrdma::build_chaser_library) and is only valid with KernelKind::kChaser —
+/// any other kind returns an invalid-argument Status (kir::kernel_def).
 StatusOr<core::IfuncLibrary> build_library(ir::KernelKind kind,
                                            bool drive_with_c = false,
                                            bool tagged = false);

@@ -12,8 +12,8 @@
 // dynamic linking": shipped code binding against libraries (including the
 // communication runtime itself) on the target.
 //
-// Hook symbols are defined in src/core/context.cpp. The IR KernelBuilder
-// (src/ir/kernel_builder.cpp) emits calls to them by name.
+// Hook symbols are defined in src/core/context.cpp. The LLVM emitter
+// (src/kir/llvm_backend.cpp) emits calls to them by name.
 #pragma once
 
 #include <cstdint>

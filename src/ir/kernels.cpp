@@ -1,7 +1,5 @@
 #include "ir/kernels.hpp"
 
-#include <string>
-
 namespace tc::ir {
 
 const char* kernel_name(KernelKind kind) {
@@ -62,15 +60,6 @@ const char* kernel_description(KernelKind kind) {
       return "self-propagating BFS over a distributed CSR graph";
   }
   return "";
-}
-
-Status check_kernel_options(KernelKind kind, const KernelOptions& options) {
-  if (options.chaser_tagged && kind != KernelKind::kChaser) {
-    return invalid_argument(
-        std::string("chaser_tagged applies only to the chaser kernel, not ") +
-        kernel_name(kind));
-  }
-  return Status::ok();
 }
 
 }  // namespace tc::ir

@@ -2,12 +2,10 @@
 //
 // This header is LLVM-free on purpose — the KIR definitions (src/kir/),
 // the portable-bytecode lowering (src/vm/lower.cpp) and the runtime
-// registry need the catalogue in TC_WITH_LLVM=OFF builds, where the
-// IRBuilder emitters of ir/kernel_builder.hpp are compiled out. Every kind
-// has one KIR definition (kir::kernel_def).
+// registry need the catalogue in TC_WITH_LLVM=OFF builds, where the LLVM
+// emitter (kir/llvm_backend.hpp) is compiled out. Every kind has one KIR
+// definition (kir::kernel_def).
 #pragma once
-
-#include "common/status.hpp"
 
 namespace tc::ir {
 
@@ -99,16 +97,10 @@ struct KernelOptions {
   /// [value:u64][tag:u64]. A separate kernel variant — with its own wire
   /// identity — rather than a runtime payload-size dispatch, so the
   /// classic chaser's instruction stream (and thus the interpreter tier's
-  /// per-op virtual-time charge) is untouched at window = 1.
+  /// per-op virtual-time charge) is untouched at window = 1. No other
+  /// kernel has a tagged variant: kir::kernel_def, and so every builder,
+  /// refuses the flag for it.
   bool chaser_tagged = false;
 };
-
-/// Rejects options that name no variant of `kind`: chaser_tagged selects
-/// the tagged chaser and means nothing for any other kernel. The builders
-/// that feed ifunc libraries (vm::lower_kernel, ir::build_kernel,
-/// hll::build_library) call this first, so a tagged request for another
-/// kernel fails instead of registering untagged code under a tagged (`_w`)
-/// wire name.
-Status check_kernel_options(KernelKind kind, const KernelOptions& options);
 
 }  // namespace tc::ir

@@ -302,7 +302,9 @@ StatusOr<Def> def_stats_summary() {
 }
 
 // Binomial broadcast tree. Payload: [base:u64][span:u64][value:u64]; the
-// target is {value, arrivals}.
+// target is {value, arrivals}. Both slot words are release stores: on the
+// wall-clock backends the initiator polls the slot from another thread with
+// acquire loads, and the count must not become visible before the value.
 StatusOr<Def> def_tree_broadcast() {
   Builder b(vm::kKernelRegCount);
   const auto done = b.make_label();
@@ -330,10 +332,10 @@ StatusOr<Def> def_tree_broadcast() {
   b.close_loop(loop);
   b.bind(done);
   b.hook(vm::HookId::kTarget, 5);
-  b.st64(4, 5, 0);  // value slot
-  b.ld64(6, 5, 8);  // arrival count
+  b.st64_release(4, 5, 0);  // value slot
+  b.ld64(6, 5, 8);          // arrival count
   b.alu(Op::kAdd, 6, 6, 10);
-  b.st64(6, 5, 8);
+  b.st64_release(6, 5, 8);
   b.ret();
   return b.finish("tree_broadcast");
 }
@@ -343,9 +345,10 @@ StatusOr<Def> def_tree_broadcast() {
 // positions relative to the root; the actual peer of a position is
 // (position + root) % peer_count. The per-server target is an array of
 // 64-byte collective cells indexed by lane ({value, arrivals} at offsets
-// 0/8); after delivering locally, the leaf replies [0][lane][value] to the
-// chain origin so the initiator can complete by draining its own progress
-// context instead of polling remote memory.
+// 0/8, release stores like tree_broadcast's slot); after delivering
+// locally, the leaf replies [0][lane][value] to the chain origin so the
+// initiator can complete by draining its own progress context instead of
+// polling remote memory.
 StatusOr<Def> def_collective_broadcast() {
   Builder b(vm::kKernelRegCount);
   const auto done = b.make_label();
@@ -381,10 +384,10 @@ StatusOr<Def> def_collective_broadcast() {
   b.alu(Op::kMul, 6, 6, 7);
   b.alu(Op::kAdd, 5, 5, 6);  // cell = target + lane * 64
   b.ld64(4, P, 16);          // value
-  b.st64(4, 5, 0);           // cell.value
+  b.st64_release(4, 5, 0);   // cell.value
   b.ld64(6, 5, 8);
   b.alu(Op::kAdd, 6, 6, 10);
-  b.st64(6, 5, 8);  // cell.arrivals += 1
+  b.st64_release(6, 5, 8);  // cell.arrivals += 1
   // Ack to origin: [kind=0][lane][value].
   b.ld64(6, P, 24);  // lane (offset 24 still untouched)
   b.iconst(7, 0);
@@ -952,6 +955,11 @@ StatusOr<Def> def_bfs_frontier() {
 
 StatusOr<Def> kernel_def(ir::KernelKind kind,
                          const ir::KernelOptions& options) {
+  if (options.chaser_tagged && kind != ir::KernelKind::kChaser) {
+    return invalid_argument(
+        std::string("chaser_tagged applies only to the chaser kernel, not ") +
+        ir::kernel_name(kind));
+  }
   switch (kind) {
     case ir::KernelKind::kTargetSideIncrement: return def_tsi();
     case ir::KernelKind::kPayloadSum: return def_payload_sum();

@@ -146,6 +146,9 @@ Status verify(const Def& def) {
 
   for (std::size_t i = 0; i < size; ++i) {
     const Inst& in = def.code[i];
+    if (in.release && in.op != Op::kSt64) {
+      return err(def, i, "release ordering applies only to st64");
+    }
     if (is_alu(in.op)) {
       TC_RETURN_IF_ERROR(check_reg(i, in.a));
       TC_RETURN_IF_ERROR(check_reg(i, in.b));
@@ -268,7 +271,8 @@ std::string dump(const Def& def) {
   out << "\n";
   for (std::size_t i = 0; i < def.code.size(); ++i) {
     const Inst& in = def.code[i];
-    out << (i < 10 ? "  " : " ") << i << "  " << op_name(in.op);
+    out << (i < 10 ? "  " : " ") << i << "  " << op_name(in.op)
+        << (in.release ? ".release" : "");
     if (is_alu(in.op)) {
       out << " r" << unsigned(in.a) << ", r" << unsigned(in.b) << ", r"
           << unsigned(in.c);
@@ -421,6 +425,11 @@ void Builder::st32(std::uint8_t src, std::uint8_t base, std::int32_t offset) {
 }
 void Builder::st64(std::uint8_t src, std::uint8_t base, std::int32_t offset) {
   emit(Op::kSt64, src, base, 0, offset);
+}
+void Builder::st64_release(std::uint8_t src, std::uint8_t base,
+                           std::int32_t offset) {
+  st64(src, base, offset);
+  code_.back().release = true;
 }
 
 void Builder::ld_payload(std::uint8_t dst, std::int32_t byte_offset) {

@@ -3,10 +3,10 @@
 // One KIR definition per kernel generates the code representations this
 // reproduction ships — the portable bytecode (kir→vm, src/kir/vm_backend),
 // which the predeployed Active-Message handlers interpret too
-// (src/kir/am_backend), and value-equivalent LLVM IR for the JIT/AOT tiers
-// (kir→llvm, src/kir/llvm_backend, compiled out under TC_WITH_LLVM=OFF) —
-// replacing the hand-synchronized emitters the legacy kernels kept in
-// lockstep by review.
+// (src/kir/am_backend), and the LLVM bitcode and objects of the JIT/AOT
+// tiers (kir→llvm, src/kir/llvm_backend, compiled out under
+// TC_WITH_LLVM=OFF) — replacing the hand-synchronized emitters the legacy
+// kernels kept in lockstep by review.
 //
 // The IR is deliberately tiny: SSA-free and register-oriented, mirroring
 // the portable-bytecode machine one to one so that the vm backend is a
@@ -93,6 +93,10 @@ struct Inst {
   std::uint64_t wide = 0;
   /// kHook only.
   vm::HookId hook = vm::HookId::kTarget;
+  /// kSt64 only: publish the word with release ordering. Only kir→llvm
+  /// reads it (an atomic release store); kir→vm emits the same st64, which
+  /// the interpreter already releases on aligned words.
+  bool release = false;
 };
 
 /// A verified kernel definition. Branch imms are final instruction indices
@@ -172,6 +176,10 @@ class Builder {
   void ld64(std::uint8_t dst, std::uint8_t base, std::int32_t offset = 0);
   void st32(std::uint8_t src, std::uint8_t base, std::int32_t offset = 0);
   void st64(std::uint8_t src, std::uint8_t base, std::int32_t offset = 0);
+  /// st64 with release ordering (Inst::release): for a word that another
+  /// thread polls, so that it becomes visible only after the stores before it.
+  void st64_release(std::uint8_t src, std::uint8_t base,
+                    std::int32_t offset = 0);
 
   void ld_payload(std::uint8_t dst, std::int32_t byte_offset);
   void st_payload(std::uint8_t src, std::int32_t byte_offset);

@@ -317,9 +317,14 @@ Status emit_body(KirEmitter& e, const Def& def) {
         e.b.CreateStore(e.b.CreateTrunc(e.ld(in.a), e.i32),
                         e.mem(in.b, in.imm, e.i32));
         break;
-      case Op::kSt64:
-        e.b.CreateStore(e.ld(in.a), e.mem(in.b, in.imm, e.i64));
+      case Op::kSt64: {
+        auto* store = e.b.CreateStore(e.ld(in.a), e.mem(in.b, in.imm, e.i64));
+        if (in.release) {
+          store->setAtomic(llvm::AtomicOrdering::Release);
+          store->setAlignment(llvm::Align(8));
+        }
         break;
+      }
       case Op::kLdPayload:
         e.st(in.a, e.b.CreateLoad(e.i64, e.payload_word(in.imm)));
         break;
@@ -415,6 +420,13 @@ StatusOr<std::unique_ptr<llvm::Module>> build_kir_module(
   TC_RETURN_IF_ERROR(emit_body(e, def));
   TC_RETURN_IF_ERROR(ir::verify_module(*module));
   return module;
+}
+
+StatusOr<std::unique_ptr<llvm::Module>> build_kir_module(
+    llvm::LLVMContext& context, ir::KernelKind kind,
+    const ir::TargetDescriptor& target, const ir::KernelOptions& options) {
+  TC_ASSIGN_OR_RETURN(Def def, prepared_def(kind, options));
+  return build_kir_module(context, def, target);
 }
 
 StatusOr<ir::FatBitcode> build_kir_fat_kernel(

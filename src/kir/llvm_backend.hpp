@@ -1,16 +1,24 @@
-// kir→llvm: emits the JIT/AOT LLVM IR representation of a KIR definition.
+// kir→llvm: the one LLVM emitter. Every bitcode and object archive that
+// ships is built here from the KIR definitions (kir/kernels.hpp).
 // Compiled out (not in TC_SOURCES) under TC_WITH_LLVM=OFF.
+//
+// The paper builds ifunc libraries by compiling C (or lowering Julia via
+// GPUCompiler.jl) to per-triple LLVM bitcode with clang. This environment
+// has LLVM but no clang binary, so the equivalent frontend is an in-process
+// IR generator: each kernel's KIR definition is translated with IRBuilder,
+// once per target triple, and packed into a fat-bitcode archive. The
+// shipped artifact — per-ISA bitcode + deps manifest — is identical in kind
+// to the paper's. Every module implements the entry ABI in ir/abi.hpp and
+// interacts with the target node only through the tc_ctx_* hooks.
 //
 // The emission is a direct register-machine translation: one i64 alloca
 // per KIR register, one basic block per leader, hooks as calls to the
-// tc_ctx_* ABI symbols of ir/abi.hpp with i32 results sign-extended —
-// mem2reg and the ORC pipeline turn this into the same quality of code the
-// hand-written IRBuilder emitters produce. The output is *value-equivalent*
-// to the legacy emission, not byte-identical bitcode; production bitcode
-// archives therefore still ship the legacy emission (its byte size rides
-// wire frames that feed the sim's link timing), while the JIT differential
-// suite compiles and runs this backend against the other two. Flipping
-// production over is the documented follow-up in ROADMAP.md.
+// tc_ctx_* ABI symbols with i32 results sign-extended; mem2reg and the ORC
+// pipeline promote the slots on the target. Memory accesses are plain loads
+// and stores, except a st64 marked release (kir::Inst::release), which
+// becomes `store atomic ... release, align 8`: the broadcast kernels publish
+// their {value, arrivals} words that way to a poller on another thread.
+// Alignment is not known statically, so no other word access is atomic.
 #pragma once
 
 #include <memory>
@@ -33,8 +41,14 @@ StatusOr<std::unique_ptr<llvm::Module>> build_kir_module(
     llvm::LLVMContext& context, const Def& def,
     const ir::TargetDescriptor& target);
 
-/// Builds the KIR-sourced kernel for every target and packs a fat-bitcode
-/// archive — the kir→llvm twin of ir::build_fat_kernel.
+/// Builds stock kernel `kind` from prepared_def(kind, options) as one
+/// module. Options that name no variant of `kind` are an invalid_argument.
+StatusOr<std::unique_ptr<llvm::Module>> build_kir_module(
+    llvm::LLVMContext& context, ir::KernelKind kind,
+    const ir::TargetDescriptor& target, const ir::KernelOptions& options = {});
+
+/// Builds the kernel for every target and packs a fat-bitcode archive (no
+/// deps manifest: core::IfuncLibrary::from_stock_kernel declares it).
 StatusOr<ir::FatBitcode> build_kir_fat_kernel(
     ir::KernelKind kind, std::span<const ir::TargetDescriptor> targets,
     const ir::KernelOptions& options = {});

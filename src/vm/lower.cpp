@@ -8,7 +8,6 @@ namespace tc::vm {
 
 StatusOr<Program> lower_kernel(ir::KernelKind kind,
                                const ir::KernelOptions& options) {
-  TC_RETURN_IF_ERROR(ir::check_kernel_options(kind, options));
   TC_ASSIGN_OR_RETURN(kir::Def def, kir::prepared_def(kind, options));
   return kir::emit_vm(def);
 }

@@ -33,7 +33,7 @@ inline constexpr std::uint16_t kKernelRegCount = 16;
 
 /// Lowers one stock kernel to a validated portable program through its KIR
 /// definition. Options that name no variant of `kind` are an
-/// invalid_argument (ir::check_kernel_options).
+/// invalid_argument (kir::kernel_def).
 StatusOr<Program> lower_kernel(ir::KernelKind kind,
                                const ir::KernelOptions& options = {});
 

@@ -1,7 +1,6 @@
 // The single source of truth for the shard word layouts shared between the
 // data-structure builders (workloads/{hash_table,ordered_index,graph}.hpp),
-// the kernel frontends (the KIR definitions in src/kir/ and the IRBuilder
-// emitters in ir/kernel_builder.cpp) and the AM handlers' payload gates.
+// the kernel definitions (src/kir/) and the AM handlers' payload gates.
 // These used to live as comments plus magic numbers duplicated across
 // all of those files;
 // every consumer now derives its offsets from here, so a layout change

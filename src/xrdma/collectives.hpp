@@ -44,8 +44,9 @@ struct BroadcastResult {
 /// Per-server landing slot for a broadcast: {value, arrival_count}.
 /// Atomic: on the shm backend the slot is written by the server's progress
 /// thread — the traveling kernel stores through the target pointer with
-/// release ordering in both tiers (the interpreter's aligned word-stores
-/// and the emitted IR's slot stores) — while the initiator polls it.
+/// release ordering in both tiers (the interpreter's aligned word-stores,
+/// and the two st64 the KIR definition marks release, which kir→llvm emits
+/// as `store atomic ... release`) — while the initiator polls it.
 struct BroadcastSlot {
   std::atomic<std::uint64_t> value{0};
   std::atomic<std::uint64_t> arrivals{0};

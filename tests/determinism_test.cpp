@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "core/ifunc.hpp"
 #include "core/runtime.hpp"
-#include "ir/kernel_builder.hpp"
 #include "xrdma/dapc.hpp"
 
 namespace tc {

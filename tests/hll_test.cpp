@@ -5,7 +5,6 @@
 
 #include "core/runtime.hpp"
 #include "hll/frontend.hpp"
-#include "ir/kernel_builder.hpp"
 
 namespace tc::hll {
 namespace {
@@ -40,6 +39,18 @@ TEST(HllFrontend, ArchivesStayMultiIsa) {
   auto lib = build_library(ir::KernelKind::kVecReduce);
   ASSERT_TRUE(lib.is_ok());
   EXPECT_EQ(lib->archive().entries().size(), 2u);
+}
+
+TEST(HllFrontend, SinSumLibrariesDeclareLibm) {
+  // The HLL archive is the stock one under another name, deps manifest
+  // included: the target dlopens libm before it links `sin`.
+  for (bool drive_with_c : {false, true}) {
+    auto lib = build_library(ir::KernelKind::kSinSum, drive_with_c);
+    ASSERT_TRUE(lib.is_ok()) << lib.status().to_string();
+    EXPECT_EQ(lib->archive().dependencies(),
+              std::vector<std::string>{"libm.so.6"})
+        << lib->name();
+  }
 }
 
 TEST(HllFrontend, GuardCountScalesWithLoopKernels) {

@@ -8,8 +8,8 @@
 #include "ir/abi.hpp"
 #include "ir/bitcode.hpp"
 #include "ir/fat_bitcode.hpp"
-#include "ir/kernel_builder.hpp"
 #include "ir/target_info.hpp"
+#include "kir/llvm_backend.hpp"
 
 namespace tc::ir {
 namespace {
@@ -73,7 +73,7 @@ class KernelBuildP
 TEST_P(KernelBuildP, BuildsVerifiedModuleWithEntry) {
   const auto [kind, triple] = GetParam();
   llvm::LLVMContext context;
-  auto module = build_kernel(context, kind, {triple, "", ""});
+  auto module = kir::build_kir_module(context, kind, {triple, "", ""});
   ASSERT_TRUE(module.is_ok()) << module.status().to_string();
   EXPECT_TRUE(verify_module(**module).is_ok());
 
@@ -104,10 +104,10 @@ TEST(KernelBuilder, HllGuardsChangeEmission) {
   llvm::LLVMContext context;
   KernelOptions plain, hll;
   hll.hll_guards = true;
-  auto a = build_kernel(context, KernelKind::kChaser, {kTripleX86, "", ""},
-                        plain);
-  auto b = build_kernel(context, KernelKind::kChaser, {kTripleX86, "", ""},
-                        hll);
+  auto a = kir::build_kir_module(context, KernelKind::kChaser,
+                                 {kTripleX86, "", ""}, plain);
+  auto b = kir::build_kir_module(context, KernelKind::kChaser,
+                                 {kTripleX86, "", ""}, hll);
   ASSERT_TRUE(a.is_ok());
   ASSERT_TRUE(b.is_ok());
   EXPECT_EQ((*a)->getFunction(abi::kHookHllGuard), nullptr);
@@ -119,7 +119,7 @@ TEST(KernelBuilder, WorkloadKernelsReferenceTheirHooks) {
   // The lookup kernels route by shard ownership and answer the origin.
   for (KernelKind kind :
        {KernelKind::kHashProbe, KernelKind::kOrderedSearch}) {
-    auto module = build_kernel(context, kind, {kTripleX86, "", ""});
+    auto module = kir::build_kir_module(context, kind, {kTripleX86, "", ""});
     ASSERT_TRUE(module.is_ok()) << kernel_name(kind);
     for (const char* hook : {abi::kHookShardBase, abi::kHookShardSize,
                              abi::kHookSelfPeer, abi::kHookPeerCount,
@@ -133,8 +133,8 @@ TEST(KernelBuilder, WorkloadKernelsReferenceTheirHooks) {
     }
   }
   // BFS additionally lands per-lane state through the target pointer.
-  auto bfs = build_kernel(context, KernelKind::kBfsFrontier,
-                          {kTripleX86, "", ""});
+  auto bfs = kir::build_kir_module(context, KernelKind::kBfsFrontier,
+                                   {kTripleX86, "", ""});
   ASSERT_TRUE(bfs.is_ok());
   for (const char* hook : {abi::kHookTarget, abi::kHookShardBase,
                            abi::kHookSelfPeer, abi::kHookForward,
@@ -146,7 +146,7 @@ TEST(KernelBuilder, WorkloadKernelsReferenceTheirHooks) {
 TEST(KernelBuilder, ChaserReferencesAllChaseHooks) {
   llvm::LLVMContext context;
   auto module =
-      build_kernel(context, KernelKind::kChaser, {kTripleX86, "", ""});
+      kir::build_kir_module(context, KernelKind::kChaser, {kTripleX86, "", ""});
   ASSERT_TRUE(module.is_ok());
   for (const char* hook : {abi::kHookShardBase, abi::kHookShardSize,
                            abi::kHookSelfPeer, abi::kHookForward,
@@ -159,8 +159,8 @@ TEST(KernelBuilder, ChaserReferencesAllChaseHooks) {
 
 TEST(Bitcode, RoundTripPreservesEntry) {
   llvm::LLVMContext context;
-  auto module = build_kernel(context, KernelKind::kTargetSideIncrement,
-                             {kTripleX86, "", ""});
+  auto module = kir::build_kir_module(
+      context, KernelKind::kTargetSideIncrement, {kTripleX86, "", ""});
   ASSERT_TRUE(module.is_ok());
   const Bytes bitcode = module_to_bitcode(**module);
   EXPECT_GT(bitcode.size(), 100u);
@@ -175,7 +175,8 @@ TEST(Bitcode, RoundTripPreservesEntry) {
 TEST(Bitcode, TripleProbeWithoutMaterialization) {
   llvm::LLVMContext context;
   auto module =
-      build_kernel(context, KernelKind::kPayloadSum, {kTripleAArch64, "", ""});
+      kir::build_kir_module(context, KernelKind::kPayloadSum,
+                            {kTripleAArch64, "", ""});
   ASSERT_TRUE(module.is_ok());
   auto triple = bitcode_triple(as_span(module_to_bitcode(**module)));
   ASSERT_TRUE(triple.is_ok());
@@ -307,7 +308,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, FatBitcodeSweepP,
                                             ::testing::Values(0, 1, 4, 16)));
 
 TEST(FatBitcode, DefaultKernelArchiveIsMultiIsa) {
-  auto archive = build_default_fat_kernel(KernelKind::kTargetSideIncrement);
+  auto archive =
+      kir::build_default_kir_fat_kernel(KernelKind::kTargetSideIncrement);
   ASSERT_TRUE(archive.is_ok()) << archive.status().to_string();
   EXPECT_EQ(archive->entries().size(), 2u);
   // Paper §IV-B: the TSI fat-bitcode is ~5 KiB for two ISAs.
@@ -317,7 +319,7 @@ TEST(FatBitcode, DefaultKernelArchiveIsMultiIsa) {
 }
 
 TEST(FatBitcode, EveryEntryCarriesItsOwnTriple) {
-  auto archive = build_default_fat_kernel(KernelKind::kChaser);
+  auto archive = kir::build_default_kir_fat_kernel(KernelKind::kChaser);
   ASSERT_TRUE(archive.is_ok());
   for (const ArchiveEntry& entry : archive->entries()) {
     auto probe = bitcode_triple(as_span(entry.code));

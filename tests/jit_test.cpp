@@ -7,10 +7,10 @@
 
 #include "core/context.hpp"
 #include "ir/bitcode.hpp"
-#include "ir/kernel_builder.hpp"
 #include "jit/code_cache.hpp"
 #include "jit/compiler.hpp"
 #include "jit/engine.hpp"
+#include "kir/llvm_backend.hpp"
 
 namespace tc::jit {
 namespace {
@@ -31,8 +31,8 @@ Bytes host_kernel_bitcode(KernelKind kind, bool hll = false) {
   llvm::LLVMContext context;
   ir::KernelOptions options;
   options.hll_guards = hll;
-  auto module = ir::build_kernel(context, kind, ir::host_descriptor(),
-                                 options);
+  auto module = kir::build_kir_module(context, kind, ir::host_descriptor(),
+                                      options);
   EXPECT_TRUE(module.is_ok()) << module.status().to_string();
   return ir::module_to_bitcode(**module);
 }
@@ -147,8 +147,8 @@ TEST(OrcEngine, ForeignIsaBitcodeRejected) {
   const char* foreign = ir::triple_is_host_compatible(ir::kTripleX86)
                             ? ir::kTripleAArch64
                             : ir::kTripleX86;
-  auto module = ir::build_kernel(context, KernelKind::kTargetSideIncrement,
-                                 {foreign, "", ""});
+  auto module = kir::build_kir_module(
+      context, KernelKind::kTargetSideIncrement, {foreign, "", ""});
   ASSERT_TRUE(module.is_ok());
   auto entry = engine->add_ifunc_bitcode(
       "foreign", as_span(ir::module_to_bitcode(**module)), {});
@@ -201,8 +201,8 @@ TEST(OrcEngine, LookupSymbolInLibrary) {
 
 TEST(Compiler, HostObjectCompilesAndLinks) {
   llvm::LLVMContext context;
-  auto module = ir::build_kernel(context, KernelKind::kTargetSideIncrement,
-                                 ir::host_descriptor());
+  auto module = kir::build_kir_module(
+      context, KernelKind::kTargetSideIncrement, ir::host_descriptor());
   ASSERT_TRUE(module.is_ok());
   auto object = compile_to_object(**module, ir::host_descriptor());
   ASSERT_TRUE(object.is_ok()) << object.status().to_string();
@@ -234,8 +234,8 @@ TEST(Compiler, CrossIsaObjectEmitted) {
                             ? ir::kTripleAArch64
                             : ir::kTripleX86;
   llvm::LLVMContext context;
-  auto module = ir::build_kernel(context, KernelKind::kChaser,
-                                 {foreign, "", ""});
+  auto module = kir::build_kir_module(context, KernelKind::kChaser,
+                                      {foreign, "", ""});
   ASSERT_TRUE(module.is_ok());
   auto object = compile_to_object(**module, {foreign, "", ""});
   ASSERT_TRUE(object.is_ok()) << object.status().to_string();
@@ -245,15 +245,16 @@ TEST(Compiler, CrossIsaObjectEmitted) {
 
 TEST(Compiler, TripleMismatchRejected) {
   llvm::LLVMContext context;
-  auto module = ir::build_kernel(context, KernelKind::kTargetSideIncrement,
-                                 {ir::kTripleX86, "", ""});
+  auto module = kir::build_kir_module(
+      context, KernelKind::kTargetSideIncrement, {ir::kTripleX86, "", ""});
   ASSERT_TRUE(module.is_ok());
   auto object = compile_to_object(**module, {ir::kTripleAArch64, "", ""});
   EXPECT_EQ(object.status().code(), ErrorCode::kInvalidArgument);
 }
 
 TEST(Compiler, ArchiveToObjectsKeepsTargetsAndDeps) {
-  auto bitcode = ir::build_default_fat_kernel(KernelKind::kTargetSideIncrement);
+  auto bitcode =
+      kir::build_default_kir_fat_kernel(KernelKind::kTargetSideIncrement);
   ASSERT_TRUE(bitcode.is_ok());
   bitcode->add_dependency("libm.so.6");
   auto objects = compile_archive_to_objects(*bitcode);

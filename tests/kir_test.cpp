@@ -3,7 +3,8 @@
 // size and fnv1a64 of every portable program vm::lower_kernel serves,
 // differential execution of the reference evaluator against the
 // interpreter on all sixteen kernels, AM-mode equivalence on live clusters,
-// and — with LLVM — the kir→llvm backend run end to end through ORC.
+// and — with LLVM — the kir→llvm backend run end to end through ORC and the
+// atomic stores of every shipped bitcode module.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,11 +34,12 @@
 #include "xrdma/dapc.hpp"
 
 #if TC_WITH_LLVM
+#include <llvm/IR/Instructions.h>
+
 #include "core/context.hpp"
 #include "core/runtime.hpp"
 #include "hll/frontend.hpp"
 #include "ir/bitcode.hpp"
-#include "ir/kernel_builder.hpp"
 #include "ir/target_info.hpp"
 #include "jit/engine.hpp"
 #include "kir/llvm_backend.hpp"
@@ -186,19 +188,28 @@ TEST(KirCatalogue, EveryKindHasADefinition) {
 
 TEST(KirCatalogue, TaggedRejectedForNonChaserPortableKernels) {
   // chaser_tagged names a chaser variant only; for any other kernel the
-  // portable frontend must refuse rather than ship the untagged program
-  // under a tagged (`_w`) wire name.
+  // portable frontend — and the defs every backend builds from — must
+  // refuse rather than ship the untagged program under a tagged (`_w`)
+  // wire name.
   ir::KernelOptions tagged;
   tagged.chaser_tagged = true;
   for (int k = 0; k < ir::kKernelKindCount; ++k) {
     const auto kind = static_cast<ir::KernelKind>(k);
+    auto raw = kernel_def(kind, tagged);
+    auto prepared = prepared_def(kind, tagged);
     auto program = vm::lower_kernel(kind, tagged);
     auto library = core::IfuncLibrary::from_portable_kernel(kind, tagged);
     if (kind == ir::KernelKind::kChaser) {
+      EXPECT_TRUE(raw.is_ok()) << raw.status().to_string();
+      EXPECT_TRUE(prepared.is_ok()) << prepared.status().to_string();
       EXPECT_TRUE(program.is_ok()) << program.status().to_string();
       EXPECT_TRUE(library.is_ok()) << library.status().to_string();
       continue;
     }
+    ASSERT_FALSE(raw.is_ok()) << ir::kernel_name(kind);
+    EXPECT_EQ(raw.status().code(), ErrorCode::kInvalidArgument);
+    ASSERT_FALSE(prepared.is_ok()) << ir::kernel_name(kind);
+    EXPECT_EQ(prepared.status().code(), ErrorCode::kInvalidArgument);
     ASSERT_FALSE(program.is_ok()) << ir::kernel_name(kind);
     EXPECT_EQ(program.status().code(), ErrorCode::kInvalidArgument);
     ASSERT_FALSE(library.is_ok()) << ir::kernel_name(kind);
@@ -885,22 +896,87 @@ TEST(KirHll, TaggedRejectedForNonChaserKernels) {
   auto chaser = hll::build_library(ir::KernelKind::kChaser,
                                    /*drive_with_c=*/false, /*tagged=*/true);
   EXPECT_TRUE(chaser.is_ok()) << chaser.status().to_string();
-  // The bitcode builder and the library built from it reject it too: no
+  // The bitcode builders and the library built from them reject it too: no
   // untagged module under a tagged (`_w`) wire name.
   ir::KernelOptions tagged;
   tagged.chaser_tagged = true;
   llvm::LLVMContext context;
-  auto module = ir::build_kernel(context, ir::KernelKind::kHashProbe,
+  auto module = build_kir_module(context, ir::KernelKind::kHashProbe,
                                  ir::host_descriptor(), tagged);
   ASSERT_FALSE(module.is_ok());
   EXPECT_EQ(module.status().code(), ErrorCode::kInvalidArgument);
+  auto archive = build_default_kir_fat_kernel(ir::KernelKind::kHashProbe,
+                                              tagged);
+  ASSERT_FALSE(archive.is_ok());
+  EXPECT_EQ(archive.status().code(), ErrorCode::kInvalidArgument);
   auto bitcode_lib =
       core::IfuncLibrary::from_kernel(ir::KernelKind::kHashProbe, tagged);
   ASSERT_FALSE(bitcode_lib.is_ok());
   EXPECT_EQ(bitcode_lib.status().code(), ErrorCode::kInvalidArgument);
-  auto chaser_module = ir::build_kernel(context, ir::KernelKind::kChaser,
+  auto chaser_module = build_kir_module(context, ir::KernelKind::kChaser,
                                         ir::host_descriptor(), tagged);
   EXPECT_TRUE(chaser_module.is_ok()) << chaser_module.status().to_string();
+  auto chaser_archive =
+      build_default_kir_fat_kernel(ir::KernelKind::kChaser, tagged);
+  EXPECT_TRUE(chaser_archive.is_ok()) << chaser_archive.status().to_string();
+}
+
+/// Atomic instructions in one decoded module: how many, and how many of
+/// them are `store atomic ... release, align 8`.
+struct AtomicCensus {
+  unsigned atomics = 0;
+  unsigned release_stores = 0;
+};
+
+AtomicCensus atomic_census(const llvm::Module& module) {
+  AtomicCensus census;
+  for (const llvm::Function& fn : module) {
+    for (const llvm::BasicBlock& bb : fn) {
+      for (const llvm::Instruction& inst : bb) {
+        if (!inst.isAtomic()) continue;
+        ++census.atomics;
+        const auto* store = llvm::dyn_cast<llvm::StoreInst>(&inst);
+        if (store != nullptr &&
+            store->getOrdering() == llvm::AtomicOrdering::Release &&
+            store->getAlign() == llvm::Align(8)) {
+          ++census.release_stores;
+        }
+      }
+    }
+  }
+  return census;
+}
+
+TEST(KirLlvmBackend, ShippedBitcodeReleasesOnlyTheBroadcastSlotWords) {
+  // tree_broadcast and coll_bcast publish {value, arrivals} to a poller on
+  // another thread (xrdma::BroadcastSlot, the collective cells), so those
+  // two stores are release-ordered. Nothing else in any shipped module is
+  // atomic: the other kernels keep plain, optimizable accesses.
+  ir::KernelOptions hll;
+  hll.hll_guards = true;
+  for (int k = 0; k < ir::kKernelKindCount; ++k) {
+    const auto kind = static_cast<ir::KernelKind>(k);
+    const unsigned expected =
+        kind == ir::KernelKind::kTreeBroadcast ||
+                kind == ir::KernelKind::kCollectiveBroadcast
+            ? 2
+            : 0;
+    for (const ir::KernelOptions& options : {ir::KernelOptions{}, hll}) {
+      auto library = core::IfuncLibrary::from_stock_kernel(
+          kind, ir::CodeRepr::kBitcode, options);
+      ASSERT_TRUE(library.is_ok()) << library.status().to_string();
+      for (const ir::ArchiveEntry& entry : library->archive().entries()) {
+        llvm::LLVMContext context;
+        auto module = ir::bitcode_to_module(as_span(entry.code), context);
+        ASSERT_TRUE(module.is_ok()) << module.status().to_string();
+        const AtomicCensus census = atomic_census(**module);
+        EXPECT_EQ(census.atomics, expected)
+            << library->name() << " on " << entry.target.triple;
+        EXPECT_EQ(census.release_stores, expected)
+            << library->name() << " on " << entry.target.triple;
+      }
+    }
+  }
 }
 
 TEST(KirLlvmBackend, FatArchivesBuildForEveryPortedKernel) {

@@ -8,8 +8,8 @@
 
 #include "core/runtime.hpp"
 #include "hll/frontend.hpp"
-#include "ir/kernel_builder.hpp"
 #include "jit/compiler.hpp"
+#include "kir/llvm_backend.hpp"
 
 namespace tc::core {
 namespace {
@@ -345,7 +345,8 @@ TEST_F(RuntimeTest, PayloadSumRemoteExecution) {
 }
 
 TEST_F(RuntimeTest, BinaryObjectRepresentationExecutes) {
-  auto bitcode = ir::build_default_fat_kernel(ir::KernelKind::kTargetSideIncrement);
+  auto bitcode =
+      kir::build_default_kir_fat_kernel(ir::KernelKind::kTargetSideIncrement);
   ASSERT_TRUE(bitcode.is_ok());
   auto objects = jit::compile_archive_to_objects(*bitcode);
   ASSERT_TRUE(objects.is_ok());

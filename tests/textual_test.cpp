@@ -6,9 +6,9 @@
 #include <cmath>
 
 #include "core/runtime.hpp"
-#include "ir/kernel_builder.hpp"
 #include "ir/bitcode.hpp"
 #include "ir/textual.hpp"
+#include "kir/llvm_backend.hpp"
 
 namespace tc::ir {
 namespace {
@@ -84,8 +84,8 @@ TEST(TextualIr, HandWrittenIfuncRunsEndToEnd) {
 
 TEST(TextualIr, DisassemblyRoundTrip) {
   llvm::LLVMContext context;
-  auto module = build_kernel(context, KernelKind::kTargetSideIncrement,
-                             {kTripleX86, "", ""});
+  auto module = kir::build_kir_module(
+      context, KernelKind::kTargetSideIncrement, {kTripleX86, "", ""});
   ASSERT_TRUE(module.is_ok());
   auto text = bitcode_to_ll(as_span(module_to_bitcode(**module)));
   ASSERT_TRUE(text.is_ok());

@@ -23,8 +23,8 @@
 
 #if TC_WITH_LLVM
 #include "ir/bitcode.hpp"
-#include "ir/kernel_builder.hpp"
 #include "jit/engine.hpp"
+#include "kir/llvm_backend.hpp"
 #endif
 
 namespace tc::vm {
@@ -1425,7 +1425,7 @@ class VmJitEquivalence : public ::testing::Test {
  protected:
   static Bytes kernel_bitcode(ir::KernelKind kind) {
     llvm::LLVMContext context;
-    auto module = ir::build_kernel(context, kind, ir::host_descriptor());
+    auto module = kir::build_kir_module(context, kind, ir::host_descriptor());
     EXPECT_TRUE(module.is_ok());
     return ir::module_to_bitcode(**module);
   }

@@ -8,8 +8,10 @@
 #     JSON, the same-named document in the committed BENCH_workloads.json
 #     or BENCH_shm.json.
 # BENCH_tsi.json is not compared: it carries a wall-clock field
-# (real_host_jit_ms). The check runs the full-size sweeps, so TC_BENCH_FAST
-# is unset here; expect about a minute on a 4-core host.
+# (real_host_jit_ms), and its uncached cells charge the bitcode archive's
+# bytes, which embed the host CPU name (the host entry's `cpu`), so they
+# are host-specific to a few bytes. The check runs the full-size sweeps, so
+# TC_BENCH_FAST is unset here; expect about a minute on a 4-core host.
 #
 # Usage: tools/check_sim_trajectory.sh <build-dir>
 # Exits 0 when everything matches, 1 on a difference, 2 on bad usage.

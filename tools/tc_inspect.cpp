@@ -40,8 +40,8 @@
 #include "vm/lower.hpp"
 
 #if TC_WITH_LLVM
-#include "ir/kernel_builder.hpp"
 #include "ir/textual.hpp"
+#include "kir/llvm_backend.hpp"
 #endif
 
 using namespace tc;
@@ -205,7 +205,8 @@ int write_archive(const ir::FatBitcode& archive, const char* path) {
 // the portable representation otherwise.
 StatusOr<ir::FatBitcode> demo_archive() {
 #if TC_WITH_LLVM
-  return ir::build_default_fat_kernel(ir::KernelKind::kTargetSideIncrement);
+  return kir::build_default_kir_fat_kernel(
+      ir::KernelKind::kTargetSideIncrement);
 #else
   return vm::build_portable_kernel(ir::KernelKind::kTargetSideIncrement);
 #endif
@@ -270,16 +271,12 @@ int cmd_kir(const char* kernel, bool hll, bool tagged) {
   ir::KernelOptions options;
   options.hll_guards = hll;
   options.chaser_tagged = tagged;
-  if (Status status = ir::check_kernel_options(kind, options);
-      !status.is_ok()) {
-    std::fprintf(stderr, "%s\n", status.to_string().c_str());
-    return 2;
-  }
 
   auto raw = kir::kernel_def(kind, options);
   if (!raw.is_ok()) {
+    // invalid_argument: options that name no variant of the kernel.
     std::fprintf(stderr, "%s\n", raw.status().to_string().c_str());
-    return 1;
+    return raw.status().code() == ErrorCode::kInvalidArgument ? 2 : 1;
   }
   std::printf("--- KIR definition (raw: guard/trace markers in place) ---\n");
   std::fputs(kir::dump(*raw).c_str(), stdout);
