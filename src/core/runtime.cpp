@@ -53,7 +53,6 @@ Runtime::Runtime(fabric::Transport& transport, fabric::NodeId node,
                  RuntimeOptions options)
     : transport_(&transport), node_(node), options_(std::move(options)) {
   alive_token_ = std::make_shared<Runtime*>(this);
-  cache_ = jit::CodeCache(options_.cache_capacity);
   for (auto& [name, address] : runtime_hook_symbols()) {
     options_.engine.extra_symbols.emplace_back(std::move(name), address);
   }
@@ -86,12 +85,12 @@ Runtime::~Runtime() {
   // about it. (Shipping them here would post from whatever thread runs the
   // destructor, which need not be this node's progress context; see the
   // threading contract in fabric/transport.hpp.) Completions are extracted
-  // under the shard lock and invoked outside it, like every flush path —
-  // a callback may re-enter the coalescer.
+  // under the lock and invoked outside it, like every flush path — a
+  // callback may re-enter the coalescer.
   std::vector<fabric::CompletionFn> cancelled;
-  for (BatchShard& shard : batch_shards_) {
-    std::lock_guard lock(shard.mu);
-    for (auto& [dst, batch] : shard.batches) {
+  {
+    std::lock_guard lock(batches_mu_);
+    for (auto& [dst, batch] : batches_) {
       (void)dst;
       for (fabric::CompletionFn& fn : batch.completions) {
         if (fn) cancelled.push_back(std::move(fn));
@@ -152,10 +151,8 @@ Status Runtime::deregister_ifunc(std::uint64_t ifunc_id) {
     return not_found("ifunc " + std::to_string(ifunc_id) + " not registered");
   }
   names_.erase(it->second.library.name());
+  release_tier(it->second);
   registry_.erase(it);
-  if (cache_.contains(ifunc_id)) {
-    TC_RETURN_IF_ERROR(cache_.erase(ifunc_id));
-  }
   return Status::ok();
 }
 
@@ -345,16 +342,14 @@ Status Runtime::send_frame(fabric::NodeId dst, const Frame& frame,
 void Runtime::set_batch_options(BatchOptions batch) {
   // Ship whatever is queued first: a direct send under the new
   // configuration must not overtake frames batched under the old one.
-  for (BatchShard& shard : batch_shards_) {
-    std::vector<fabric::NodeId> dirty;
-    {
-      std::lock_guard lock(shard.mu);
-      for (auto& [dst, pending] : shard.batches) {
-        if (!pending.frames.empty()) dirty.push_back(dst);
-      }
+  std::vector<fabric::NodeId> dirty;
+  {
+    std::lock_guard lock(batches_mu_);
+    for (auto& [dst, pending] : batches_) {
+      if (!pending.frames.empty()) dirty.push_back(dst);
     }
-    for (fabric::NodeId dst : dirty) flush_batch(dst);
   }
+  for (fabric::NodeId dst : dirty) flush_batch(dst);
   options_.batch = batch;
 }
 
@@ -364,14 +359,13 @@ void Runtime::enqueue_batched_frame(fabric::NodeId dst, ByteSpan frame_bytes,
   // must flush early rather than overflow the count.
   const std::size_t max_frames =
       std::min<std::size_t>(options_.batch.max_frames, 0xFFFF);
-  BatchShard& shard = batch_shard(dst);
   std::vector<Bytes> full_frames;
   std::vector<fabric::CompletionFn> full_completions;
   bool arm_deadline = false;
   std::uint64_t armed_generation = 0;
   {
-    std::lock_guard lock(shard.mu);
-    PendingBatch& batch = shard.batches[dst];
+    std::lock_guard lock(batches_mu_);
+    PendingBatch& batch = batches_[dst];
     if (batch.frames.empty() && options_.metrics != nullptr) {
       batch.first_queued_ns = transport_->now_ns();
     }
@@ -408,13 +402,12 @@ void Runtime::enqueue_batched_frame(fabric::NodeId dst, ByteSpan frame_bytes,
           auto token = alive.lock();
           if (!token) return;
           Runtime& self = **token;
-          BatchShard& sh = self.batch_shard(dst);
           std::vector<Bytes> frames;
           std::vector<fabric::CompletionFn> completions;
           {
-            std::lock_guard lock(sh.mu);
-            auto it = sh.batches.find(dst);
-            if (it == sh.batches.end() ||
+            std::lock_guard lock(self.batches_mu_);
+            auto it = self.batches_.find(dst);
+            if (it == self.batches_.end() ||
                 it->second.generation != armed_generation ||
                 it->second.frames.empty()) {
               return;
@@ -434,13 +427,12 @@ void Runtime::enqueue_batched_frame(fabric::NodeId dst, ByteSpan frame_bytes,
 }
 
 void Runtime::flush_batch(fabric::NodeId dst) {
-  BatchShard& shard = batch_shard(dst);
   std::vector<Bytes> frames;
   std::vector<fabric::CompletionFn> completions;
   {
-    std::lock_guard lock(shard.mu);
-    auto it = shard.batches.find(dst);
-    if (it == shard.batches.end() || it->second.frames.empty()) return;
+    std::lock_guard lock(batches_mu_);
+    auto it = batches_.find(dst);
+    if (it == batches_.end() || it->second.frames.empty()) return;
     PendingBatch& batch = it->second;
     record_batch_flush(batch.first_queued_ns);
     frames = std::move(batch.frames);
@@ -639,32 +631,26 @@ Status Runtime::process_ifunc_frame(ByteSpan data, fabric::NodeId source) {
   auto it = registry_.find(header.ifunc_id);
   if (it == registry_.end()) {
     if (!has_code) {
-      if (options_.nack_recovery) {
-        // Cache-miss recovery: stash the payload and ask the sender to
-        // re-ship the code (e.g. we restarted and lost the registry). A
-        // batched window can carry several truncated frames for the same
-        // missing ifunc; only the first stashed payload raises a NACK —
-        // one code resend redelivers the whole window, without duplicates.
-        ByteSpan payload = Frame::payload_view(data, header);
-        bool first_pending = false;
-        {
-          std::lock_guard lock(pending_payloads_mu_);
-          auto& pending = pending_payloads_[header.ifunc_id];
-          first_pending = pending.empty();
-          pending.push_back({Bytes(payload.begin(), payload.end()),
-                             header.origin_node, header.trace});
-        }
-        if (first_pending) {
-          post_wire(source, as_span(encode_nack_frame(header.ifunc_id)),
-                    /*fragments=*/1, {});
-          ++stats_.nacks_sent;
-        }
-        return Status::ok();
+      // Cache-miss recovery: stash the payload and ask the sender to
+      // re-ship the code (e.g. we restarted and lost the registry). A
+      // batched window can carry several truncated frames for the same
+      // missing ifunc; only the first stashed payload raises a NACK — one
+      // code resend redelivers the whole window, without duplicates.
+      ByteSpan payload = Frame::payload_view(data, header);
+      bool first_pending = false;
+      {
+        std::lock_guard lock(pending_payloads_mu_);
+        auto& pending = pending_payloads_[header.ifunc_id];
+        first_pending = pending.empty();
+        pending.push_back({Bytes(payload.begin(), payload.end()),
+                           header.origin_node, header.trace});
       }
-      // The sender believed we had the code (or truncated erroneously).
-      return failed_precondition(
-          "truncated frame for unknown ifunc " +
-          std::to_string(header.ifunc_id));
+      if (first_pending) {
+        post_wire(source, as_span(encode_nack_frame(header.ifunc_id)),
+                  /*fragments=*/1, {});
+        ++stats_.nacks_sent;
+      }
+      return Status::ok();
     }
     // First sighting: auto-register from the shipped archive (paper §III-D).
     TC_ASSIGN_OR_RETURN(
@@ -688,10 +674,11 @@ Status Runtime::process_ifunc_frame(ByteSpan data, fabric::NodeId source) {
   }
 
   Registered& reg = it->second;
-  if (reg.entry == nullptr && !reg.has_program) {
-    TC_RETURN_IF_ERROR(materialize_and_cache(reg, header.ifunc_id));
+  if (reg.materialized()) {
+    reg.last_used = ++lru_tick_;
+    ++stats_.cache_hits;
   } else {
-    (void)cache_.find(header.ifunc_id);  // count the cache hit
+    TC_RETURN_IF_ERROR(materialize(reg));
   }
 
   // Drain any payloads that were waiting for this code (NACK recovery).
@@ -810,54 +797,55 @@ Status Runtime::load_portable(Registered& reg) {
   return Status::ok();
 }
 
-Status Runtime::materialize_registered(Registered& reg) {
-  if (reg.library.repr() == ir::CodeRepr::kPortable) {
-    return load_portable(reg);
-  }
-  return compile_registered(reg);
-}
-
-Status Runtime::materialize_and_cache(Registered& reg,
-                                      std::uint64_t ifunc_id) {
-  TC_RETURN_IF_ERROR(materialize_registered(reg));
-  // The wire identity may differ from the library-name hash for
-  // auto-registered ifuncs; cache under the wire id.
-  if (cache_.contains(ifunc_id)) return Status::ok();
-  jit::CachedIfunc cached;
-  cached.entry = reg.entry;
-  cached.tier = reg.tier;
-  cached.compile_stats = last_compile_stats_;
-  std::uint64_t evicted = 0;
-  TC_RETURN_IF_ERROR(cache_.insert(ifunc_id, cached, &evicted));
-  if (evicted != 0) {
-    ++stats_.cache_evictions;
-    if (auto evicted_it = registry_.find(evicted);
-        evicted_it != registry_.end()) {
-      // Release the materialized tier; the archive stays registered, so
-      // a later frame re-materializes without a NACK round trip.
-      Registered& victim = evicted_it->second;
-#if TC_WITH_LLVM
-      if (victim.entry != nullptr && !victim.engine_lib.empty()) {
-        std::lock_guard<std::mutex> engine_lock(engine_mu_);
-        if (engine_ != nullptr) (void)engine_->remove_library(victim.engine_lib);
-      }
-      victim.engine_lib.clear();
-      // A promotion compile may still be in flight for the victim; the
-      // cleared flag makes its result read as stale and get discarded.
-      victim.promote_pending = false;
-#endif
-      victim.entry = nullptr;
-      victim.has_program = false;
-      victim.program = vm::Program();
-      victim.promotable = true;
+Status Runtime::materialize(Registered& reg) {
+  TC_RETURN_IF_ERROR(reg.library.repr() == ir::CodeRepr::kPortable
+                         ? load_portable(reg)
+                         : compile_registered(reg));
+  reg.last_used = ++lru_tick_;
+  stats_.cache_compile_ns += last_compile_stats_.parse_ns +
+                             last_compile_stats_.optimize_ns +
+                             last_compile_stats_.compile_ns;
+  if (options_.cache_capacity == 0) return Status::ok();
+  std::size_t resident = 0;
+  Registered* victim = nullptr;
+  for (auto& [id, other] : registry_) {
+    (void)id;
+    if (!other.materialized()) continue;
+    ++resident;
+    if (&other != &reg &&
+        (victim == nullptr || other.last_used < victim->last_used)) {
+      victim = &other;
     }
+  }
+  if (resident > options_.cache_capacity && victim != nullptr) {
+    // The archive stays registered, so a later frame re-materializes
+    // without a NACK round trip.
+    ++stats_.cache_evictions;
+    release_tier(*victim);
   }
   return Status::ok();
 }
 
+void Runtime::release_tier(Registered& reg) {
+#if TC_WITH_LLVM
+  if (reg.entry != nullptr && !reg.engine_lib.empty()) {
+    std::lock_guard<std::mutex> engine_lock(engine_mu_);
+    if (engine_ != nullptr) (void)engine_->remove_library(reg.engine_lib);
+  }
+#endif
+  reg.engine_lib.clear();
+  // A promotion compile may still be in flight; the cleared flag makes its
+  // result read as stale and get discarded.
+  reg.promote_pending = false;
+  reg.entry = nullptr;
+  reg.has_program = false;
+  reg.program = vm::Program();
+  reg.promotable = true;
+}
+
 void Runtime::maybe_promote(Registered& reg, std::uint64_t ifunc_id) {
-  if (reg.tier != jit::Tier::kInterpreted || options_.interp_only ||
-      !reg.promotable || reg.invocations < options_.promote_after) {
+  if (reg.tier != jit::Tier::kInterpreted || !reg.promotable ||
+      reg.invocations < options_.promote_after) {
     return;
   }
 #if TC_WITH_LLVM
@@ -1007,12 +995,6 @@ void Runtime::apply_ready_promotions() {
                                 done.compile_stats.optimize_ns +
                                 done.compile_stats.compile_ns;
     last_compile_stats_ = done.compile_stats;
-    if (jit::CachedIfunc* cached = cache_.peek(done.ifunc_id);
-        cached != nullptr) {
-      cached->entry = reg->entry;
-      cached->tier = reg->tier;
-      cached->compile_stats = done.compile_stats;
-    }
   }
 }
 #endif  // TC_WITH_LLVM
@@ -1065,11 +1047,11 @@ void Runtime::execute_ifunc(Registered& reg, std::uint64_t ifunc_id,
     }
     const std::int64_t t_start = traced ? transport_->now_ns() : 0;
 
-    if (regp->entry == nullptr && !regp->has_program) {
+    if (!regp->materialized()) {
       // A bounded cache can evict this ifunc between frame processing and
       // this scheduled invocation; re-materialize from the retained
       // archive rather than calling through a released tier.
-      Status status = materialize_and_cache(*regp, ifunc_id);
+      Status status = materialize(*regp);
       if (!status.is_ok()) {
         ++stats_.protocol_errors;
         TC_LOG(kWarn, "runtime")
@@ -1080,8 +1062,8 @@ void Runtime::execute_ifunc(Registered& reg, std::uint64_t ifunc_id,
     }
     const bool interpreted = regp->entry == nullptr && regp->has_program;
     if (traced) {
-      // The tier probe is where the receive path asked the cache which
-      // tier backs this invocation.
+      // The tier probe is where the invocation reads which tier of the
+      // registration backs it.
       record_span(obs::SpanKind::kTierLookup, trace,
                   options_.tracer->next_span_id(), t_start, 0, ifunc_id,
                   static_cast<std::uint32_t>(origin_node),
@@ -1120,9 +1102,6 @@ void Runtime::execute_ifunc(Registered& reg, std::uint64_t ifunc_id,
     }
     ++stats_.frames_executed;
     ++regp->invocations;
-    if (jit::CachedIfunc* cached = cache_.peek(ifunc_id); cached != nullptr) {
-      cached->invocations = regp->invocations;
-    }
     stats_.forwards += ctx.forwards_issued;
     stats_.injects += ctx.injects_issued;
     stats_.replies_sent += ctx.replies_issued;

@@ -40,7 +40,8 @@
 #include "core/ifunc.hpp"
 #include "fabric/fabric.hpp"
 #include "fabric/transport.hpp"
-#include "jit/code_cache.hpp"
+#include "ir/abi.hpp"
+#include "jit/jit_types.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "vm/bytecode.hpp"
@@ -89,11 +90,9 @@ struct RuntimeOptions {
   /// Invocation count at which an interpreted ifunc whose archive also
   /// carries host bitcode is promoted to the JIT tier. The compile runs on
   /// a background thread; the interpreted entry keeps serving until the
-  /// compiled entry is swapped in on the progress context.
+  /// compiled entry is swapped in on the progress context. UINT64_MAX pins
+  /// the interpreter tier.
   std::uint64_t promote_after = 8;
-  /// Pin the interpreter tier: never promote, even when bitcode and LLVM
-  /// are available (the tier-pinned / VM-only configuration).
-  bool interp_only = false;
 
   /// Test seam: when set, the background promotion worker calls this right
   /// before compiling a job. Blocking inside it holds the promotion in
@@ -110,16 +109,11 @@ struct RuntimeOptions {
   /// paper's tables in steady state.
   bool force_full_frames = false;
 
-  /// Bound on resident JIT'd ifuncs (0 = unbounded). When full, the
-  /// least-recently-used ifunc is evicted: its JIT resources are released
-  /// and a later frame re-compiles from the retained archive (or triggers
-  /// the NACK recovery path if the archive is gone too).
+  /// Bound on materialized tiers (JIT'd, linked or decoded programs) in
+  /// the registry; 0 = unbounded. Materializing one more releases the tier
+  /// of the least recently used other registration; its archive stays
+  /// registered, so a later frame re-materializes it without a NACK.
   std::size_t cache_capacity = 0;
-
-  /// Reply to truncated frames for unknown ifuncs with a NACK asking the
-  /// sender to re-ship the code (cache-miss recovery extension). When off,
-  /// such frames are dropped as protocol errors, as in the paper.
-  bool nack_recovery = true;
 
   /// Wire-send retry budget (fault tolerance). 0 — the default — disables
   /// retry entirely: the send path is byte-for-byte the classic protocol
@@ -265,6 +259,11 @@ class Runtime {
     std::atomic<std::uint64_t> batch_deadline_flushes{0};  ///< flush_ns hit
     std::atomic<std::uint64_t> batches_received{0};  ///< containers unpacked
     std::atomic<std::uint64_t> cache_evictions{0};
+    /// Frames that found their ifunc's tier already materialized.
+    std::atomic<std::uint64_t> cache_hits{0};
+    /// Parse+optimize+compile, link or portable-decode time of every
+    /// materialization (the work cache hits skip).
+    std::atomic<std::int64_t> cache_compile_ns{0};
     std::atomic<std::uint64_t> portable_loads{0};  ///< programs decoded
     std::atomic<std::uint64_t> interp_executions{0};  ///< interpreted runs
     /// Bytecode instructions the interpreter executed.
@@ -296,7 +295,6 @@ class Runtime {
     }
     return total;
   }
-  const jit::CodeCache& cache() const { return cache_; }
 
   /// Last measured compile stats (for the overhead-breakdown benches).
   const jit::CompileStats& last_compile_stats() const {
@@ -336,10 +334,16 @@ class Runtime {
     /// bitcode while a compile is in flight must not get the stale entry
     /// swapped in, and id+flags alone cannot tell the two apart.
     std::uint64_t generation = 0;
+    /// Runtime::lru_tick_ when the tier was last materialized or found
+    /// materialized by an arriving frame; a bounded cache releases the
+    /// oldest first.
+    std::uint64_t last_used = 0;
     /// Lazily resolved "hop_service_ns/<kernel>/<repr>/<tier>" histograms,
     /// indexed by jit::Tier — the registry lookup takes a mutex and builds
     /// a name string, far too heavy for the per-hop record path.
     std::array<obs::Histogram*, 3> hop_hist{};
+
+    bool materialized() const { return entry != nullptr || has_program; }
   };
 
   Runtime(fabric::Transport& transport, fabric::NodeId node,
@@ -350,13 +354,16 @@ class Runtime {
   StatusOr<Registered*> find_registered(std::uint64_t ifunc_id);
   Status compile_registered(Registered& reg);
   Status load_portable(Registered& reg);
-  /// Materializes whatever tier the library's representation calls for:
-  /// portable -> interpreter (zero compile), bitcode/object -> engine.
-  Status materialize_registered(Registered& reg);
-  /// materialize_registered + CodeCache insert (with LRU eviction of the
-  /// loser's materialized tier). Also the recovery path when a bounded
-  /// cache evicts an ifunc that still has an invocation in flight.
-  Status materialize_and_cache(Registered& reg, std::uint64_t ifunc_id);
+  /// Materializes whatever tier the library's representation calls for
+  /// (portable -> interpreter, bitcode/object -> engine) and stamps it most
+  /// recently used. With cache_capacity > 0, one tier over the bound
+  /// releases the least recently used other registration's. Also the
+  /// recovery path when an invocation finds its tier released.
+  Status materialize(Registered& reg);
+  /// Drops a registration's engine library, program and entry, and clears
+  /// promote_pending so an in-flight promotion result is discarded. The
+  /// one release path: eviction and deregistration both come here.
+  void release_tier(Registered& reg);
   void maybe_promote(Registered& reg, std::uint64_t ifunc_id);
 #if TC_WITH_LLVM
   /// Background compile worker: drains promote_queue_, compiles under
@@ -365,7 +372,7 @@ class Runtime {
   void promotion_worker();
   /// Applies (or discards) finished background compiles. Progress-context
   /// only — called at the top of each scheduled invocation, which is the
-  /// only place registry entries and cache tiers may be written.
+  /// only place a promoted tier may be written into the registry.
   void apply_ready_promotions();
 #endif
   Status process_message(const fabric::ReceivedMessage& msg);
@@ -406,7 +413,7 @@ class Runtime {
                              fabric::CompletionFn on_complete);
   /// Ships everything queued for `dst` as one wire message.
   void flush_batch(fabric::NodeId dst);
-  /// Ships one extracted batch (already detached from the pending shard).
+  /// Ships one extracted batch (already detached from batches_).
   void ship_batch(fabric::NodeId dst, std::vector<Bytes> frames,
                   std::vector<fabric::CompletionFn> completions);
   void execute_ifunc(Registered& reg, std::uint64_t ifunc_id, Bytes payload,
@@ -475,18 +482,22 @@ class Runtime {
   /// Uniquifies promotion engine-library names; progress-context only.
   std::uint64_t promote_seq_ = 0;
 #endif
-  jit::CodeCache cache_;
   jit::CompileStats last_compile_stats_;
 
+  /// What this node has registered and materialized, keyed by wire ifunc
+  /// id: the target-side code cache of the paper (§III-D).
   std::unordered_map<std::uint64_t, Registered> registry_;
   std::unordered_map<std::string, std::uint64_t> names_;
   /// Source of Registered::generation values; bumped at every insertion
   /// (explicit registration and auto-registration alike). Progress-context
   /// only, like the registry itself.
   std::uint64_t registration_seq_ = 0;
+  /// Source of Registered::last_used stamps. Progress-context only.
+  std::uint64_t lru_tick_ = 0;
   /// Payloads of truncated frames waiting for code (NACK recovery).
-  /// Mutex-guarded: the receive path may run on a progress thread while
-  /// another context inspects or drains the same ifunc's backlog.
+  /// Mutex-guarded: the receive path fills and drains it on the progress
+  /// context while a watchdog's state dump counts it from the driver
+  /// thread (pending_payload_count).
   struct PendingPayload {
     Bytes payload;
     fabric::NodeId origin = 0;
@@ -500,8 +511,8 @@ class Runtime {
   /// this node's single progress context (the same invariant the batching
   /// deadline events rely on).
   obs::TraceContext active_trace_;
-  /// (peer << 32 | ifunc-id-fold) pairs that already received code.
-  /// Guarded so concurrent initiator contexts can share one runtime.
+  /// sent_key(peer, ifunc id) of every (peer, ifunc) that already received
+  /// code. Written by the send path only.
   std::mutex sent_code_mu_;
   std::unordered_set<std::uint64_t> sent_code_;
   /// Keeps armed flush-deadline events from touching a destroyed Runtime:
@@ -522,19 +533,10 @@ class Runtime {
     std::uint64_t generation = 0;
     bool deadline_armed = false;
   };
-  /// The coalescer is sharded by destination so concurrent initiator
-  /// contexts sharing this runtime only contend when they target the same
-  /// shard. Batches are extracted under the shard lock and shipped outside
-  /// it (send paths may re-enter the coalescer).
-  static constexpr std::size_t kBatchShards = 8;
-  struct BatchShard {
-    std::mutex mu;
-    std::unordered_map<fabric::NodeId, PendingBatch> batches;
-  };
-  std::array<BatchShard, kBatchShards> batch_shards_;
-  BatchShard& batch_shard(fabric::NodeId dst) {
-    return batch_shards_[dst % kBatchShards];
-  }
+  /// Batches are extracted under batches_mu_ and shipped outside it (send
+  /// paths may re-enter the coalescer, and completions may too).
+  std::mutex batches_mu_;
+  std::unordered_map<fabric::NodeId, PendingBatch> batches_;
 
   void* target_ptr_ = nullptr;
   std::uint64_t* shard_base_ = nullptr;

@@ -13,10 +13,12 @@
 #include <memory>
 #include <utility>
 
+#include "am/am_runtime.hpp"
 #include "common/log.hpp"
 #include "core/ifunc.hpp"
 #include "core/runtime.hpp"
 #include "fabric/socket_transport.hpp"
+#include "xrdma/chaser.hpp"
 #include "xrdma/pointer_table.hpp"
 
 namespace tc::mp {
@@ -311,12 +313,11 @@ int run_conformance(fabric::SocketTransport& tp, const MpOptions& options,
 // --- kDapc --------------------------------------------------------------------
 // Node 0 chases pointers through shards owned by server processes 1..n-1,
 // in two modes, both verified against the reference walk:
-//  * traveling AM — the request hops server-to-server while the chase
-//    stays on whichever process owns the current address (paper §IV-C);
+//  * traveling AM — the chaser's predeployed AM handler
+//    (xrdma::make_chase_am_handler, the chaser's KIR definition) walks the
+//    local shard, forwards the tagged request to the owning server and
+//    replies [value][tag] to node 0 (paper §IV-C);
 //  * client GET — the GBPC lower bound, one GET per dereference.
-
-constexpr fabric::AmId kChaseReq = 40;
-constexpr fabric::AmId kChaseReply = 41;
 
 int run_dapc(fabric::SocketTransport& tp, const MpOptions& options,
              fabric::NodeId self) {
@@ -337,44 +338,30 @@ int run_dapc(fabric::SocketTransport& tp, const MpOptions& options,
     return static_cast<fabric::NodeId>(1 + table.owner_of(addr));
   };
 
+  // Predeployment: every process registers the chase handler first, so its
+  // index is the same everywhere.
+  auto am_or = am::AmRuntime::create(tp, self);
+  TC_MP_CHECK_OK(am_or.status(), self, "AmRuntime::create");
+  am::AmRuntime& am = **am_or;
+  auto handler = xrdma::make_chase_am_handler();
+  TC_MP_CHECK_OK(handler.status(), self, "chase handler");
+  auto chase_index = am.register_handler(std::move(*handler));
+  TC_MP_CHECK_OK(chase_index.status(), self, "register chase handler");
+
   if (self != 0) {
     // Server: host this shard, serve GETs from its exposed window and
-    // chase-hops via the traveling-AM handler.
+    // chase hops through the handler. Peer i is the owner of shard i.
     std::vector<std::uint64_t> shard = table.shard(self - 1);
     TC_MP_CHECK_OK(
         tp.expose_segment(self, shard.data(),
                           shard.size() * sizeof(shard[0])),
         self, "expose_segment(shard)");
-    TC_MP_CHECK_OK(
-        tp.register_am_handler(
-            self, kChaseReq,
-            [&tp, &shard, &owner_node, shard_size, self](
-                ByteSpan payload, fabric::NodeId) {
-              std::uint64_t cur = get_u64(payload, 0);
-              std::uint64_t remaining = get_u64(payload, 8);
-              const std::uint64_t tag = get_u64(payload, 16);
-              const std::uint64_t client = get_u64(payload, 24);
-              // Chase locally while the address stays on this shard.
-              while (remaining > 0 && owner_node(cur) == self) {
-                cur = shard[cur % shard_size];
-                --remaining;
-              }
-              Bytes out;
-              if (remaining == 0) {
-                put_u64(out, tag);
-                put_u64(out, cur);
-                tp.post_am(self, static_cast<fabric::NodeId>(client),
-                           kChaseReply, as_span(out), {});
-              } else {
-                put_u64(out, cur);
-                put_u64(out, remaining);
-                put_u64(out, tag);
-                put_u64(out, client);
-                tp.post_am(self, owner_node(cur), kChaseReq, as_span(out),
-                           {});
-              }
-            }),
-        self, "register chase handler");
+    am.set_shard(shard.data(), shard.size());
+    std::vector<fabric::NodeId> peers;
+    for (fabric::NodeId node = 1; node < options.node_count; ++node) {
+      peers.push_back(node);
+    }
+    am.set_peers(std::move(peers));
     TC_MP_CHECK_OK(tp.barrier(self, 1), self, "barrier(setup)");
     // Both measurement phases run while we sit in these barriers — their
     // run_until loop *is* this server's progress loop.
@@ -391,39 +378,32 @@ int run_dapc(fabric::SocketTransport& tp, const MpOptions& options,
     expected[i] = table.chase_expected(start[i], options.depth);
   }
   std::vector<std::uint64_t> values(options.chases, ~std::uint64_t{0});
-  std::atomic<std::uint64_t> replies{0};
-  TC_MP_CHECK_OK(
-      tp.register_am_handler(self, kChaseReply,
-                             [&](ByteSpan payload, fabric::NodeId) {
-                               const std::uint64_t tag = get_u64(payload, 0);
-                               values[tag] = get_u64(payload, 8);
-                               replies.fetch_add(1,
-                                                 std::memory_order_relaxed);
-                             }),
-      self, "register reply handler");
+  std::uint64_t replies = 0;
+  am.set_result_handler([&](ByteSpan data, fabric::NodeId) {
+    ++replies;
+    auto reply = xrdma::decode_chase_reply(data);
+    if (reply.is_ok() && reply->tagged && reply->tag < options.chases) {
+      values[reply->tag] = reply->value;
+    }
+  });
   TC_MP_CHECK_OK(tp.barrier(self, 1), self, "barrier(setup)");
   for (std::uint64_t s = 1; s < options.node_count; ++s) {
     TC_MP_CHECK_OK(tp.wait_for_segment(self, static_cast<fabric::NodeId>(s)),
                    self, "wait_for_segment");
   }
 
-  // Phase A — traveling AM.
+  // Phase A — traveling AM, every chase in flight at once (tagged).
   const std::int64_t am_begin = wall_ns();
   for (std::uint64_t i = 0; i < options.chases; ++i) {
-    Bytes req;
-    put_u64(req, start[i]);
-    put_u64(req, options.depth);
-    put_u64(req, i);
-    put_u64(req, self);
-    tp.post_am(self, owner_node(start[i]), kChaseReq, as_span(req), {});
+    const Bytes request = xrdma::encode_tagged_chase_payload(
+        {start[i], options.depth}, i);
+    TC_MP_CHECK_OK(
+        am.send(owner_node(start[i]), *chase_index, as_span(request)), self,
+        "send chase");
   }
   TC_MP_CHECK_OK(
-      tp.run_until(self,
-                   [&] {
-                     return replies.load(std::memory_order_relaxed) ==
-                            options.chases;
-                   }),
-      self, "run_until(am replies)");
+      tp.run_until(self, [&] { return replies == options.chases; }), self,
+      "run_until(am replies)");
   const std::int64_t am_ns = wall_ns() - am_begin;
   std::uint64_t am_correct = 0;
   for (std::uint64_t i = 0; i < options.chases; ++i) {

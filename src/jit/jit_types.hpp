@@ -1,6 +1,6 @@
 // LLVM-free value types shared between the JIT layer and the rest of the
 // runtime. Everything here must compile in TC_WITH_LLVM=OFF builds: the
-// CodeCache, the Runtime options surface, and the hetsim cost model all
+// Runtime's registry and options surface and the hetsim cost model all
 // speak these types even when the ORC engine itself is compiled out.
 #pragma once
 
@@ -44,6 +44,13 @@ enum class Tier : std::uint8_t {
   kLinked = 2,       ///< pre-compiled object, link-only deployment
 };
 
-const char* tier_name(Tier tier);
+inline const char* tier_name(Tier tier) {
+  switch (tier) {
+    case Tier::kInterpreted: return "interpreted";
+    case Tier::kJit: return "jit";
+    case Tier::kLinked: return "linked";
+  }
+  return "unknown";
+}
 
 }  // namespace tc::jit

@@ -57,13 +57,8 @@ void collect_runtime(const std::string& prefix, const core::Runtime& runtime,
   set("runtime.tier_promotions", s.tier_promotions);
   set("runtime.forward_send_failures", s.forward_send_failures);
   set("runtime.real_jit_ns_total", s.real_jit_ns_total);
-
-  const jit::CodeCache::Stats cache = runtime.cache().stats();
-  registry.counter(prefix + "cache.hits").set(cache.hits);
-  registry.counter(prefix + "cache.misses").set(cache.misses);
-  registry.counter(prefix + "cache.evictions").set(cache.evictions);
-  registry.counter(prefix + "cache.total_compile_ns")
-      .set(static_cast<std::uint64_t>(cache.total_compile_ns));
+  set("cache.hits", s.cache_hits);
+  set("cache.total_compile_ns", s.cache_compile_ns);
 }
 
 void collect_am(const std::string& prefix, const am::AmRuntime& am,

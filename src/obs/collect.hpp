@@ -1,5 +1,6 @@
 // Cluster-wide stats collection: funnels every legacy counter struct —
-// core::Runtime::Stats, jit::CodeCache::Stats, am::AmRuntime::Stats,
+// core::Runtime::Stats (including its code-cache counters, exported as
+// "cache.hits" and "cache.total_compile_ns"), am::AmRuntime::Stats,
 // fabric::Fabric::Stats / ShmTransport::Stats, fabric::Worker::Stats — into
 // one MetricsRegistry under stable dotted names ("node3.runtime.forwards",
 // "shm.producer_stalls"), so a single snapshot() -> metrics_text/json call

@@ -2,7 +2,7 @@
 // histograms behind one dump path.
 //
 // The repo already counts plenty — Runtime::Stats, fabric::Fabric::Stats,
-// ShmTransport::Stats, jit::CodeCache::Stats — but each struct dumps (or
+// ShmTransport::Stats, am::AmRuntime::Stats — but each struct dumps (or
 // doesn't) through its own ad-hoc accessor. The registry gives every number
 // a stable dotted name ("node3.runtime.frames_sent_full") and one snapshot
 // call; obs/collect.hpp funnels the legacy structs in, and runtime/workload

@@ -523,9 +523,10 @@ StatusOr<WorkloadResult> WorkloadEngine::run_lookups_all(
   fabric::Transport& transport = cluster_->transport();
   const auto t0 = transport.now_ns();
 
-  if (cluster_->backend() == hetsim::Backend::kSim) {
+  if (cluster_->backend() == hetsim::Backend::kSim || m == 1) {
     // Deterministic interleaving: every lane issues into the one virtual
-    // timeline, a single event loop drains them all.
+    // timeline, a single event loop drains them all. A lone wall-clock lane
+    // runs here too: this thread drives its client node.
     for (std::size_t i = 0; i < m; ++i) {
       Lane& lane = lanes_[i];
       const std::uint64_t initial =
@@ -666,7 +667,7 @@ StatusOr<WorkloadResult> WorkloadEngine::run_bfs_all(
   fabric::Transport& transport = cluster_->transport();
   const auto t0 = transport.now_ns();
 
-  if (cluster_->backend() == hetsim::Backend::kSim) {
+  if (cluster_->backend() == hetsim::Backend::kSim || m == 1) {
     for (std::size_t i = 0; i < m; ++i) {
       TC_RETURN_IF_ERROR(issue_bfs_seed(lanes_[i], sources[i]));
     }

@@ -147,7 +147,8 @@ class WorkloadEngine {
   StatusOr<WorkloadResult> run_lookups(const std::vector<std::uint64_t>& keys,
                                        std::size_t lane = 0);
   /// per_lane[i] runs on lane i concurrently — deterministically
-  /// interleaved on sim, one OS thread per initiator on shm.
+  /// interleaved on sim, one OS thread per initiator on the wall-clock
+  /// backends (the calling thread when there is one lane).
   StatusOr<WorkloadResult> run_lookups_all(
       const std::vector<std::vector<std::uint64_t>>& per_lane);
 

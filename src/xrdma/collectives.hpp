@@ -178,7 +178,8 @@ class CollectiveEngine {
 
   /// values.size() concurrent broadcasts, one per lane/initiator —
   /// deterministically interleaved on sim, one OS thread per initiator on
-  /// shm. Aggregate result; per-lane landings via broadcast_value().
+  /// the wall-clock backends (the calling thread when there is one lane).
+  /// Aggregate result; per-lane landings via broadcast_value().
   StatusOr<CollectiveResult> broadcast_all(
       const std::vector<std::uint64_t>& values);
 

@@ -250,9 +250,11 @@ StatusOr<DapcResult> DapcDriver::run_batch() {
   fabric::Transport& transport = cluster_->transport();
   const auto t0 = transport.now_ns();
 
-  if (cluster_->backend() == hetsim::Backend::kSim) {
+  if (cluster_->backend() == hetsim::Backend::kSim ||
+      initiators_.size() == 1) {
     // Deterministic interleaving: all initiators issue into one virtual
-    // timeline and a single event loop drains it. next_chase is set
+    // timeline and a single event loop drains it. A lone wall-clock
+    // initiator runs here too, driven by this thread. next_chase is set
     // *before* issuing so a completion delivered mid-issue (possible on
     // backpressure-driven progress) refills from the right index.
     for (Initiator& init : initiators_) {

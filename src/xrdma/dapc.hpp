@@ -22,8 +22,9 @@
 // Multi-initiator mode (config.initiators = M > 1) runs M concurrent
 // initiators, each with its own in-flight window W. On the simulated
 // backend the initiators interleave deterministically in virtual time; on
-// the shm backend each initiator is a real OS thread driving its own
-// client node — the wall-clock scaling experiment of bench/fig_mt_scale.
+// the wall-clock backends each initiator is a real OS thread driving its
+// own client node — the wall-clock scaling experiment of
+// bench/fig_mt_scale. One initiator is driven by the calling thread.
 #pragma once
 
 #include <cstdint>
@@ -66,9 +67,10 @@ struct DapcConfig {
   /// replies) so out-of-order completions route to the right chase, and
   /// runs GET mode as `window` concurrent client-driven walks.
   std::uint64_t window = 1;
-  /// Concurrent initiators. Each uses its own client node (and, on the shm
-  /// backend, its own OS thread); the cluster must be built with
-  /// client_count >= initiators. 1 preserves the classic driver exactly.
+  /// Concurrent initiators. Each uses its own client node (and, on the
+  /// wall-clock backends when M > 1, its own OS thread); the cluster must
+  /// be built with client_count >= initiators. 1 preserves the classic
+  /// driver exactly.
   std::uint64_t initiators = 1;
   /// Sender-side frame coalescing on each *initiator* (ifunc modes only):
   /// frames per batched wire message. <= 1 leaves the classic
@@ -110,7 +112,8 @@ class DapcDriver {
 
  private:
   /// Per-initiator workload state. Touched only by the initiator's own
-  /// progress context (main thread on sim, its dedicated thread on shm).
+  /// progress context (the calling thread on sim or with one initiator,
+  /// its dedicated thread otherwise).
   struct Initiator {
     std::size_t index = 0;
     fabric::NodeId node = 0;

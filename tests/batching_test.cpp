@@ -212,6 +212,52 @@ TEST(RuntimeBatching, SenderDestroyedWithFrameOnTheWire) {
   EXPECT_EQ(pair.receiver->stats().protocol_errors, 0u);
 }
 
+TEST(RuntimeBatching, InterleavedDestinationsBatchSeparately) {
+  // Sends alternating between two receivers fill one batch per
+  // destination; a full batch ships without waiting for the other's, and
+  // the leftover frame waits out its own deadline.
+  Fabric fabric;
+  fabric.set_default_link(fabric::instant_link());
+  const NodeId src = fabric.add_node("src");
+  const NodeId dst[2] = {fabric.add_node("dst0"), fabric.add_node("dst1")};
+  RuntimeOptions sender_options;
+  sender_options.batch.max_frames = 3;
+  sender_options.batch.flush_ns = 100;
+  auto sender = std::move(Runtime::create(fabric, src, sender_options)).value();
+  std::unique_ptr<Runtime> receivers[2];
+  std::uint64_t counters[2] = {0, 0};
+  for (int r = 0; r < 2; ++r) {
+    receivers[r] = std::move(Runtime::create(fabric, dst[r], {})).value();
+    receivers[r]->set_target_ptr(&counters[r]);
+  }
+  auto id = register_portable(*sender, ir::KernelKind::kTargetSideIncrement);
+  ASSERT_TRUE(id.is_ok()) << id.status().to_string();
+
+  Bytes payload{0};
+  for (int i = 0; i < 7; ++i) {
+    ASSERT_TRUE(sender->send_ifunc(dst[i % 2], *id, as_span(payload)).is_ok());
+  }
+  ASSERT_TRUE(fabric
+                  .run_until([&] {
+                    return counters[0] == 4 && counters[1] == 3;
+                  })
+                  .is_ok());
+
+  // dst0 got frames 0, 2, 4 in one container and frame 6 bare at its
+  // deadline; dst1 got frames 1, 3, 5 in one container.
+  EXPECT_EQ(sender->stats().batch_full_flushes, 2u);
+  EXPECT_EQ(sender->stats().batch_deadline_flushes, 1u);
+  EXPECT_EQ(sender->stats().batches_sent, 2u);
+  EXPECT_EQ(sender->stats().frames_coalesced, 6u);
+  EXPECT_EQ(fabric.stats().sends, 3u);
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_EQ(receivers[r]->stats().batches_received, 1u);
+    EXPECT_EQ(receivers[r]->stats().protocol_errors, 0u);
+  }
+  EXPECT_EQ(receivers[0]->stats().frames_executed, 4u);
+  EXPECT_EQ(receivers[1]->stats().frames_executed, 3u);
+}
+
 // --- NACK recovery across a batched window -----------------------------------
 
 TEST(RuntimeBatching, NackMidBatchRedeliversWithoutDuplicatesOrDrops) {

@@ -7,7 +7,6 @@
 
 #include "core/context.hpp"
 #include "ir/bitcode.hpp"
-#include "jit/code_cache.hpp"
 #include "jit/compiler.hpp"
 #include "jit/engine.hpp"
 #include "kir/llvm_backend.hpp"
@@ -298,47 +297,6 @@ TEST_P(OptLevelP, KernelRunsCorrectAtEveryLevel) {
 INSTANTIATE_TEST_SUITE_P(Levels, OptLevelP,
                          ::testing::Values(OptLevel::kO0, OptLevel::kO1,
                                            OptLevel::kO2, OptLevel::kO3));
-
-// --- code cache ------------------------------------------------------------------------
-
-TEST(CodeCache, MissThenHit) {
-  CodeCache cache;
-  EXPECT_EQ(cache.find(1), nullptr);
-  EXPECT_EQ(cache.stats().misses, 1u);
-
-  CachedIfunc entry;
-  entry.compile_stats.compile_ns = 500;
-  ASSERT_TRUE(cache.insert(1, entry).is_ok());
-  EXPECT_NE(cache.find(1), nullptr);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().total_compile_ns, 500);
-}
-
-TEST(CodeCache, DuplicateInsertRejected) {
-  CodeCache cache;
-  ASSERT_TRUE(cache.insert(7, {}).is_ok());
-  EXPECT_EQ(cache.insert(7, {}).code(), ErrorCode::kAlreadyExists);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(CodeCache, EraseLifecycle) {
-  CodeCache cache;
-  ASSERT_TRUE(cache.insert(3, {}).is_ok());
-  ASSERT_TRUE(cache.erase(3).is_ok());
-  EXPECT_FALSE(cache.contains(3));
-  EXPECT_EQ(cache.erase(3).code(), ErrorCode::kNotFound);
-}
-
-TEST(CodeCache, InvocationCountTracked) {
-  CodeCache cache;
-  ASSERT_TRUE(cache.insert(5, {}).is_ok());
-  for (int i = 0; i < 10; ++i) {
-    CachedIfunc* hit = cache.find(5);
-    ASSERT_NE(hit, nullptr);
-    ++hit->invocations;
-  }
-  EXPECT_EQ(cache.find(5)->invocations, 10u);
-}
 
 }  // namespace
 }  // namespace tc::jit

@@ -220,6 +220,16 @@ TEST(CollectTest, RuntimeInterpreterCountersMirrorStats) {
   for (const auto& c : snap.counters) {
     EXPECT_EQ(c.name.find("interp_ops"), std::string::npos) << c.name;
   }
+  // The node's registry is its code cache: the program was decoded once
+  // and found materialized by the other two frames. Misses were never
+  // counted, and evictions are runtime.cache_evictions.
+  const std::string cache = "node" + std::to_string(server) + ".cache.";
+  ASSERT_TRUE(value_of(cache + "hits").has_value());
+  EXPECT_EQ(*value_of(cache + "hits"), 2u);
+  ASSERT_TRUE(value_of(cache + "total_compile_ns").has_value());
+  EXPECT_GT(*value_of(cache + "total_compile_ns"), 0u);
+  EXPECT_FALSE(value_of(cache + "misses").has_value());
+  EXPECT_FALSE(value_of(cache + "evictions").has_value());
 }
 
 // --- trace-context frame round trip (header level) ---------------------------

@@ -134,26 +134,6 @@ TEST_F(RuntimeTest, WireSizeShrinksWhenCached) {
   EXPECT_LT(second_bytes, 100u);
 }
 
-TEST_F(RuntimeTest, TruncatedFrameToUnknownIfuncIsProtocolError) {
-  // With NACK recovery disabled (the paper's baseline protocol), a
-  // truncated frame for unknown code is a hard protocol error.
-  RuntimeOptions options;
-  options.nack_recovery = false;
-  rt_b_.reset();
-  auto rt_b2 = create_runtime(b_, options);
-
-  auto id = rt_a_->register_ifunc(make_library(ir::KernelKind::kTargetSideIncrement));
-  ASSERT_TRUE(id.is_ok());
-  auto frame = rt_a_->create_message(*id, as_span(Bytes{0}));
-  ASSERT_TRUE(frame.is_ok());
-
-  // Bypass the caching protocol and send a truncated frame first.
-  fabric_.post_send(a_, b_, frame->truncated_view(), 1, {});
-  fabric_.run_until_idle();
-  EXPECT_EQ(rt_b2->stats().protocol_errors, 1u);
-  EXPECT_EQ(rt_b2->stats().frames_executed, 0u);
-}
-
 TEST_F(RuntimeTest, NackRecoveryReplaysStashedPayload) {
   // Cache-miss recovery extension: the receiver gets a
   // truncated frame for code it never saw, NACKs, the sender re-ships the

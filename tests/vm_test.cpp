@@ -1,12 +1,15 @@
 // Tests for the portable-bytecode subsystem (src/vm/): format validation
 // and malformed-input rejection, interpreter semantics against stub hooks,
-// tiered CodeCache bookkeeping, runtime-level zero-compile execution, and —
+// runtime-level zero-compile execution, the runtime registry as the node's
+// code cache (LRU release of materialized tiers on every backend), and —
 // when LLVM is available — bit-exact equivalence between the interpreter
 // tier and the ORC-JIT tier for every computational kernel.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 #include <utility>
@@ -15,8 +18,9 @@
 #include "common/hash.hpp"
 #include "core/context.hpp"
 #include "core/runtime.hpp"
+#include "hetsim/cluster.hpp"
 #include "ir/kernels.hpp"
-#include "jit/code_cache.hpp"
+#include "jit/jit_types.hpp"
 #include "vm/bytecode.hpp"
 #include "vm/interp.hpp"
 #include "vm/lower.hpp"
@@ -26,6 +30,14 @@
 #include "jit/engine.hpp"
 #include "kir/llvm_backend.hpp"
 #endif
+
+namespace tc::hetsim {
+// Prints the backend's name: gtest_discover_tests copies the printed
+// parameter into the ctest name.
+void PrintTo(Backend backend, std::ostream* os) {
+  *os << backend_name(backend);
+}
+}  // namespace tc::hetsim
 
 namespace tc::vm {
 namespace {
@@ -1135,55 +1147,12 @@ TEST(PortableArchive, RoundTripsThroughTcfp) {
   EXPECT_FALSE(archive->select(ir::kTripleX86).is_ok());
 }
 
-// --- tiered CodeCache -----------------------------------------------------------
+// --- tiers ---------------------------------------------------------------------
 
 TEST(TieredCache, TierNamesStable) {
   EXPECT_STREQ(jit::tier_name(jit::Tier::kInterpreted), "interpreted");
   EXPECT_STREQ(jit::tier_name(jit::Tier::kJit), "jit");
   EXPECT_STREQ(jit::tier_name(jit::Tier::kLinked), "linked");
-}
-
-TEST(TieredCache, LruEvictionAcrossTiers) {
-  jit::CodeCache cache(2);
-  jit::CachedIfunc interp;
-  interp.tier = jit::Tier::kInterpreted;
-  jit::CachedIfunc native;
-  native.tier = jit::Tier::kJit;
-  ASSERT_TRUE(cache.insert(1, interp).is_ok());
-  ASSERT_TRUE(cache.insert(2, native).is_ok());
-  // Touch 1 so 2 becomes LRU.
-  ASSERT_NE(cache.find(1), nullptr);
-  std::uint64_t evicted = 0;
-  ASSERT_TRUE(cache.insert(3, interp, &evicted).is_ok());
-  EXPECT_EQ(evicted, 2u);
-  EXPECT_TRUE(cache.contains(1));
-  EXPECT_TRUE(cache.contains(3));
-  EXPECT_FALSE(cache.contains(2));
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.find(1)->tier, jit::Tier::kInterpreted);
-}
-
-TEST(TieredCache, PromotionRewritesTierInPlace) {
-  jit::CodeCache cache;
-  jit::CachedIfunc entry;
-  entry.tier = jit::Tier::kInterpreted;
-  ASSERT_TRUE(cache.insert(42, entry).is_ok());
-  jit::CachedIfunc* cached = cache.peek(42);
-  ASSERT_NE(cached, nullptr);
-  cached->tier = jit::Tier::kJit;
-  cached->invocations = 9;
-  EXPECT_EQ(cache.find(42)->tier, jit::Tier::kJit);
-  EXPECT_EQ(cache.find(42)->invocations, 9u);
-}
-
-TEST(TieredCache, PeekDoesNotDisturbProtocolStats) {
-  jit::CodeCache cache;
-  jit::CachedIfunc entry;
-  ASSERT_TRUE(cache.insert(5, entry).is_ok());
-  (void)cache.peek(5);
-  (void)cache.peek(6);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 0u);
 }
 
 // --- runtime integration: the zero-compile tier ---------------------------------
@@ -1344,6 +1313,165 @@ TEST(VmRuntimeEviction, InFlightInvocationSurvivesEviction) {
   EXPECT_EQ((*recv_rt)->stats().protocol_errors, 0u);
 }
 
+// --- the registry as code cache ----------------------------------------------
+
+struct CacheKernel {
+  ir::KernelKind kind;
+  ir::CodeRepr repr;
+  bool hll = false;
+};
+
+// Four distinct portable ifuncs (the increment and the payload sum, each
+// with and without HLL guards) that need nothing but a target word.
+const std::vector<CacheKernel> kPortableKernels = {
+    {ir::KernelKind::kTargetSideIncrement, ir::CodeRepr::kPortable, false},
+    {ir::KernelKind::kPayloadSum, ir::CodeRepr::kPortable, false},
+    {ir::KernelKind::kTargetSideIncrement, ir::CodeRepr::kPortable, true},
+    {ir::KernelKind::kPayloadSum, ir::CodeRepr::kPortable, true},
+};
+
+// A sender (node 0) registers `kernels`; the receiver (node 1) runs with
+// its own RuntimeOptions. The calling thread progresses both nodes, so on
+// every backend frames arrive in the order they were sent.
+class RegistryCacheTest : public ::testing::Test {
+ protected:
+  void make(hetsim::Backend backend, core::RuntimeOptions receiver_options,
+            const std::vector<CacheKernel>& kernels = kPortableKernels) {
+    if (backend == hetsim::Backend::kSim) {
+      auto fabric = std::make_unique<fabric::Fabric>();
+      fabric->set_default_link(fabric::instant_link());
+      fabric->add_node("sender");
+      fabric->add_node("receiver");
+      transport_ = std::move(fabric);
+    } else if (backend == hetsim::Backend::kShm) {
+      transport_ = std::make_unique<fabric::ShmTransport>(2);
+    } else {
+      auto socket = fabric::SocketTransport::create_threaded(2);
+      ASSERT_TRUE(socket.is_ok()) << socket.status().to_string();
+      transport_ = std::move(*socket);
+    }
+    auto sender = core::Runtime::create(*transport_, 0);
+    auto receiver = core::Runtime::create(*transport_, 1, receiver_options);
+    ASSERT_TRUE(sender.is_ok() && receiver.is_ok());
+    sender_ = std::move(*sender);
+    receiver_ = std::move(*receiver);
+    receiver_->set_target_ptr(&target_);
+    for (const CacheKernel& k : kernels) {
+      auto id = core::register_stock_kernel(*sender_, k.kind, k.repr,
+                                            {.hll_guards = k.hll});
+      ASSERT_TRUE(id.is_ok()) << id.status().to_string();
+      ids_.push_back(*id);
+    }
+  }
+
+  /// Sends kernel `k` once and progresses until the receiver executed it.
+  void send(std::size_t k) {
+    const std::uint64_t executed = receiver_->stats().frames_executed + 1;
+    ASSERT_TRUE(sender_->send_ifunc(1, ids_[k], as_span(Bytes{0})).is_ok());
+    for (int spin = 0; spin < 4'000'000; ++spin) {
+      if (receiver_->stats().frames_executed == executed) return;
+      (void)transport_->progress(0);
+      (void)transport_->progress(1);
+    }
+    FAIL() << "kernel " << k << " never executed";
+  }
+
+  const core::Runtime::Stats& stats() const { return receiver_->stats(); }
+
+  std::unique_ptr<fabric::Transport> transport_;
+  std::uint64_t target_ = 0;
+  std::unique_ptr<core::Runtime> sender_;
+  std::unique_ptr<core::Runtime> receiver_;
+  std::vector<std::uint64_t> ids_;
+};
+
+class RegistryCacheP : public RegistryCacheTest,
+                       public ::testing::WithParamInterface<hetsim::Backend> {
+ protected:
+  void make(std::size_t capacity) {
+    core::RuntimeOptions options;
+    options.cache_capacity = capacity;
+    RegistryCacheTest::make(GetParam(), options);
+  }
+};
+
+TEST_P(RegistryCacheP, LruEvictsLeastRecentlyArrived) {
+  make(/*capacity=*/2);
+  send(0);
+  send(1);
+  send(0);  // a hit: 1 is now the least recently arrived
+  EXPECT_EQ(stats().portable_loads, 2u);
+  EXPECT_EQ(stats().cache_hits, 1u);
+  send(2);  // releases 1, not 0
+  EXPECT_EQ(stats().cache_evictions, 1u);
+  send(0);
+  EXPECT_EQ(stats().portable_loads, 3u);  // 0 stayed resident
+  send(1);  // re-decoded from the retained archive; releases 2
+  EXPECT_EQ(stats().portable_loads, 4u);
+  EXPECT_EQ(stats().cache_evictions, 2u);
+  send(0);
+  EXPECT_EQ(stats().portable_loads, 4u);
+  EXPECT_EQ(stats().frames_executed, 7u);
+  EXPECT_EQ(stats().nacks_sent, 0u);  // no eviction cost a round trip
+}
+
+TEST_P(RegistryCacheP, CapacityBoundsMaterializedTiers) {
+  make(/*capacity=*/2);
+  for (std::size_t k = 0; k < 4; ++k) send(k);
+  EXPECT_EQ(stats().portable_loads, 4u);
+  EXPECT_EQ(stats().cache_evictions, 2u);  // N - capacity
+  // Only the two newest stayed materialized.
+  send(3);
+  send(2);
+  EXPECT_EQ(stats().portable_loads, 4u);
+  EXPECT_EQ(stats().cache_hits, 2u);
+  send(0);
+  EXPECT_EQ(stats().portable_loads, 5u);
+  EXPECT_EQ(stats().cache_evictions, 3u);
+}
+
+TEST_P(RegistryCacheP, DeregisterReleasesTheTier) {
+  make(/*capacity=*/0);
+  send(0);
+  EXPECT_EQ(target_, 1u);
+  ASSERT_TRUE(receiver_->deregister_ifunc(ids_[0]).is_ok());
+  EXPECT_FALSE(receiver_->is_registered(ids_[0]));
+  // The sender still believes the receiver holds the code and truncates:
+  // one NACK fetches the archive, the tier is materialized afresh, and the
+  // stashed payload runs exactly once.
+  send(0);
+  for (int spin = 0; spin < 10'000; ++spin) {
+    (void)transport_->progress(0);
+    (void)transport_->progress(1);
+  }
+  EXPECT_EQ(target_, 2u);
+  EXPECT_EQ(stats().frames_executed, 2u);
+  EXPECT_EQ(stats().portable_loads, 2u);
+  EXPECT_EQ(stats().nacks_sent, 1u);
+  EXPECT_EQ(stats().cache_hits, 0u);
+  EXPECT_EQ(stats().protocol_errors, 0u);
+}
+
+TEST_P(RegistryCacheP, UnboundedNeverEvicts) {
+  make(/*capacity=*/0);
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t k = 0; k < 4; ++k) send(k);
+  }
+  EXPECT_EQ(stats().portable_loads, 4u);
+  EXPECT_EQ(stats().cache_hits, 4u);
+  EXPECT_EQ(stats().cache_evictions, 0u);
+  EXPECT_GT(stats().cache_compile_ns, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, RegistryCacheP,
+                         ::testing::Values(hetsim::Backend::kSim,
+                                           hetsim::Backend::kShm,
+                                           hetsim::Backend::kSocket),
+                         [](const auto& info) {
+                           return std::string(
+                               hetsim::backend_name(info.param));
+                         });
+
 #if TC_WITH_LLVM
 TEST_F(VmRuntimeTest, TieredArchivePromotesAfterThreshold) {
   auto lib = core::IfuncLibrary::from_tiered_kernel(
@@ -1394,8 +1522,7 @@ TEST_F(VmRuntimeTest, InterpOnlyPinNeverPromotes) {
   ASSERT_TRUE(lib.is_ok());
 
   core::RuntimeOptions options;
-  options.promote_after = 1;
-  options.interp_only = true;
+  options.promote_after = UINT64_MAX;
   fabric::Fabric fabric;
   fabric.set_default_link(fabric::instant_link());
   const auto na = fabric.add_node("a");
@@ -1417,6 +1544,34 @@ TEST_F(VmRuntimeTest, InterpOnlyPinNeverPromotes) {
   EXPECT_EQ((*recv_rt)->stats().tier_promotions, 0u);
   EXPECT_EQ((*recv_rt)->stats().jit_compiles, 0u);
   EXPECT_EQ((*recv_rt)->stats().interp_executions, 4u);
+}
+
+// One LRU order over both tiers: a JIT'd victim's engine library and an
+// interpreted victim's program are released alike, and each comes back from
+// its retained archive.
+TEST_F(RegistryCacheTest, LruReleasesInterpretedAndJitTiersAlike) {
+  core::RuntimeOptions options;
+  options.cache_capacity = 2;
+  make(hetsim::Backend::kSim, options,
+       {{ir::KernelKind::kTargetSideIncrement, ir::CodeRepr::kPortable},
+        {ir::KernelKind::kPayloadSum, ir::CodeRepr::kBitcode},
+        {ir::KernelKind::kTargetSideIncrement, ir::CodeRepr::kBitcode}});
+  send(0);  // interpreted
+  send(1);  // JIT'd
+  send(0);  // 1 is now the least recently arrived
+  send(2);  // releases 1's JIT'd code, not 0's program
+  EXPECT_EQ(stats().cache_evictions, 1u);
+  send(0);
+  EXPECT_EQ(stats().portable_loads, 1u);
+  send(1);  // recompiled; releases 2
+  EXPECT_EQ(stats().jit_compiles, 3u);
+  send(2);  // recompiled; releases the interpreted 0
+  EXPECT_EQ(stats().jit_compiles, 4u);
+  send(0);  // decoded again
+  EXPECT_EQ(stats().portable_loads, 2u);
+  EXPECT_EQ(stats().cache_evictions, 4u);
+  EXPECT_EQ(stats().frames_executed, 8u);
+  EXPECT_EQ(stats().protocol_errors, 0u);
 }
 
 // --- VM ↔ JIT bit-exact equivalence ---------------------------------------------
