@@ -206,7 +206,7 @@ void Runtime::record_span(obs::SpanKind kind, const obs::TraceContext& trace,
 void Runtime::record_batch_flush(std::int64_t first_queued_ns) {
   if (options_.metrics == nullptr || first_queued_ns == 0) return;
   const std::int64_t waited = transport_->now_ns() - first_queued_ns;
-  options_.metrics->histogram("batch_flush_ns")
+  options_.metrics->histogram("batch_wait_ns")
       .record(waited > 0 ? static_cast<std::uint64_t>(waited) : 0);
 }
 
@@ -233,6 +233,11 @@ void Runtime::post_wire(fabric::NodeId dst, ByteSpan bytes,
   post_wire_attempt(dst, std::move(buffer), fragments, std::move(on_complete),
                     options_.max_send_retries);
 }
+
+// Spacing between wire-send retry attempts (virtual ns on sim, wall on
+// shm/socket). It must exceed a fault burst's footprint for bursts to be
+// survivable.
+constexpr std::int64_t kRetryBackoffNs = 2'000;
 
 void Runtime::post_wire_attempt(fabric::NodeId dst,
                                 std::shared_ptr<const Bytes> buffer,
@@ -271,7 +276,7 @@ void Runtime::post_wire_attempt(fabric::NodeId dst,
         }
         ++stats_.send_retries;
         transport_->schedule_after(
-            node_, options_.retry_backoff_ns,
+            node_, kRetryBackoffNs,
             [this, alive, dst, buffer = std::move(buffer), fragments,
              on_complete = std::move(on_complete), retries_left]() mutable {
               if (alive.expired()) {

@@ -121,13 +121,11 @@ struct RuntimeOptions {
   /// completion). > 0 makes every runtime wire send — ifunc frames, batch
   /// containers, NACKs, code resends, result replies — re-ship the same
   /// bytes when its completion reports failure, up to this many retries,
-  /// spaced retry_backoff_ns apart. Retries give at-least-once delivery;
-  /// a de-duplicating transport (fabric::FaultyTransport, or a real
-  /// reliable NIC) turns that into exactly-once.
+  /// spaced a fixed backoff apart (see runtime.cpp). Retries give
+  /// at-least-once delivery; a de-duplicating transport
+  /// (fabric::FaultyTransport, or a real reliable NIC) turns that into
+  /// exactly-once.
   std::size_t max_send_retries = 0;
-  /// Spacing between retry attempts (virtual ns on sim, wall on shm).
-  /// Must exceed a fault burst's footprint for bursts to be survivable.
-  std::int64_t retry_backoff_ns = 2'000;
 
   /// Sender-side frame coalescing; defaults to disabled (max_frames = 1),
   /// which preserves the paper's one-frame-per-message wire behaviour
@@ -430,7 +428,8 @@ class Runtime {
                    std::uint32_t span_id, std::int64_t ts_ns,
                    std::int64_t dur_ns, std::uint64_t ifunc_id,
                    std::uint32_t peer, std::uint8_t repr, std::uint8_t tier);
-  /// Batch flush latency histogram (no-op without a metrics registry).
+  /// Records into "batch_wait_ns" how long a batch's first frame waited
+  /// for its flush (no-op without a metrics registry).
   void record_batch_flush(std::int64_t first_queued_ns);
 
   fabric::Transport* transport_;

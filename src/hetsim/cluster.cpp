@@ -1,6 +1,7 @@
 #include "hetsim/cluster.hpp"
 
 #include <cstdlib>
+#include <thread>
 
 #include "common/log.hpp"
 
@@ -46,8 +47,55 @@ Status Cluster::drive_until(fabric::NodeId node,
   return status;
 }
 
+Status Cluster::drive_initiators(
+    std::span<const fabric::NodeId> nodes,
+    const std::function<Status(std::size_t)>& start,
+    const std::function<bool(std::size_t)>& done,
+    const std::function<bool(std::size_t)>& failed) {
+  const std::size_t m = nodes.size();
+  if (m == 0) return invalid_argument("drive_initiators: no initiators");
+  if (backend_ == Backend::kSim || m == 1) {
+    for (std::size_t i = 0; i < m; ++i) TC_RETURN_IF_ERROR(start(i));
+    return drive_until(nodes.front(), [&done, &failed, m] {
+      bool all_done = true;
+      for (std::size_t i = 0; i < m; ++i) {
+        if (failed(i)) return true;
+        all_done = all_done && done(i);
+      }
+      return all_done;
+    });
+  }
+  std::vector<Status> status(m, Status::ok());
+  {
+    std::vector<std::jthread> threads;
+    threads.reserve(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      threads.emplace_back([&, i] {
+        status[i] = start(i);
+        if (!status[i].is_ok()) return;
+        status[i] = drive_until(nodes[i], [&done, &failed, i] {
+          return failed(i) || done(i);
+        });
+      });
+    }
+  }  // joins every thread
+  for (Status& s : status) {
+    if (!s.is_ok()) return std::move(s);
+  }
+  return Status::ok();
+}
+
 void Cluster::settle() {
   if (backend_ == Backend::kSim) fabric_.run_until_idle();
+}
+
+Cluster::FramesSent Cluster::frames_sent() const {
+  FramesSent frames;
+  for (const auto& runtime : runtimes_) {
+    frames.full += runtime->stats().frames_sent_full;
+    frames.truncated += runtime->stats().frames_sent_truncated;
+  }
+  return frames;
 }
 
 void Cluster::dump_stuck_state(fabric::NodeId node, const Status& status) {
@@ -119,8 +167,7 @@ StatusOr<std::unique_ptr<Cluster>> Cluster::create(
     cluster->fabric_.set_default_link(profile.link);
     for (std::size_t i = 0; i < config.client_count; ++i) {
       cluster->fabric_.add_node(
-          config.client_count == 1 ? "client" : "client" + std::to_string(i),
-          profile.client_compute_scale);
+          config.client_count == 1 ? "client" : "client" + std::to_string(i));
     }
     for (std::size_t i = 0; i < config.server_count; ++i) {
       cluster->fabric_.add_node("server" + std::to_string(i),
@@ -165,7 +212,6 @@ StatusOr<std::unique_ptr<Cluster>> Cluster::create(
 
   core::RuntimeOptions runtime_options = runtime_options_for(profile);
   runtime_options.max_send_retries = config.max_send_retries;
-  runtime_options.retry_backoff_ns = config.retry_backoff_ns;
   am::AmRuntime::Options am_options = am_options_for(profile);
   // Clusters host the DAPC-class workloads: per-hop request processing on
   // the servers is heavier than the bare TSI ping (see HwProfile).
@@ -195,7 +241,7 @@ StatusOr<std::unique_ptr<Cluster>> Cluster::create(
 
   if (cluster->wall_clock_ != nullptr) {
     // Servers run the paper's daemon-thread model for real; initiator
-    // nodes are driven inline by the workload's own threads.
+    // nodes are driven by drive_initiators.
     cluster->wall_clock_->start_progress_threads(cluster->servers_);
   }
   return cluster;

@@ -11,9 +11,9 @@
 //    runtimes and protocols are real; only the timings come from profiles.
 //    Bit-for-bit reproducible.
 //  * Backend::kShm — the real-threads shared-memory transport: every server
-//    node gets a dedicated progress thread, initiator nodes are driven by
-//    the application's own threads, and measurements are wall-clock. The
-//    profile's virtual-time constants are ignored (real work takes real
+//    node gets a dedicated progress thread, initiator nodes are driven as
+//    Cluster::drive_initiators states, and measurements are wall-clock.
+//    The profile's virtual-time constants are ignored (real work takes real
 //    time); everything else — protocols, JIT tiers, caching — is identical.
 //  * Backend::kSocket — the real-sockets transport in threaded (socketpair)
 //    mode: same topology and threading model as kShm, but every verb is
@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "am/am_runtime.hpp"
@@ -70,7 +71,6 @@ struct ClusterConfig {
   /// core::RuntimeOptions::max_send_retries); chaos configurations set
   /// this so recovery outlasts the injected fault schedule. 0 = off.
   std::size_t max_send_retries = 0;
-  std::int64_t retry_backoff_ns = 2'000;
   /// Wall-clock (shm/socket) watchdog: run_until gives up after this much
   /// wall time (<0 keeps the backend default). Chaos tests shorten it so a
   /// lost-completion bug fails fast with a state dump instead of hanging
@@ -117,10 +117,40 @@ class Cluster {
   /// becomes `node`'s progress context and spins it, so predicates over
   /// state fed by that node's completions/results fire on this thread.
   Status drive_until(fabric::NodeId node, const std::function<bool()>& pred);
+  /// Drives initiators 0..M-1, on client nodes `nodes`, to completion. This
+  /// is the one place the initiator threading rule lives:
+  ///
+  ///  * On the simulated backend, or with one initiator on any backend, the
+  ///    calling thread runs start(0) .. start(M-1) in index order (a failed
+  ///    start returns at once), then one drive_until(nodes[0]) that stops
+  ///    when every initiator is done or any has failed. So sim initiators
+  ///    interleave deterministically in one virtual timeline, and a lone
+  ///    wall-clock initiator costs no thread.
+  ///  * On shm or socket with M > 1, initiator i gets its own OS thread,
+  ///    which runs start(i) and then drive_until(nodes[i]) until initiator
+  ///    i is done or has failed. Every thread is joined before the first
+  ///    error, by initiator index, is returned.
+  ///
+  /// start(i) issues initiator i's first requests. start, done and failed
+  /// for initiator i run only on its progress context, so the state they
+  /// touch needs no lock. Does not settle().
+  Status drive_initiators(std::span<const fabric::NodeId> nodes,
+                          const std::function<Status(std::size_t)>& start,
+                          const std::function<bool(std::size_t)>& done,
+                          const std::function<bool(std::size_t)>& failed);
   /// Drains trailing simulated events (busy/no-op tails) so now_ns() reads
   /// the completion horizon rather than the predicate-flip instant. No-op
   /// on wall-clock backends — real time has already passed.
   void settle();
+
+  /// Frames sent so far by every runtime in the cluster: `full` shipped
+  /// their code, `truncated` rode the receiver's cache. Drivers report a
+  /// run's traffic as the difference across it.
+  struct FramesSent {
+    std::uint64_t full = 0;
+    std::uint64_t truncated = 0;
+  };
+  FramesSent frames_sent() const;
 
  private:
   Cluster() = default;

@@ -24,7 +24,6 @@ HwProfile make_ookami() {
   p.link.gap_ns_per_byte = 0.36;  // rate gap uncached-cached over code bytes
   p.link.gap_send_ns = 585;       // 1/1.669 M - 31 B payload share
   p.link.gap_am_ns = 742;         // 1/1.32 M - 33 B share
-  p.client_compute_scale = 1.0;
   p.server_compute_scale = 1.0;   // A64FX on both ends
   p.jit_cost_ns = 6'590'000;
   p.link_cost_ns = 180'000;       // object link: no IR work, ~3% of JIT
@@ -53,7 +52,6 @@ HwProfile make_thor_bf2() {
   p.link.gap_ns_per_byte = 0.316;
   p.link.gap_send_ns = 755;
   p.link.gap_am_ns = 1015;
-  p.client_compute_scale = 1.0;   // Xeon host drives the DPUs
   p.server_compute_scale = 3.0;   // Cortex-A72 vs Xeon single-thread
   p.jit_cost_ns = 4'500'000;
   p.link_cost_ns = 150'000;
@@ -83,7 +81,6 @@ HwProfile make_thor_xeon() {
   p.link.gap_ns_per_byte = 0.068;  // rate path runs near line rate on Xeon
   p.link.gap_send_ns = 125;        // 1/7.302 M
   p.link.gap_am_ns = 136;          // 1/6.754 M
-  p.client_compute_scale = 1.0;
   p.server_compute_scale = 1.0;
   p.jit_cost_ns = 830'000;
   p.link_cost_ns = 60'000;

@@ -30,9 +30,9 @@ struct HwProfile {
   std::string name;
   fabric::LinkModel link;
 
-  /// Compute-time multiplier for client (host) and server nodes; >1 models
-  /// slower cores (the BF2's Cortex-A72 vs the Xeon host).
-  double client_compute_scale = 1.0;
+  /// Compute-time multiplier for server nodes; >1 models slower cores (the
+  /// BF2's Cortex-A72 vs the Xeon host). Client nodes, the hosts every
+  /// profile's timings are measured on, run at 1.0.
   double server_compute_scale = 1.0;
 
   /// One-time bitcode JIT compile of the TSI-sized ifunc (Tables I-III).

@@ -55,7 +55,10 @@ void collect_runtime(const std::string& prefix, const core::Runtime& runtime,
   set("runtime.interp_executions", s.interp_executions);
   set("runtime.interp_instrs", s.interp_instrs);
   set("runtime.tier_promotions", s.tier_promotions);
+  set("runtime.promotions_failed", s.promotions_failed);
   set("runtime.forward_send_failures", s.forward_send_failures);
+  set("runtime.send_retries", s.send_retries);
+  set("runtime.send_retries_exhausted", s.send_retries_exhausted);
   set("runtime.real_jit_ns_total", s.real_jit_ns_total);
   set("cache.hits", s.cache_hits);
   set("cache.total_compile_ns", s.cache_compile_ns);
@@ -95,8 +98,14 @@ void collect_cluster_metrics(hetsim::Cluster& cluster,
     }
     return;
   }
-  auto* core = dynamic_cast<fabric::WallClockTransport*>(&cluster.transport());
-  if (core == nullptr) return;  // wrapped in a fault shim
+  // Under fault injection transport() is the shim; the counters live on
+  // the backend it decorates.
+  fabric::Transport* backend = &cluster.transport();
+  if (fabric::FaultyTransport* shim = cluster.fault_shim()) {
+    backend = &shim->inner();
+  }
+  auto* core = dynamic_cast<fabric::WallClockTransport*>(backend);
+  if (core == nullptr) return;
   if (auto* shm = dynamic_cast<fabric::ShmTransport*>(core)) {
     const fabric::ShmTransport::Stats s = shm->stats();
     registry.counter("shm.ops_pushed").set(s.ops_pushed);

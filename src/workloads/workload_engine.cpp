@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/bytes.hpp"
@@ -416,6 +416,8 @@ void WorkloadEngine::reset_bfs_lane(std::size_t lane_index) {
     cells_[s][lane_index].parent.store(0, std::memory_order_release);
     cells_[s][lane_index].deficit.store(0, std::memory_order_release);
   }
+  lanes_[lane_index].outstanding = 1;  // the seed message
+  lanes_[lane_index].failed = false;
 }
 
 std::uint64_t WorkloadEngine::sum_bfs_visited(std::size_t lane_index) const {
@@ -431,19 +433,17 @@ std::uint64_t WorkloadEngine::bfs_visited(std::size_t server,
   return cells_.at(server)[lane].visited.load(std::memory_order_acquire);
 }
 
-std::pair<std::uint64_t, std::uint64_t> WorkloadEngine::frame_counts() const {
-  if (is_am_mode()) return {0, 0};
-  std::uint64_t full = 0, truncated = 0;
-  const std::size_t nodes = cluster_->node_count();
-  for (fabric::NodeId node = 0; node < nodes; ++node) {
-    const auto& stats = cluster_->runtime(node).stats();
-    full += stats.frames_sent_full;
-    truncated += stats.frames_sent_truncated;
-  }
-  return {full, truncated};
-}
-
 // --- run paths ---------------------------------------------------------------
+
+void WorkloadEngine::reset_lookup_lane(std::size_t lane_index,
+                                       const std::vector<std::uint64_t>& keys) {
+  Lane& lane = lanes_[lane_index];
+  lane.queries = &keys;
+  lane.values.assign(keys.size(), 0);
+  if (e2e_hist_ != nullptr) lane.issue_ns.assign(keys.size(), 0);
+  lane.completed = 0;
+  lane.failed = false;
+}
 
 StatusOr<WorkloadResult> WorkloadEngine::run_lookups(
     const std::vector<std::uint64_t>& keys, std::size_t lane_index) {
@@ -454,47 +454,8 @@ StatusOr<WorkloadResult> WorkloadEngine::run_lookups(
     return invalid_argument("workloads: lane out of range");
   }
   if (keys.empty()) return invalid_argument("run_lookups: no queries");
-  Lane& lane = lanes_[lane_index];
-  lane.queries = &keys;
-  lane.values.assign(keys.size(), 0);
-  if (e2e_hist_ != nullptr) lane.issue_ns.assign(keys.size(), 0);
-  lane.completed = 0;
-  lane.failed = false;
-
-  const auto frames0 = frame_counts();
-  fabric::Transport& transport = cluster_->transport();
-  const auto t0 = transport.now_ns();
-  const std::uint64_t initial =
-      std::min<std::uint64_t>(config_.window, keys.size());
-  lane.next_query = initial;
-  for (std::uint64_t i = 0; i < initial; ++i) {
-    TC_RETURN_IF_ERROR(issue_lookup(lane, i));
-  }
-  TC_RETURN_IF_ERROR(cluster_->drive_until(lane.node, [&lane, &keys] {
-    return lane.failed || lane.completed == keys.size();
-  }));
-  cluster_->settle();
-  if (lane.failed) {
-    return internal_error("workload lookup failed mid-flight");
-  }
-
-  WorkloadResult result;
-  result.elapsed_ns = transport.now_ns() - t0;
-  result.wall_clock = !transport.deterministic();
-  result.completed = lane.completed;
-  result.values = lane.values;
-  for (std::uint64_t v : lane.values) {
-    if (v != kMiss) ++result.hits;
-  }
-  result.ops_per_second =
-      result.elapsed_ns > 0
-          ? static_cast<double>(result.completed) * 1e9 /
-                static_cast<double>(result.elapsed_ns)
-          : 0.0;
-  const auto frames1 = frame_counts();
-  result.frames_full = frames1.first - frames0.first;
-  result.frames_truncated = frames1.second - frames0.second;
-  return result;
+  reset_lookup_lane(lane_index, keys);
+  return drive_lookups(lane_index, 1);
 }
 
 StatusOr<WorkloadResult> WorkloadEngine::run_lookups_all(
@@ -506,84 +467,45 @@ StatusOr<WorkloadResult> WorkloadEngine::run_lookups_all(
     return invalid_argument("workloads: run_lookups_all needs 1..lanes "
                             "query streams");
   }
-  const std::size_t m = per_lane.size();
-  for (std::size_t i = 0; i < m; ++i) {
+  for (std::size_t i = 0; i < per_lane.size(); ++i) {
     if (per_lane[i].empty()) {
       return invalid_argument("run_lookups_all: empty query stream");
     }
-    Lane& lane = lanes_[i];
-    lane.queries = &per_lane[i];
-    lane.values.assign(per_lane[i].size(), 0);
-    if (e2e_hist_ != nullptr) lane.issue_ns.assign(per_lane[i].size(), 0);
-    lane.completed = 0;
-    lane.failed = false;
+    reset_lookup_lane(i, per_lane[i]);
   }
+  return drive_lookups(0, per_lane.size());
+}
 
-  const auto frames0 = frame_counts();
+StatusOr<WorkloadResult> WorkloadEngine::drive_lookups(std::size_t first,
+                                                       std::size_t count) {
+  const hetsim::Cluster::FramesSent frames0 = cluster_->frames_sent();
   fabric::Transport& transport = cluster_->transport();
   const auto t0 = transport.now_ns();
-
-  if (cluster_->backend() == hetsim::Backend::kSim || m == 1) {
-    // Deterministic interleaving: every lane issues into the one virtual
-    // timeline, a single event loop drains them all. A lone wall-clock lane
-    // runs here too: this thread drives its client node.
-    for (std::size_t i = 0; i < m; ++i) {
-      Lane& lane = lanes_[i];
-      const std::uint64_t initial =
-          std::min<std::uint64_t>(config_.window, per_lane[i].size());
-      lane.next_query = initial;
-      for (std::uint64_t q = 0; q < initial; ++q) {
-        TC_RETURN_IF_ERROR(issue_lookup(lane, q));
-      }
-    }
-    TC_RETURN_IF_ERROR(
-        cluster_->drive_until(cluster_->client_node(), [this, m] {
-          for (std::size_t i = 0; i < m; ++i) {
-            if (lanes_[i].failed) return true;
-            if (lanes_[i].completed != lanes_[i].queries->size()) {
-              return false;
-            }
-          }
-          return true;
-        }));
-  } else {
-    // Real concurrency: one OS thread per initiator issues and completes
-    // its own lane on its own client node.
-    std::vector<std::thread> threads;
-    std::vector<Status> status(m, Status::ok());
-    for (std::size_t i = 0; i < m; ++i) {
-      threads.emplace_back([this, i, &status] {
-        Lane& lane = lanes_[i];
-        const std::uint64_t n = lane.queries->size();
+  TC_RETURN_IF_ERROR(cluster_->drive_initiators(
+      std::span(cluster_->client_nodes()).subspan(first, count),
+      [this, first](std::size_t i) -> Status {
+        Lane& lane = lanes_[first + i];
         const std::uint64_t initial =
-            std::min<std::uint64_t>(config_.window, n);
+            std::min<std::uint64_t>(config_.window, lane.queries->size());
         lane.next_query = initial;
         for (std::uint64_t q = 0; q < initial; ++q) {
-          Status s = issue_lookup(lane, q);
-          if (!s.is_ok()) {
-            status[i] = std::move(s);
-            lane.failed = true;
-            return;
-          }
+          TC_RETURN_IF_ERROR(issue_lookup(lane, q));
         }
-        status[i] = cluster_->drive_until(lane.node, [&lane, n] {
-          return lane.failed || lane.completed == n;
-        });
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    for (Status& s : status) {
-      if (!s.is_ok()) return std::move(s);
-    }
-  }
+        return Status::ok();
+      },
+      [this, first](std::size_t i) {
+        const Lane& lane = lanes_[first + i];
+        return lane.completed == lane.queries->size();
+      },
+      [this, first](std::size_t i) { return lanes_[first + i].failed; }));
   cluster_->settle();
 
   WorkloadResult result;
   result.elapsed_ns = transport.now_ns() - t0;
   result.wall_clock = !transport.deterministic();
-  for (std::size_t i = 0; i < m; ++i) {
+  for (std::size_t i = first; i < first + count; ++i) {
     if (lanes_[i].failed) {
-      return internal_error("concurrent workload lookups failed mid-flight");
+      return internal_error("workload lookups failed mid-flight");
     }
     result.completed += lanes_[i].completed;
     for (std::uint64_t v : lanes_[i].values) {
@@ -596,9 +518,9 @@ StatusOr<WorkloadResult> WorkloadEngine::run_lookups_all(
           ? static_cast<double>(result.completed) * 1e9 /
                 static_cast<double>(result.elapsed_ns)
           : 0.0;
-  const auto frames1 = frame_counts();
-  result.frames_full = frames1.first - frames0.first;
-  result.frames_truncated = frames1.second - frames0.second;
+  const hetsim::Cluster::FramesSent frames1 = cluster_->frames_sent();
+  result.frames_full = frames1.full - frames0.full;
+  result.frames_truncated = frames1.truncated - frames0.truncated;
   return result;
 }
 
@@ -613,36 +535,8 @@ StatusOr<WorkloadResult> WorkloadEngine::run_bfs(std::uint64_t source,
   if (source >= graph_.total_vertices()) {
     return invalid_argument("run_bfs: source vertex out of range");
   }
-  Lane& lane = lanes_[lane_index];
   reset_bfs_lane(lane_index);
-  lane.outstanding = 1;  // the seed message
-  lane.failed = false;
-
-  const auto frames0 = frame_counts();
-  fabric::Transport& transport = cluster_->transport();
-  const auto t0 = transport.now_ns();
-  TC_RETURN_IF_ERROR(issue_bfs_seed(lane, source));
-  TC_RETURN_IF_ERROR(cluster_->drive_until(lane.node, [&lane] {
-    return lane.failed || lane.outstanding == 0;
-  }));
-  cluster_->settle();
-  if (lane.failed) return internal_error("BFS failed mid-flight");
-
-  WorkloadResult result;
-  result.elapsed_ns = transport.now_ns() - t0;
-  result.wall_clock = !transport.deterministic();
-  result.completed = 1;
-  result.hits = sum_bfs_visited(lane_index);
-  result.values = {result.hits};
-  result.ops_per_second =
-      result.elapsed_ns > 0
-          ? static_cast<double>(result.hits) * 1e9 /
-                static_cast<double>(result.elapsed_ns)
-          : 0.0;
-  const auto frames1 = frame_counts();
-  result.frames_full = frames1.first - frames0.first;
-  result.frames_truncated = frames1.second - frames0.second;
-  return result;
+  return drive_bfs(lane_index, std::span(&source, 1));
 }
 
 StatusOr<WorkloadResult> WorkloadEngine::run_bfs_all(
@@ -653,63 +547,37 @@ StatusOr<WorkloadResult> WorkloadEngine::run_bfs_all(
   if (sources.empty() || sources.size() > lanes_.size()) {
     return invalid_argument("workloads: run_bfs_all needs 1..lanes sources");
   }
-  const std::size_t m = sources.size();
-  for (std::size_t i = 0; i < m; ++i) {
+  for (std::size_t i = 0; i < sources.size(); ++i) {
     if (sources[i] >= graph_.total_vertices()) {
       return invalid_argument("run_bfs_all: source vertex out of range");
     }
     reset_bfs_lane(i);
-    lanes_[i].outstanding = 1;
-    lanes_[i].failed = false;
   }
+  return drive_bfs(0, sources);
+}
 
-  const auto frames0 = frame_counts();
+StatusOr<WorkloadResult> WorkloadEngine::drive_bfs(
+    std::size_t first, std::span<const std::uint64_t> sources) {
+  const std::size_t count = sources.size();
+  const hetsim::Cluster::FramesSent frames0 = cluster_->frames_sent();
   fabric::Transport& transport = cluster_->transport();
   const auto t0 = transport.now_ns();
-
-  if (cluster_->backend() == hetsim::Backend::kSim || m == 1) {
-    for (std::size_t i = 0; i < m; ++i) {
-      TC_RETURN_IF_ERROR(issue_bfs_seed(lanes_[i], sources[i]));
-    }
-    TC_RETURN_IF_ERROR(
-        cluster_->drive_until(cluster_->client_node(), [this, m] {
-          for (std::size_t i = 0; i < m; ++i) {
-            if (lanes_[i].failed) return true;
-            if (lanes_[i].outstanding != 0) return false;
-          }
-          return true;
-        }));
-  } else {
-    std::vector<std::thread> threads;
-    std::vector<Status> status(m, Status::ok());
-    for (std::size_t i = 0; i < m; ++i) {
-      threads.emplace_back([this, i, &sources, &status] {
-        Lane& lane = lanes_[i];
-        Status s = issue_bfs_seed(lane, sources[i]);
-        if (!s.is_ok()) {
-          status[i] = std::move(s);
-          lane.failed = true;
-          return;
-        }
-        status[i] = cluster_->drive_until(lane.node, [&lane] {
-          return lane.failed || lane.outstanding == 0;
-        });
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    for (Status& s : status) {
-      if (!s.is_ok()) return std::move(s);
-    }
-  }
+  TC_RETURN_IF_ERROR(cluster_->drive_initiators(
+      std::span(cluster_->client_nodes()).subspan(first, count),
+      [this, first, sources](std::size_t i) {
+        return issue_bfs_seed(lanes_[first + i], sources[i]);
+      },
+      [this, first](std::size_t i) {
+        return lanes_[first + i].outstanding == 0;
+      },
+      [this, first](std::size_t i) { return lanes_[first + i].failed; }));
   cluster_->settle();
 
   WorkloadResult result;
   result.elapsed_ns = transport.now_ns() - t0;
   result.wall_clock = !transport.deterministic();
-  for (std::size_t i = 0; i < m; ++i) {
-    if (lanes_[i].failed) {
-      return internal_error("concurrent BFS failed mid-flight");
-    }
+  for (std::size_t i = first; i < first + count; ++i) {
+    if (lanes_[i].failed) return internal_error("BFS failed mid-flight");
     ++result.completed;
     const std::uint64_t visited = sum_bfs_visited(i);
     result.hits += visited;
@@ -720,9 +588,9 @@ StatusOr<WorkloadResult> WorkloadEngine::run_bfs_all(
           ? static_cast<double>(result.hits) * 1e9 /
                 static_cast<double>(result.elapsed_ns)
           : 0.0;
-  const auto frames1 = frame_counts();
-  result.frames_full = frames1.first - frames0.first;
-  result.frames_truncated = frames1.second - frames0.second;
+  const hetsim::Cluster::FramesSent frames1 = cluster_->frames_sent();
+  result.frames_full = frames1.full - frames0.full;
+  result.frames_truncated = frames1.truncated - frames0.truncated;
   return result;
 }
 

@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/status.hpp"
@@ -146,9 +147,8 @@ class WorkloadEngine {
   /// config.window lookups in flight. Hash-probe / ordered-search only.
   StatusOr<WorkloadResult> run_lookups(const std::vector<std::uint64_t>& keys,
                                        std::size_t lane = 0);
-  /// per_lane[i] runs on lane i concurrently — deterministically
-  /// interleaved on sim, one OS thread per initiator on the wall-clock
-  /// backends (the calling thread when there is one lane).
+  /// per_lane[i] runs on lane i concurrently, driven as
+  /// hetsim::Cluster::drive_initiators states.
   StatusOr<WorkloadResult> run_lookups_all(
       const std::vector<std::vector<std::uint64_t>>& per_lane);
 
@@ -167,7 +167,7 @@ class WorkloadEngine {
 
  private:
   /// Per-lane in-flight state, touched only by the lane's own progress
-  /// context (the sim event loop, or the initiator's thread on shm).
+  /// context (see hetsim::Cluster::drive_initiators).
   struct Lane {
     std::size_t index = 0;
     fabric::NodeId node = 0;
@@ -196,12 +196,18 @@ class WorkloadEngine {
   Status issue_bfs_seed(Lane& lane, std::uint64_t source);
   void on_lookup_reply(Lane& lane, std::uint64_t tag, std::uint64_t value);
   Status send_payload(Lane& lane, fabric::NodeId dst, ByteSpan payload);
-  /// Clears lane's visited bitmaps/counters on every server.
+  /// Points a lane at `keys` and clears its lookup state.
+  void reset_lookup_lane(std::size_t lane_index,
+                         const std::vector<std::uint64_t>& keys);
+  /// Runs the reset lanes [first, first + count) through their queries.
+  StatusOr<WorkloadResult> drive_lookups(std::size_t first, std::size_t count);
+  /// Clears a lane's visited bitmaps/counters on every server and arms its
+  /// credit count for the seed message.
   void reset_bfs_lane(std::size_t lane_index);
+  /// Expands lane first + i from sources[i], for every i.
+  StatusOr<WorkloadResult> drive_bfs(std::size_t first,
+                                     std::span<const std::uint64_t> sources);
   std::uint64_t sum_bfs_visited(std::size_t lane_index) const;
-  /// Sums frames_sent_{full,truncated} over every cluster runtime (ifunc
-  /// modes; the AM baseline ships no frames).
-  std::pair<std::uint64_t, std::uint64_t> frame_counts() const;
 
   hetsim::Cluster* cluster_;
   WorkloadConfig config_;

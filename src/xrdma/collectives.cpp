@@ -1,8 +1,7 @@
 #include "xrdma/collectives.hpp"
 
+#include <span>
 #include <string>
-#include <thread>
-#include <utility>
 
 #include "ir/kernels.hpp"
 
@@ -43,17 +42,7 @@ StatusOr<BroadcastResult> tree_broadcast(hetsim::Cluster& cluster,
     cluster.runtime(servers[i]).set_target_ptr(&slots[i]);
   }
 
-  auto frames_before = [&cluster, &servers] {
-    std::uint64_t full = cluster.client_runtime().stats().frames_sent_full;
-    std::uint64_t trunc =
-        cluster.client_runtime().stats().frames_sent_truncated;
-    for (auto node : servers) {
-      full += cluster.runtime(node).stats().frames_sent_full;
-      trunc += cluster.runtime(node).stats().frames_sent_truncated;
-    }
-    return std::pair{full, trunc};
-  };
-  const auto [full0, trunc0] = frames_before();
+  const hetsim::Cluster::FramesSent frames0 = cluster.frames_sent();
 
   ByteWriter w;
   w.u64(0);                    // base peer of the covered range
@@ -86,9 +75,9 @@ StatusOr<BroadcastResult> tree_broadcast(hetsim::Cluster& cluster,
       ++result.delivered;
     }
   }
-  const auto [full1, trunc1] = frames_before();
-  result.frames_full = full1 - full0;
-  result.frames_truncated = trunc1 - trunc0;
+  const hetsim::Cluster::FramesSent frames1 = cluster.frames_sent();
+  result.frames_full = frames1.full - frames0.full;
+  result.frames_truncated = frames1.truncated - frames0.truncated;
   return result;
 }
 
@@ -220,18 +209,6 @@ std::uint64_t CollectiveEngine::broadcast_arrivals(std::size_t server,
   return cells_.at(server)[lane].arrivals.load(std::memory_order_acquire);
 }
 
-std::pair<std::uint64_t, std::uint64_t> CollectiveEngine::frame_counts()
-    const {
-  std::uint64_t full = 0, truncated = 0;
-  const std::size_t nodes = cluster_->node_count();
-  for (fabric::NodeId node = 0; node < nodes; ++node) {
-    const auto& stats = cluster_->runtime(node).stats();
-    full += stats.frames_sent_full;
-    truncated += stats.frames_sent_truncated;
-  }
-  return {full, truncated};
-}
-
 Status CollectiveEngine::issue_broadcast(Lane& lane, std::size_t lane_index,
                                          std::uint64_t value) {
   const auto& servers = cluster_->server_nodes();
@@ -272,34 +249,60 @@ StatusOr<CollectiveResult> CollectiveEngine::broadcast(std::uint64_t value,
   if (lane_index >= lanes_.size()) {
     return invalid_argument("collectives: lane out of range");
   }
-  Lane& lane = lanes_[lane_index];
-  const std::size_t n = cluster_->server_nodes().size();
-  for (std::size_t s = 0; s < n; ++s) {
-    cells_[s][lane_index].arrivals.store(0, std::memory_order_relaxed);
-  }
-  lane.acks = 0;
-  lane.failed = false;
+  TC_ASSIGN_OR_RETURN(
+      CollectiveResult result,
+      broadcast_lanes(lane_index, std::span(&value, 1), "broadcast"));
+  result.value = value;
+  return result;
+}
 
-  CollectiveResult result;
-  const auto frames0 = frame_counts();
+StatusOr<CollectiveResult> CollectiveEngine::broadcast_all(
+    const std::vector<std::uint64_t>& values) {
+  if (values.empty() || values.size() > lanes_.size()) {
+    return invalid_argument(
+        "collectives: broadcast_all needs 1..lanes values");
+  }
+  return broadcast_lanes(0, values, "broadcast_all");
+}
+
+StatusOr<CollectiveResult> CollectiveEngine::broadcast_lanes(
+    std::size_t first, std::span<const std::uint64_t> values,
+    const char* what) {
+  const std::size_t count = values.size();
+  const std::size_t n = cluster_->server_nodes().size();
+  for (std::size_t i = first; i < first + count; ++i) {
+    for (std::size_t s = 0; s < n; ++s) {
+      cells_[s][i].arrivals.store(0, std::memory_order_relaxed);
+    }
+    lanes_[i].acks = 0;
+    lanes_[i].failed = false;
+  }
+
+  const hetsim::Cluster::FramesSent frames0 = cluster_->frames_sent();
   fabric::Transport& transport = cluster_->transport();
   const auto t0 = transport.now_ns();
-  TC_RETURN_IF_ERROR(issue_broadcast(lane, lane_index, value));
-  TC_RETURN_IF_ERROR(cluster_->drive_until(lane.node, [&lane, n] {
-    return lane.failed || lane.acks == n;
-  }));
+  TC_RETURN_IF_ERROR(cluster_->drive_initiators(
+      std::span(cluster_->client_nodes()).subspan(first, count),
+      [this, first, values](std::size_t i) {
+        return issue_broadcast(lanes_[first + i], first + i, values[i]);
+      },
+      [this, first, n](std::size_t i) { return lanes_[first + i].acks == n; },
+      [this, first](std::size_t i) { return lanes_[first + i].failed; }));
   cluster_->settle();
-  if (lane.failed) {
-    return internal_error("collective broadcast failed mid-flight");
+
+  CollectiveResult result;
+  for (std::size_t i = first; i < first + count; ++i) {
+    if (lanes_[i].failed) {
+      return internal_error("collective broadcast failed mid-flight");
+    }
+    result.delivered += lanes_[i].acks;
   }
   result.elapsed_ns = transport.now_ns() - t0;
   result.wall_clock = !transport.deterministic();
-  record_e2e("broadcast", result.elapsed_ns);
-  result.delivered = lane.acks;
-  result.value = value;
-  const auto frames1 = frame_counts();
-  result.frames_full = frames1.first - frames0.first;
-  result.frames_truncated = frames1.second - frames0.second;
+  record_e2e(what, result.elapsed_ns);
+  const hetsim::Cluster::FramesSent frames1 = cluster_->frames_sent();
+  result.frames_full = frames1.full - frames0.full;
+  result.frames_truncated = frames1.truncated - frames0.truncated;
   return result;
 }
 
@@ -313,13 +316,14 @@ StatusOr<CollectiveResult> CollectiveEngine::reduce(CollectiveOp op,
   lane.failed = false;
 
   CollectiveResult result;
-  const auto frames0 = frame_counts();
+  const hetsim::Cluster::FramesSent frames0 = cluster_->frames_sent();
   fabric::Transport& transport = cluster_->transport();
   const auto t0 = transport.now_ns();
-  TC_RETURN_IF_ERROR(issue_reduce(lane, lane_index, op));
-  TC_RETURN_IF_ERROR(cluster_->drive_until(lane.node, [&lane] {
-    return lane.failed || lane.have_reduce_value;
-  }));
+  TC_RETURN_IF_ERROR(cluster_->drive_initiators(
+      std::span(cluster_->client_nodes()).subspan(lane_index, 1),
+      [&](std::size_t) { return issue_reduce(lane, lane_index, op); },
+      [&lane](std::size_t) { return lane.have_reduce_value; },
+      [&lane](std::size_t) { return lane.failed; }));
   cluster_->settle();
   if (lane.failed) {
     return internal_error("collective reduce failed mid-flight");
@@ -329,9 +333,9 @@ StatusOr<CollectiveResult> CollectiveEngine::reduce(CollectiveOp op,
   record_e2e("reduce", result.elapsed_ns);
   result.delivered = cluster_->server_nodes().size();
   result.value = lane.reduce_value;
-  const auto frames1 = frame_counts();
-  result.frames_full = frames1.first - frames0.first;
-  result.frames_truncated = frames1.second - frames0.second;
+  const hetsim::Cluster::FramesSent frames1 = cluster_->frames_sent();
+  result.frames_full = frames1.full - frames0.full;
+  result.frames_truncated = frames1.truncated - frames0.truncated;
   return result;
 }
 
@@ -374,83 +378,6 @@ StatusOr<CollectiveResult> CollectiveEngine::barrier(std::size_t lane_index) {
   result.frames_full = fan_in.frames_full + release.frames_full;
   result.frames_truncated =
       fan_in.frames_truncated + release.frames_truncated;
-  return result;
-}
-
-StatusOr<CollectiveResult> CollectiveEngine::broadcast_all(
-    const std::vector<std::uint64_t>& values) {
-  if (values.empty() || values.size() > lanes_.size()) {
-    return invalid_argument(
-        "collectives: broadcast_all needs 1..lanes values");
-  }
-  const std::size_t m = values.size();
-  const std::size_t n = cluster_->server_nodes().size();
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t s = 0; s < n; ++s) {
-      cells_[s][i].arrivals.store(0, std::memory_order_relaxed);
-    }
-    lanes_[i].acks = 0;
-    lanes_[i].failed = false;
-  }
-
-  CollectiveResult result;
-  const auto frames0 = frame_counts();
-  fabric::Transport& transport = cluster_->transport();
-  const auto t0 = transport.now_ns();
-
-  if (cluster_->backend() == hetsim::Backend::kSim || m == 1) {
-    // Deterministic interleaving: every lane issues into the one virtual
-    // timeline, a single event loop drains them all. A lone wall-clock lane
-    // runs here too: this thread drives its client node.
-    for (std::size_t i = 0; i < m; ++i) {
-      TC_RETURN_IF_ERROR(issue_broadcast(lanes_[i], i, values[i]));
-    }
-    TC_RETURN_IF_ERROR(cluster_->drive_until(cluster_->client_node(),
-                                             [this, m, n] {
-      for (std::size_t i = 0; i < m; ++i) {
-        if (lanes_[i].failed) return true;
-        if (lanes_[i].acks != n) return false;
-      }
-      return true;
-    }));
-  } else {
-    // Real concurrency: one OS thread per initiator issues and completes
-    // its own lane on its own client node.
-    std::vector<std::thread> threads;
-    std::vector<Status> status(m, Status::ok());
-    for (std::size_t i = 0; i < m; ++i) {
-      threads.emplace_back([this, i, n, &values, &status] {
-        Lane& lane = lanes_[i];
-        Status s = issue_broadcast(lane, i, values[i]);
-        if (!s.is_ok()) {
-          status[i] = std::move(s);
-          lane.failed = true;
-          return;
-        }
-        status[i] = cluster_->drive_until(lane.node, [&lane, n] {
-          return lane.failed || lane.acks == n;
-        });
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    for (Status& s : status) {
-      if (!s.is_ok()) return std::move(s);
-    }
-  }
-  cluster_->settle();
-
-  for (std::size_t i = 0; i < m; ++i) {
-    if (lanes_[i].failed) {
-      return internal_error("concurrent broadcast failed mid-flight");
-    }
-    result.delivered += lanes_[i].acks;
-  }
-  result.elapsed_ns = transport.now_ns() - t0;
-  result.wall_clock = !transport.deterministic();
-  record_e2e("broadcast_all", result.elapsed_ns);
-  const auto frames1 = frame_counts();
-  result.frames_full = frames1.first - frames0.first;
-  result.frames_truncated = frames1.second - frames0.second;
   return result;
 }
 

@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/status.hpp"
@@ -176,16 +177,15 @@ class CollectiveEngine {
   /// server has processed both phases.
   StatusOr<CollectiveResult> barrier(std::size_t lane = 0);
 
-  /// values.size() concurrent broadcasts, one per lane/initiator —
-  /// deterministically interleaved on sim, one OS thread per initiator on
-  /// the wall-clock backends (the calling thread when there is one lane).
-  /// Aggregate result; per-lane landings via broadcast_value().
+  /// values.size() concurrent broadcasts, one per lane/initiator, driven
+  /// as hetsim::Cluster::drive_initiators states. Aggregate result;
+  /// per-lane landings via broadcast_value().
   StatusOr<CollectiveResult> broadcast_all(
       const std::vector<std::uint64_t>& values);
 
  private:
   /// Per-lane in-flight state, touched only by the lane's own progress
-  /// context (the sim event loop, or the initiator's thread on shm).
+  /// context (see hetsim::Cluster::drive_initiators).
   struct Lane {
     fabric::NodeId node = 0;
     std::uint64_t bcast_ifunc = 0;
@@ -202,8 +202,11 @@ class CollectiveEngine {
   Status issue_broadcast(Lane& lane, std::size_t lane_index,
                          std::uint64_t value);
   Status issue_reduce(Lane& lane, std::size_t lane_index, CollectiveOp op);
-  /// Sums frames_sent_{full,truncated} over every cluster runtime.
-  std::pair<std::uint64_t, std::uint64_t> frame_counts() const;
+  /// Broadcasts values[i] on lane first + i, for every i; the latency is
+  /// recorded as "e2e_ns/collective/<what>". Leaves result.value unset.
+  StatusOr<CollectiveResult> broadcast_lanes(
+      std::size_t first, std::span<const std::uint64_t> values,
+      const char* what);
   /// Feeds a completed collective's end-to-end latency into the cluster's
   /// metrics registry ("e2e_ns/collective/<what>") when one is attached.
   void record_e2e(const char* what, std::int64_t elapsed_ns);

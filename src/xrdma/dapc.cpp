@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
+#include <span>
 
 #include "common/log.hpp"
 #if TC_WITH_LLVM
@@ -135,7 +135,6 @@ Status DapcDriver::setup() {
         batch_overridden_ = true;
         core::BatchOptions batch;
         batch.max_frames = config_.batch_frames;
-        batch.flush_ns = config_.batch_flush_ns;
         for (const Initiator& init : initiators_) {
           saved_batch_.push_back(
               cluster_->runtime(init.node).batch_options());
@@ -249,55 +248,22 @@ StatusOr<DapcResult> DapcDriver::run_batch() {
       std::min<std::uint64_t>(config_.window, config_.chases);
   fabric::Transport& transport = cluster_->transport();
   const auto t0 = transport.now_ns();
-
-  if (cluster_->backend() == hetsim::Backend::kSim ||
-      initiators_.size() == 1) {
-    // Deterministic interleaving: all initiators issue into one virtual
-    // timeline and a single event loop drains it. A lone wall-clock
-    // initiator runs here too, driven by this thread. next_chase is set
-    // *before* issuing so a completion delivered mid-issue (possible on
-    // backpressure-driven progress) refills from the right index.
-    for (Initiator& init : initiators_) {
-      init.next_chase = initial;
-      for (std::uint64_t i = 0; i < initial; ++i) {
-        TC_RETURN_IF_ERROR(issue_chase(init, i));
-      }
-    }
-    Status run_status = transport.run_until(cluster_->client_node(), [this] {
-      for (const Initiator& init : initiators_) {
-        if (init.failed) return true;
-        if (init.completed != config_.chases) return false;
-      }
-      return true;
-    });
-    if (!run_status.is_ok()) return run_status;
-  } else {
-    // Real concurrency: one OS thread per initiator drives its own client
-    // node — issuing, progressing and completing entirely on that thread.
-    std::vector<std::thread> threads;
-    std::vector<Status> thread_status(initiators_.size(), Status::ok());
-    for (std::size_t i = 0; i < initiators_.size(); ++i) {
-      threads.emplace_back([this, i, initial, &transport, &thread_status] {
+  // next_chase is set *before* issuing so a completion delivered mid-issue
+  // (possible on backpressure-driven progress) refills from the right index.
+  TC_RETURN_IF_ERROR(cluster_->drive_initiators(
+      std::span(cluster_->client_nodes()).first(initiators_.size()),
+      [this, initial](std::size_t i) -> Status {
         Initiator& init = initiators_[i];
         init.next_chase = initial;
         for (std::uint64_t c = 0; c < initial; ++c) {
-          Status status = issue_chase(init, c);
-          if (!status.is_ok()) {
-            thread_status[i] = std::move(status);
-            init.failed = true;
-            return;
-          }
+          TC_RETURN_IF_ERROR(issue_chase(init, c));
         }
-        thread_status[i] = transport.run_until(init.node, [this, &init] {
-          return init.failed || init.completed == config_.chases;
-        });
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    for (Status& status : thread_status) {
-      if (!status.is_ok()) return std::move(status);
-    }
-  }
+        return Status::ok();
+      },
+      [this](std::size_t i) {
+        return initiators_[i].completed == config_.chases;
+      },
+      [this](std::size_t i) { return initiators_[i].failed; }));
   const auto elapsed = transport.now_ns() - t0;
 
   DapcResult result;

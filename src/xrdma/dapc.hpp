@@ -20,11 +20,9 @@
 // walk), so measured differences are pure protocol/runtime effects.
 //
 // Multi-initiator mode (config.initiators = M > 1) runs M concurrent
-// initiators, each with its own in-flight window W. On the simulated
-// backend the initiators interleave deterministically in virtual time; on
-// the wall-clock backends each initiator is a real OS thread driving its
-// own client node — the wall-clock scaling experiment of
-// bench/fig_mt_scale. One initiator is driven by the calling thread.
+// initiators, each with its own in-flight window W, driven by
+// hetsim::Cluster::drive_initiators (which states the threading rule) —
+// the wall-clock scaling experiment of bench/fig_mt_scale.
 #pragma once
 
 #include <cstdint>
@@ -67,18 +65,17 @@ struct DapcConfig {
   /// replies) so out-of-order completions route to the right chase, and
   /// runs GET mode as `window` concurrent client-driven walks.
   std::uint64_t window = 1;
-  /// Concurrent initiators. Each uses its own client node (and, on the
-  /// wall-clock backends when M > 1, its own OS thread); the cluster must
-  /// be built with client_count >= initiators. 1 preserves the classic
-  /// driver exactly.
+  /// Concurrent initiators. Each uses its own client node, driven as
+  /// hetsim::Cluster::drive_initiators states; the cluster must be built
+  /// with client_count >= initiators. 1 preserves the classic driver
+  /// exactly.
   std::uint64_t initiators = 1;
   /// Sender-side frame coalescing on each *initiator* (ifunc modes only):
   /// frames per batched wire message. <= 1 leaves the classic
   /// one-frame-per-message protocol; used with window > 1, back-to-back
-  /// issues destined for the same server share one injection gap.
+  /// issues destined for the same server share one injection gap. A
+  /// partial batch flushes after core::BatchOptions' default deadline.
   std::size_t batch_frames = 1;
-  /// Flush deadline for a partially filled batch (see core::BatchOptions).
-  std::int64_t batch_flush_ns = 300;
 };
 
 struct DapcResult {
@@ -112,8 +109,7 @@ class DapcDriver {
 
  private:
   /// Per-initiator workload state. Touched only by the initiator's own
-  /// progress context (the calling thread on sim or with one initiator,
-  /// its dedicated thread otherwise).
+  /// progress context (see hetsim::Cluster::drive_initiators).
   struct Initiator {
     std::size_t index = 0;
     fabric::NodeId node = 0;

@@ -1,12 +1,28 @@
 // Tests for the hardware-profile calibration and the virtual-cluster
 // builder, including TSI latency relationships the paper reports.
+// Also pins the rule by which a cluster drives its initiators.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <atomic>
+#include <chrono>
+#include <mutex>
+#include <set>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/ifunc.hpp"
 #include "hetsim/cluster.hpp"
 #include "hetsim/profiles.hpp"
 
 namespace tc::hetsim {
+// Prints the backend's name: gtest_discover_tests copies the printed
+// parameter into the ctest name.
+void PrintTo(Backend backend, std::ostream* os) {
+  *os << backend_name(backend);
+}
+
 namespace {
 
 constexpr Platform kAll[] = {Platform::kOokami, Platform::kThorBF2,
@@ -22,7 +38,6 @@ TEST_P(ProfileP, SanityOfConstants) {
   EXPECT_GT(p.jit_cost_ns, 100'000);  // JIT is always ≥ 0.1 ms
   EXPECT_LT(p.link_cost_ns, p.jit_cost_ns);  // binary deploy beats JIT
   EXPECT_GT(p.ifunc_exec_ns, 0);
-  EXPECT_GE(p.client_compute_scale, 1.0);
   EXPECT_GE(p.server_compute_scale, 1.0);
 }
 
@@ -108,8 +123,140 @@ TEST(Cluster, ComputeScaleAppliedToServers) {
   }
   EXPECT_DOUBLE_EQ(
       (*cluster)->fabric().node((*cluster)->client_node()).compute_scale,
-      profile_for(Platform::kThorBF2).client_compute_scale);
+      1.0);
 }
+
+// --- the initiator rule ----------------------------------------------------------
+
+class InitiatorRuleP : public ::testing::TestWithParam<Backend> {
+ protected:
+  std::unique_ptr<Cluster> make_cluster(std::size_t clients) {
+    ClusterConfig config;
+    config.backend = GetParam();
+    config.server_count = 1;
+    config.client_count = clients;
+    // Initiators run one after another never finish the concurrency test
+    // below; the watchdog ends such a run in seconds.
+    config.shm_run_until_timeout_ms = 10'000;
+    auto cluster = Cluster::create(config);
+    EXPECT_TRUE(cluster.is_ok()) << cluster.status().to_string();
+    return cluster.is_ok() ? std::move(*cluster) : nullptr;
+  }
+  bool wall_clock() const { return GetParam() != Backend::kSim; }
+};
+
+TEST_P(InitiatorRuleP, OneInitiatorStartsOnTheCallingThread) {
+  auto cluster = make_cluster(1);
+  ASSERT_NE(cluster, nullptr);
+  std::thread::id started;
+  bool issued = false;
+  ASSERT_TRUE(cluster
+                  ->drive_initiators(
+                      cluster->client_nodes(),
+                      [&](std::size_t) {
+                        started = std::this_thread::get_id();
+                        issued = true;
+                        return Status::ok();
+                      },
+                      [&](std::size_t) { return issued; },
+                      [](std::size_t) { return false; })
+                  .is_ok());
+  EXPECT_EQ(started, std::this_thread::get_id());
+}
+
+TEST_P(InitiatorRuleP, ThreeInitiatorsFollowTheBackendRule) {
+  auto cluster = make_cluster(3);
+  ASSERT_NE(cluster, nullptr);
+  std::mutex mu;
+  std::vector<std::pair<std::size_t, std::thread::id>> starts;
+  std::atomic<std::size_t> started{0};
+  // No initiator is done until all three have started: on a wall-clock
+  // backend that holds only if they run at the same time.
+  ASSERT_TRUE(cluster
+                  ->drive_initiators(
+                      cluster->client_nodes(),
+                      [&](std::size_t i) {
+                        {
+                          std::lock_guard lock(mu);
+                          starts.emplace_back(i, std::this_thread::get_id());
+                        }
+                        started.fetch_add(1);
+                        return Status::ok();
+                      },
+                      [&](std::size_t) { return started.load() == 3; },
+                      [](std::size_t) { return false; })
+                  .is_ok());
+  ASSERT_EQ(starts.size(), 3u);
+  const std::thread::id caller = std::this_thread::get_id();
+  if (!wall_clock()) {
+    for (std::size_t k = 0; k < starts.size(); ++k) {
+      EXPECT_EQ(starts[k].first, k);
+      EXPECT_EQ(starts[k].second, caller);
+    }
+    return;
+  }
+  std::set<std::thread::id> threads;
+  for (const auto& [index, id] : starts) {
+    EXPECT_NE(id, caller) << "initiator " << index;
+    threads.insert(id);
+  }
+  EXPECT_EQ(threads.size(), 3u);
+}
+
+TEST_P(InitiatorRuleP, StartErrorIsReturnedAfterTheOtherInitiatorsFinish) {
+  auto cluster = make_cluster(3);
+  ASSERT_NE(cluster, nullptr);
+  using Clock = std::chrono::steady_clock;
+  // Each entry is touched only by its initiator's progress context, and
+  // read here after the call returns.
+  std::array<Clock::time_point, 3> started_at{};
+  std::array<bool, 3> started{};
+  std::array<bool, 3> finished{};
+  const Status status = cluster->drive_initiators(
+      cluster->client_nodes(),
+      [&](std::size_t i) {
+        if (i == 1) return internal_error("initiator 1 cannot start");
+        started_at[i] = Clock::now();
+        started[i] = true;
+        return Status::ok();
+      },
+      // The healthy initiators outlast the failed start, so a call that
+      // returned on the first error would find them unfinished.
+      [&](std::size_t i) {
+        if (!started[i] ||
+            Clock::now() - started_at[i] < std::chrono::milliseconds(50)) {
+          return false;
+        }
+        finished[i] = true;
+        return true;
+      },
+      [](std::size_t) { return false; });
+  EXPECT_EQ(status.code(), ErrorCode::kInternal);
+  EXPECT_EQ(status.message(), "initiator 1 cannot start");
+  if (wall_clock()) {
+    EXPECT_TRUE(finished[0]);
+    EXPECT_TRUE(finished[2]);
+  } else {
+    // One thread starts the initiators in order and stops at the failure.
+    EXPECT_TRUE(started[0]);
+    EXPECT_FALSE(started[2]);
+    EXPECT_FALSE(finished[0]);
+  }
+}
+
+TEST(Cluster, DriveInitiatorsNeedsAnInitiator) {
+  auto cluster = Cluster::create(ClusterConfig{});
+  ASSERT_TRUE(cluster.is_ok());
+  const Status status = (*cluster)->drive_initiators(
+      {}, [](std::size_t) { return Status::ok(); },
+      [](std::size_t) { return true; }, [](std::size_t) { return false; });
+  EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, InitiatorRuleP,
+                         ::testing::Values(Backend::kSim, Backend::kShm,
+                                           Backend::kSocket),
+                         ::testing::PrintToStringParamName());
 
 TEST_P(ProfileP, InterpreterTierConstantsCalibrated) {
   const HwProfile& p = profile_for(GetParam());

@@ -1,14 +1,15 @@
 // Tests for the observability layer: the bounded trace ring's
 // oldest-dropped overflow accounting, the log2 histogram's bucket
 // boundaries, the v3 trace-context frame round trip (header-level and
-// through a live cluster on both transport backends), and the exporters'
-// emit/parse-back loop.
+// through a live cluster on both transport backends), the exporters'
+// emit/parse-back loop, and the cluster counter dump, fault shim included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "core/frame.hpp"
 #include "core/ifunc.hpp"
@@ -22,6 +23,28 @@
 
 namespace tc::obs {
 namespace {
+
+/// The value of counter `name` in `snap`, if it was exported.
+std::optional<std::uint64_t> counter_value(
+    const MetricsRegistry::Snapshot& snap, const std::string& name) {
+  for (const auto& c : snap.counters) {
+    if (c.name == name) return c.value;
+  }
+  return std::nullopt;
+}
+
+/// Runs `count` portable hash-probe lookups on lane 0 of `cluster`.
+void run_probes(hetsim::Cluster& cluster, std::size_t count) {
+  workloads::WorkloadConfig config;
+  config.workload = workloads::Workload::kHashProbe;
+  config.mode = workloads::WorkloadMode::kPortable;
+  config.buckets_per_shard = 32;
+  auto engine = workloads::WorkloadEngine::create(cluster, config);
+  ASSERT_TRUE(engine.is_ok()) << engine.status().to_string();
+  auto result = (*engine)->run_lookups((*engine)->sample_queries(0, count));
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_EQ(result->completed, count);
+}
 
 TraceEvent make_event(std::uint64_t trace_id, std::uint32_t span_id,
                       std::int64_t ts_ns) {
@@ -202,11 +225,8 @@ TEST(CollectTest, RuntimeInterpreterCountersMirrorStats) {
   MetricsRegistry metrics;
   collect_cluster_metrics(**cluster, metrics);
   const auto snap = metrics.snapshot();
-  auto value_of = [&](const std::string& name) -> std::optional<std::uint64_t> {
-    for (const auto& c : snap.counters) {
-      if (c.name == name) return c.value;
-    }
-    return std::nullopt;
+  auto value_of = [&](const std::string& name) {
+    return counter_value(snap, name);
   };
   const std::string prefix = "node" + std::to_string(server) + ".runtime.";
   ASSERT_TRUE(value_of(prefix + "interp_executions").has_value());
@@ -230,6 +250,63 @@ TEST(CollectTest, RuntimeInterpreterCountersMirrorStats) {
   EXPECT_GT(*value_of(cache + "total_compile_ns"), 0u);
   EXPECT_FALSE(value_of(cache + "misses").has_value());
   EXPECT_FALSE(value_of(cache + "evictions").has_value());
+}
+
+TEST(CollectTest, RetryCountersMirrorStatsUnderFaults) {
+  // A lossy sim cluster with a retry budget: the run recovers, and the
+  // dump carries every node's retry and promotion-failure counters.
+  hetsim::ClusterConfig config;
+  config.server_count = 4;
+  config.faults.rates.drop = 0.1;
+  config.max_send_retries = 10;
+  auto cluster = hetsim::Cluster::create(config);
+  ASSERT_TRUE(cluster.is_ok()) << cluster.status().to_string();
+  run_probes(**cluster, 32);
+  if (HasFatalFailure()) return;
+
+  MetricsRegistry metrics;
+  collect_cluster_metrics(**cluster, metrics);
+  const auto snap = metrics.snapshot();
+  std::uint64_t retries = 0;
+  for (fabric::NodeId node = 0; node < (*cluster)->node_count(); ++node) {
+    const core::Runtime::Stats& stats = (*cluster)->runtime(node).stats();
+    const std::string prefix = "node" + std::to_string(node) + ".runtime.";
+    const std::pair<const char*, std::uint64_t> expected[] = {
+        {"promotions_failed", stats.promotions_failed.load()},
+        {"send_retries", stats.send_retries.load()},
+        {"send_retries_exhausted", stats.send_retries_exhausted.load()},
+    };
+    for (const auto& [name, value] : expected) {
+      const auto exported = counter_value(snap, prefix + name);
+      ASSERT_TRUE(exported.has_value()) << prefix << name;
+      EXPECT_EQ(*exported, value) << prefix << name;
+    }
+    retries += stats.send_retries.load();
+  }
+  EXPECT_GT(retries, 0u);
+}
+
+TEST(CollectTest, WallClockCountersSeeThroughTheFaultShim) {
+  // Faults enabled on shm: transport() is the shim, yet the ring and
+  // worker counters of the backend beneath it are still exported.
+  hetsim::ClusterConfig config;
+  config.backend = hetsim::Backend::kShm;
+  config.server_count = 2;
+  config.faults.rates.delay = 0.05;  // enables the shim, loses nothing
+  auto cluster = hetsim::Cluster::create(config);
+  ASSERT_TRUE(cluster.is_ok()) << cluster.status().to_string();
+  ASSERT_NE((*cluster)->fault_shim(), nullptr);
+  run_probes(**cluster, 8);
+  if (HasFatalFailure()) return;
+
+  MetricsRegistry metrics;
+  collect_cluster_metrics(**cluster, metrics);
+  const auto snap = metrics.snapshot();
+  const auto pushed = counter_value(snap, "shm.ops_pushed");
+  ASSERT_TRUE(pushed.has_value());
+  EXPECT_GT(*pushed, 0u);
+  EXPECT_TRUE(
+      counter_value(snap, "node0.worker.messages_delivered").has_value());
 }
 
 // --- trace-context frame round trip (header level) ---------------------------
