@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -29,6 +30,11 @@ constexpr std::size_t kWireFrameMin = 4 + kHeaderBytes;
 // Codec sanity bound; a longer frame on the wire is a protocol error and
 // disconnects the link.
 constexpr std::size_t kMaxFrameBytes = 64 * 1024 * 1024;
+// Control frames bypass send_buffer_bytes but not this multiple of it: past
+// it the link is refused (see the header comment).
+constexpr std::size_t kControlQueueFactor = 4;
+// Frames one sendmsg gathers; a longer queue takes more than one call.
+constexpr std::size_t kMaxGather = 64;
 
 void put_u16(Bytes& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
@@ -154,14 +160,14 @@ SocketTransport::SocketTransport(std::size_t node_count, NodeId self,
       self_(self) {
   links_.resize(node_count);
   for (NodeId node = 0; node < node_count; ++node) {
-    if (is_local(node)) links_[node].resize(node_count);
+    if (is_local(node)) links_[node].to.resize(node_count);
   }
 }
 
 SocketTransport::~SocketTransport() {
   stop_progress_threads();
-  for (std::vector<Link>& links : links_) {
-    for (Link& link : links) {
+  for (NodeLinks& links : links_) {
+    for (Link& link : links.to) {
       if (link.fd >= 0) ::close(link.fd);
       link.fd = -1;
     }
@@ -194,8 +200,8 @@ StatusOr<std::unique_ptr<SocketTransport>> SocketTransport::create_threaded(
       for (int fd : fds) {
         if (Status s = set_nonblocking(fd); !s.is_ok()) return s;
       }
-      transport->links_[i][j] = Link{fds[0], true, {}, {}, 0, 0};
-      transport->links_[j][i] = Link{fds[1], true, {}, {}, 0, 0};
+      transport->links_[i].to[j] = Link{fds[0], true, {}, {}, 0, 0};
+      transport->links_[j].to[i] = Link{fds[1], true, {}, {}, 0, 0};
     }
   }
   return transport;
@@ -216,7 +222,7 @@ StatusOr<std::unique_ptr<SocketTransport>> SocketTransport::create_process(
   }
   auto transport = std::unique_ptr<SocketTransport>(
       new SocketTransport(node_count, self, options));
-  std::vector<Link>& links = transport->links_[self];
+  std::vector<Link>& links = transport->links_[self].to;
 
   // 1. Bind + listen on our own endpoint so every later dialer succeeds
   //    regardless of accept timing (the backlog holds connections).
@@ -382,7 +388,8 @@ Bytes SocketTransport::encode(const Frame& frame, ByteSpan payload) {
 
 Status SocketTransport::send_frame(NodeId node, NodeId peer, Bytes wire,
                                    bool control) {
-  Link& link = links_[node][peer];
+  NodeLinks& links = links_[node];
+  Link& link = links.to[peer];
   if (link.fd < 0) {
     return invalid_argument("no link from node " + std::to_string(node) +
                             " to node " + std::to_string(peer));
@@ -394,35 +401,63 @@ Status SocketTransport::send_frame(NodeId node, NodeId peer, Bytes wire,
     backpressure_rejects_.fetch_add(1, std::memory_order_relaxed);
     return backpressure_status(node, peer);
   }
+  if (control &&
+      link.tx_queued > kControlQueueFactor * options_.send_buffer_bytes) {
+    control_overflows_.fetch_add(1, std::memory_order_relaxed);
+    disconnect_link(node, peer, "control queue overflow");
+    return unavailable("peer " + std::to_string(peer) +
+                       " disconnected: control queue overflow");
+  }
   link.tx_queued += wire.size();
   link.tx.push_back(std::move(wire));
   frames_sent_.fetch_add(1, std::memory_order_relaxed);
-  flush_link(node, peer);
+  // Inside frame handling the frame waits for read_link's flush_queued.
+  if (!links.handling) flush_link(node, peer);
   return Status::ok();
 }
 
 bool SocketTransport::flush_link(NodeId node, NodeId peer) {
-  Link& link = links_[node][peer];
+  Link& link = links_[node].to[peer];
   if (!link.connected) return false;
   bool wrote = false;
+  iovec iov[kMaxGather];
   while (!link.tx.empty()) {
-    const Bytes& front = link.tx.front();
-    const std::size_t want = front.size() - link.tx_front_off;
-    const ssize_t n = ::send(link.fd, front.data() + link.tx_front_off, want,
-                             MSG_NOSIGNAL);
+    std::size_t count = 0;
+    std::size_t want = 0;
+    for (auto it = link.tx.begin(); it != link.tx.end() && count < kMaxGather;
+         ++it, ++count) {
+      const std::size_t skip = count == 0 ? link.tx_front_off : 0;
+      iov[count].iov_base = const_cast<std::uint8_t*>(it->data()) + skip;
+      iov[count].iov_len = it->size() - skip;
+      want += iov[count].iov_len;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(link.fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
       wrote = true;
+      writes_.fetch_add(1, std::memory_order_relaxed);
       bytes_sent_.fetch_add(static_cast<std::uint64_t>(n),
                             std::memory_order_relaxed);
       link.tx_queued -= static_cast<std::size_t>(n);
-      link.tx_front_off += static_cast<std::size_t>(n);
-      if (link.tx_front_off == front.size()) {
+      // Retire the frames the kernel took whole; a frame it took part of
+      // stays at the front with tx_front_off marking where to resume, so
+      // frame bytes never interleave.
+      std::size_t taken = static_cast<std::size_t>(n);
+      while (taken > 0) {
+        const std::size_t rest = link.tx.front().size() - link.tx_front_off;
+        if (taken < rest) {
+          link.tx_front_off += taken;
+          break;
+        }
+        taken -= rest;
         link.tx.pop_front();
         link.tx_front_off = 0;
-      } else {
-        // The kernel took part of the frame: honest partial write. The
-        // remainder stays queued; frame bytes never interleave because the
-        // front frame always finishes first.
+      }
+      if (static_cast<std::size_t>(n) < want) {
+        // A short write: the kernel buffer is full and the rest stays
+        // queued.
         partial_writes_.fetch_add(1, std::memory_order_relaxed);
         break;
       }
@@ -438,8 +473,16 @@ bool SocketTransport::flush_link(NodeId node, NodeId peer) {
   return wrote;
 }
 
+void SocketTransport::flush_queued(NodeId node) {
+  std::vector<Link>& to = links_[node].to;
+  for (NodeId peer = 0; peer < to.size(); ++peer) {
+    if (!to[peer].tx.empty()) flush_link(node, peer);
+  }
+}
+
 bool SocketTransport::read_link(NodeId node, NodeId peer) {
-  Link& link = links_[node][peer];
+  NodeLinks& links = links_[node];
+  Link& link = links.to[peer];
   if (!link.connected) return false;
   bool any = false;
   bool eof = false;
@@ -466,8 +509,15 @@ bool SocketTransport::read_link(NodeId node, NodeId peer) {
     }
   }
   // Deliver every complete frame that arrived before a disconnect; only a
-  // partial tail is discarded (and counted) by disconnect_link.
-  if (any) parse_frames(node, peer, link);
+  // partial tail is discarded (and counted) by disconnect_link. What the
+  // handlers post meanwhile is queued, and leaves in one gathered write
+  // per link as soon as the read's frames are handled.
+  if (any) {
+    links.handling = true;
+    parse_frames(node, peer, link);
+    links.handling = false;
+    flush_queued(node);
+  }
   if (!link.connected) return any;
   if (eof || err) {
     disconnect_link(node, peer, eof ? "peer closed" : "read failed");
@@ -522,7 +572,7 @@ void SocketTransport::parse_frames(NodeId node, NodeId peer, Link& link) {
 
 void SocketTransport::disconnect_link(NodeId node, NodeId peer,
                                       const char* reason) {
-  Link& link = links_[node][peer];
+  Link& link = links_[node].to[peer];
   if (!link.connected) return;
   link.connected = false;
   if (!link.rx.empty()) {
@@ -758,7 +808,7 @@ Status SocketTransport::wait_for_segment(NodeId node, NodeId owner) {
 bool SocketTransport::progress(NodeId node) {
   if (!is_local(node)) return false;
   bool did_work = fire_due_timers(node);
-  std::vector<Link>& links = links_[node];
+  std::vector<Link>& links = links_[node].to;
   for (NodeId peer = 0; peer < links.size(); ++peer) {
     if (peer == node) continue;
     Link& link = links[peer];
@@ -806,7 +856,7 @@ Status SocketTransport::kill_connection(NodeId node, NodeId peer) {
   if (!is_local(node) || peer >= node_count() || peer == node) {
     return invalid_argument("kill_connection: no such link");
   }
-  const int fd = links_[node][peer].fd;
+  const int fd = links_[node].to[peer].fd;
   if (fd < 0) return invalid_argument("kill_connection: link never existed");
   // shutdown (not close) so the owning progress contexts observe EOF /
   // EPIPE on their next spin without any fd-reuse race; they then run the

@@ -19,13 +19,28 @@
 //    PUT/GET are serviced by the target's progress context and routed back
 //    by request id. tools/tc_launch forks such a cluster.
 //
+// When a frame leaves: a post made outside frame handling (the application
+// thread, timers, barriers, bootstrap) is written at once. A frame posted
+// while the node's progress context handles the frames of one read — an
+// ack, a GET reply, or any send a handler makes (results, forwards, an
+// initiator's next request) — is queued on its link, and as soon as that
+// read's frames are handled every link of the node with queued bytes is
+// flushed by one sendmsg(2) that gathers its frames, resuming mid-frame
+// after a short write. Only what is already queued is batched; nothing
+// waits for more. Per-link frame order is the post order either way.
+//
 // Flow control is honest: every link owns a bounded tx queue. When a slow
 // consumer lets it fill, new data frames fail their completion with the
 // shared fabric::backpressure_status() instead of blocking — the same
 // Status the shm backend reports on a full ring, so the runtime's
 // max_send_retries policy behaves identically on both. Control frames
-// (acks, segment adverts, barriers) bypass the cap: losing a completion to
-// backpressure on the reverse path would turn flow control into a hang.
+// (acks, GET replies, segment adverts, barriers) bypass that budget:
+// losing a completion to backpressure on the reverse path would turn flow
+// control into a hang. They are still capped: a link that already queues
+// more than kControlQueueFactor times the budget refuses the next control
+// frame by disconnecting (Stats::control_overflows), so a peer that keeps
+// asking and never reads cannot grow the queue without bound. A lone large
+// reply on an empty queue still goes.
 // Peer disconnect fails every in-flight completion toward that peer with
 // kUnavailable and discards any partially received frame (counted in
 // Stats::rx_partial_discards).
@@ -131,8 +146,11 @@ class SocketTransport final : public WallClockTransport {
     std::uint64_t frames_received = 0;
     std::uint64_t bytes_sent = 0;
     std::uint64_t bytes_received = 0;
+    std::uint64_t writes = 0;  ///< send/sendmsg calls that moved bytes
     std::uint64_t partial_writes = 0;   ///< short writes that left tx queued
     std::uint64_t backpressure_rejects = 0;
+    /// Control frames refused past the cap; each disconnected its link.
+    std::uint64_t control_overflows = 0;
     std::uint64_t disconnects = 0;
     std::uint64_t rx_partial_discards = 0;  ///< mid-frame EOF
   };
@@ -142,9 +160,11 @@ class SocketTransport final : public WallClockTransport {
     s.frames_received = frames_received_.load(std::memory_order_relaxed);
     s.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
     s.bytes_received = bytes_received_.load(std::memory_order_relaxed);
+    s.writes = writes_.load(std::memory_order_relaxed);
     s.partial_writes = partial_writes_.load(std::memory_order_relaxed);
     s.backpressure_rejects =
         backpressure_rejects_.load(std::memory_order_relaxed);
+    s.control_overflows = control_overflows_.load(std::memory_order_relaxed);
     s.disconnects = disconnects_.load(std::memory_order_relaxed);
     s.rx_partial_discards =
         rx_partial_discards_.load(std::memory_order_relaxed);
@@ -186,6 +206,14 @@ class SocketTransport final : public WallClockTransport {
     std::size_t tx_front_off = 0;  ///< bytes of tx.front() already written
     std::size_t tx_queued = 0;     ///< total unwritten bytes across tx
   };
+  /// One local node's links, owned by its progress context (cache-line
+  /// aligned: each node's context writes `handling` on every read).
+  struct alignas(64) NodeLinks {
+    std::vector<Link> to;  ///< to[peer]; to[node] unused
+    /// True while read_link handles a read's frames: send_frame queues
+    /// instead of writing, and flush_queued writes once they are handled.
+    bool handling = false;
+  };
 
   SocketTransport(std::size_t node_count, NodeId self,
                   SocketTransportOptions options);
@@ -196,10 +224,15 @@ class SocketTransport final : public WallClockTransport {
   /// Posts a data frame from src to dst: loopback dispatches inline, and a
   /// frame the link refuses fails its stashed completion.
   void post_frame(NodeId src, NodeId dst, Frame frame, ByteSpan payload);
-  /// Queues an encoded frame on node->peer and flushes what the kernel
-  /// accepts. Control frames bypass the tx budget (see file comment).
+  /// Queues an encoded frame on node->peer and, outside frame handling,
+  /// flushes what the kernel accepts. Control frames bypass the tx budget
+  /// up to their own cap (see file comment).
   Status send_frame(NodeId node, NodeId peer, Bytes wire, bool control);
+  /// Writes node->peer's queued frames, gathered into one sendmsg per
+  /// kMaxGather frames, until the queue is empty or the kernel is full.
   bool flush_link(NodeId node, NodeId peer);
+  /// flush_link on every link of `node` that has queued bytes.
+  void flush_queued(NodeId node);
   bool read_link(NodeId node, NodeId peer);
   void parse_frames(NodeId node, NodeId peer, Link& link);
   void handle_frame(NodeId node, Frame frame);
@@ -213,9 +246,8 @@ class SocketTransport final : public WallClockTransport {
 
   SocketTransportOptions options_;
   NodeId self_ = kAllLocal;
-  /// links_[node][peer]; only local nodes have links (links_[node][node]
-  /// unused). Owned by the node's progress context.
-  std::vector<std::vector<Link>> links_;
+  /// links_[node].to[peer]; only local nodes have links.
+  std::vector<NodeLinks> links_;
   /// Process-mode barrier state (self_'s progress context only).
   std::unordered_map<std::uint64_t, std::size_t> barrier_arrivals_;
   std::unordered_set<std::uint64_t> barrier_released_;
@@ -233,8 +265,10 @@ class SocketTransport final : public WallClockTransport {
   std::atomic<std::uint64_t> frames_received_{0};
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<std::uint64_t> bytes_received_{0};
+  std::atomic<std::uint64_t> writes_{0};
   std::atomic<std::uint64_t> partial_writes_{0};
   std::atomic<std::uint64_t> backpressure_rejects_{0};
+  std::atomic<std::uint64_t> control_overflows_{0};
   std::atomic<std::uint64_t> disconnects_{0};
   std::atomic<std::uint64_t> rx_partial_discards_{0};
 };

@@ -119,9 +119,11 @@ void collect_cluster_metrics(hetsim::Cluster& cluster,
     registry.counter("socket.frames_received").set(s.frames_received);
     registry.counter("socket.bytes_sent").set(s.bytes_sent);
     registry.counter("socket.bytes_received").set(s.bytes_received);
+    registry.counter("socket.writes").set(s.writes);
     registry.counter("socket.partial_writes").set(s.partial_writes);
     registry.counter("socket.backpressure_rejects")
         .set(s.backpressure_rejects);
+    registry.counter("socket.control_overflows").set(s.control_overflows);
     registry.counter("socket.disconnects").set(s.disconnects);
     registry.counter("socket.rx_partial_discards").set(s.rx_partial_discards);
   }

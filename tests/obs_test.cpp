@@ -309,6 +309,31 @@ TEST(CollectTest, WallClockCountersSeeThroughTheFaultShim) {
       counter_value(snap, "node0.worker.messages_delivered").has_value());
 }
 
+TEST(CollectTest, SocketWriteCountersAreExported) {
+  // On socket, the dump counts write syscalls next to frames: a write may
+  // carry several frames, never fewer than one.
+  hetsim::ClusterConfig config;
+  config.backend = hetsim::Backend::kSocket;
+  config.server_count = 2;
+  auto cluster = hetsim::Cluster::create(config);
+  ASSERT_TRUE(cluster.is_ok()) << cluster.status().to_string();
+  run_probes(**cluster, 8);
+  if (HasFatalFailure()) return;
+
+  MetricsRegistry metrics;
+  collect_cluster_metrics(**cluster, metrics);
+  const auto snap = metrics.snapshot();
+  const auto writes = counter_value(snap, "socket.writes");
+  const auto frames = counter_value(snap, "socket.frames_sent");
+  ASSERT_TRUE(writes.has_value());
+  ASSERT_TRUE(frames.has_value());
+  EXPECT_GT(*writes, 0u);
+  EXPECT_LE(*writes, *frames);
+  const auto overflows = counter_value(snap, "socket.control_overflows");
+  ASSERT_TRUE(overflows.has_value());
+  EXPECT_EQ(*overflows, 0u);
+}
+
 // --- trace-context frame round trip (header level) ---------------------------
 
 TEST(TraceFrameTest, TracedFrameRoundTripsContext) {

@@ -1,20 +1,24 @@
 // SocketTransport coverage: the shared transport conformance and
 // wall-clock suites run against the real-sockets backend in threaded
 // (socketpair) mode, plus socket-specific behaviour the other backends
-// cannot exhibit — wire-codec framing under concurrency, bounded-send-buffer
-// backpressure, abrupt peer disconnect, and a hostile peer forging frame
-// headers. The true multi-process deployment of the same codec is exercised
-// by socket_mp_test.cpp / tools/tc_launch.
+// cannot exhibit — wire-codec framing under concurrency, when a frame is
+// written (at once from the top level, gathered per link after a read's
+// handlers ran), bounded-send-buffer backpressure, abrupt peer disconnect,
+// and a hostile peer forging frame headers or flooding requests. The true
+// multi-process deployment of the same codec is exercised by
+// socket_mp_test.cpp / tools/tc_launch.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -162,6 +166,152 @@ TEST(SocketTransport, SlowConsumerBackpressureFailsPostAndRecovers) {
   EXPECT_TRUE(ok_status.is_ok()) << ok_status.to_string();
 }
 
+// --- when frames leave -------------------------------------------------------
+// Node 0 posts one AM to node 1 from the top level; node 1's handler posts
+// frame i of `sizes` to node 2 as a two-sided send of pattern(i, sizes[i]).
+
+constexpr fabric::AmId kFanOutAm = 9;
+constexpr std::size_t kWireHeader = 44;  // u32 length + 40-byte header
+
+Bytes pattern(std::size_t index, std::size_t size) {
+  Bytes out(size);
+  for (std::size_t b = 0; b < size; ++b) {
+    out[b] = static_cast<std::uint8_t>(index * 31 + b * 7);
+  }
+  return out;
+}
+
+struct FanOut {
+  std::vector<std::size_t> sizes;
+  bool handled = false;
+  /// Stats::writes seen inside the handler, after its last post.
+  std::uint64_t writes_in_handler = 0;
+};
+
+void register_fan_out(fabric::SocketTransport& sock, FanOut& fan) {
+  auto handler = [&sock, &fan](ByteSpan, fabric::NodeId) {
+    for (std::size_t i = 0; i < fan.sizes.size(); ++i) {
+      const Bytes frame = pattern(i, fan.sizes[i]);
+      sock.post_send(1, 2, as_span(frame), 1, {});
+    }
+    fan.writes_in_handler = sock.stats().writes;
+    fan.handled = true;
+  };
+  ASSERT_TRUE(sock.register_am_handler(1, kFanOutAm, handler).is_ok());
+}
+
+/// Drives nodes 1 and 2 until node 2 holds every frame of `fan`, then
+/// checks each arrived once, in order and byte-exact.
+void expect_fan_out_delivered(fabric::SocketTransport& sock,
+                              const FanOut& fan) {
+  std::vector<fabric::ReceivedMessage> got;
+  for (int spin = 0; spin < 1'000'000 && got.size() < fan.sizes.size();
+       ++spin) {
+    (void)sock.progress(1);
+    (void)sock.progress(2);
+    while (auto msg = sock.try_recv(2)) got.push_back(std::move(*msg));
+  }
+  for (int spin = 0; spin < 1'000; ++spin) {
+    (void)sock.progress(1);
+    (void)sock.progress(2);
+    while (auto msg = sock.try_recv(2)) got.push_back(std::move(*msg));
+  }
+  ASSERT_EQ(got.size(), fan.sizes.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].source, 1u) << "frame " << i;
+    EXPECT_TRUE(got[i].data == pattern(i, fan.sizes[i]))
+        << "frame " << i << " (" << fan.sizes[i] << " bytes) arrived as "
+        << got[i].data.size() << " bytes or out of order";
+  }
+}
+
+TEST(SocketTransport, TopLevelPostWritesBeforeAnyProgress) {
+  auto socket_or = fabric::SocketTransport::create_threaded(2);
+  ASSERT_TRUE(socket_or.is_ok());
+  fabric::SocketTransport& sock = **socket_or;
+  const Bytes msg{1, 2, 3};
+  const fabric::SocketTransport::Stats before = sock.stats();
+  sock.post_send(0, 1, as_span(msg), 1, {});
+  const fabric::SocketTransport::Stats after = sock.stats();
+  EXPECT_EQ(after.writes, before.writes + 1);
+  EXPECT_EQ(after.bytes_sent, before.bytes_sent + kWireHeader + msg.size());
+  std::optional<fabric::ReceivedMessage> got;
+  for (int spin = 0; spin < 1'000'000 && !got; ++spin) {
+    (void)sock.progress(1);
+    got = sock.try_recv(1);
+  }
+  ASSERT_TRUE(got.has_value());
+  EXPECT_TRUE(got->data == msg);
+}
+
+TEST(SocketTransport, HandlerPostsLeaveInOneGatheredWritePerLink) {
+  auto socket_or = fabric::SocketTransport::create_threaded(3);
+  ASSERT_TRUE(socket_or.is_ok());
+  fabric::SocketTransport& sock = **socket_or;
+  FanOut fan;
+  for (std::size_t i = 0; i < 16; ++i) fan.sizes.push_back(1 + 5 * i);
+  register_fan_out(sock, fan);
+  if (HasFatalFailure()) return;
+
+  const Bytes go{7};
+  sock.post_am(0, 1, kFanOutAm, as_span(go), {});
+  const fabric::SocketTransport::Stats before = sock.stats();
+  for (int spin = 0; spin < 1'000'000 && !fan.handled; ++spin) {
+    (void)sock.progress(1);
+  }
+  ASSERT_TRUE(fan.handled);
+  EXPECT_EQ(fan.writes_in_handler, before.writes)
+      << "a handler's post was written before its read was handled";
+  const fabric::SocketTransport::Stats after = sock.stats();
+  EXPECT_EQ(after.frames_sent, before.frames_sent + fan.sizes.size());
+  EXPECT_EQ(after.writes, before.writes + 1)
+      << "the handler's frames to one idle peer take one sendmsg";
+  EXPECT_EQ(after.partial_writes, before.partial_writes);
+  expect_fan_out_delivered(sock, fan);
+}
+
+TEST(SocketTransport, GatheredShortWriteResumesMidFrame) {
+  // The handler queues ~3.5 MB of mixed-size frames toward node 2, which
+  // is not driven, so the one gathered write stops inside the list and
+  // inside a frame; the rest must follow intact once node 2 reads. The
+  // budget is raised so that no frame is refused.
+  fabric::SocketTransportOptions options;
+  options.send_buffer_bytes = 64 * 1024 * 1024;
+  auto socket_or = fabric::SocketTransport::create_threaded(3, options);
+  ASSERT_TRUE(socket_or.is_ok());
+  fabric::SocketTransport& sock = **socket_or;
+  FanOut fan;
+  const std::size_t cycle[] = {1,     256 * 1024, 13,  100 * 1024 + 3,
+                               4'096, 256 * 1024 - 1, 777, 64 * 1024};
+  for (int round = 0; round < 5; ++round) {
+    for (std::size_t size : cycle) fan.sizes.push_back(size);
+  }
+  std::vector<std::size_t> boundaries{0};
+  for (std::size_t size : fan.sizes) {
+    boundaries.push_back(boundaries.back() + kWireHeader + size);
+  }
+  register_fan_out(sock, fan);
+  if (HasFatalFailure()) return;
+
+  const Bytes go{7};
+  sock.post_am(0, 1, kFanOutAm, as_span(go), {});
+  const fabric::SocketTransport::Stats before = sock.stats();
+  for (int spin = 0; spin < 1'000'000 && !fan.handled; ++spin) {
+    (void)sock.progress(1);
+  }
+  ASSERT_TRUE(fan.handled);
+  const fabric::SocketTransport::Stats after = sock.stats();
+  EXPECT_EQ(after.writes, before.writes + 1);
+  EXPECT_GE(after.partial_writes, before.partial_writes + 1);
+  EXPECT_EQ(after.backpressure_rejects, 0u);
+  const std::size_t written = after.bytes_sent - before.bytes_sent;
+  EXPECT_LT(written, boundaries.back()) << "the whole list fit one write";
+  EXPECT_EQ(std::count(boundaries.begin(), boundaries.end(), written), 0)
+      << "the short write ended on a frame boundary";
+  expect_fan_out_delivered(sock, fan);
+  EXPECT_EQ(sock.stats().bytes_sent - before.bytes_sent, boundaries.back());
+}
+
 TEST(SocketTransport, KillConnectionFailsPendingCompletionsWithUnavailable) {
   auto socket_or = fabric::SocketTransport::create_threaded(2);
   ASSERT_TRUE(socket_or.is_ok());
@@ -211,7 +361,8 @@ void put_le(Bytes& out, std::uint64_t value, int bytes) {
 
 // [u32 length][u8 kind][u8 code][u16 am_id][u32 src][u64 cid][u64 f0..f2]
 Bytes raw_frame(std::uint8_t kind, std::uint32_t src, std::uint64_t cid,
-                const Bytes& payload) {
+                const Bytes& payload, std::uint64_t f0 = 0,
+                std::uint64_t f1 = 0, std::uint64_t f2 = 0) {
   Bytes out;
   put_le(out, 40 + payload.size(), 4);
   put_le(out, kind, 1);
@@ -219,13 +370,14 @@ Bytes raw_frame(std::uint8_t kind, std::uint32_t src, std::uint64_t cid,
   put_le(out, 0, 2);
   put_le(out, src, 4);
   put_le(out, cid, 8);
-  for (int f = 0; f < 3; ++f) put_le(out, 0, 8);  // f0..f2
+  for (std::uint64_t f : {f0, f1, f2}) put_le(out, f, 8);
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
 
 constexpr std::uint8_t kRawHello = 1;
 constexpr std::uint8_t kRawSend = 2;
+constexpr std::uint8_t kRawGet = 5;  // f0 = rkey, f1 = offset, f2 = length
 
 class SocketHostilePeer : public ::testing::Test {
  protected:
@@ -309,6 +461,50 @@ TEST_F(SocketHostilePeer, ForgedSelfSourceCannotCompleteTheReceiversOps) {
   EXPECT_EQ(seen.code(), ErrorCode::kUnavailable) << seen.to_string();
   EXPECT_EQ(sock_->stats().disconnects, 1u);
   EXPECT_FALSE(sock_->try_recv(0).has_value()) << "forged frame delivered";
+}
+
+TEST_F(SocketHostilePeer, GetFloodPastTheControlCapDisconnects) {
+  // GET replies are control frames: they skip the send budget so that a
+  // completion is never lost to backpressure. A peer that keeps asking
+  // and never reads must still not grow node 0's queue without bound.
+  std::vector<std::uint8_t> segment(64 * 1024, 0x5A);
+  ASSERT_TRUE(
+      sock_->expose_segment(0, segment.data(), segment.size()).is_ok());
+  const std::uint64_t rkey = sock_->exposed_segment(0)->rkey;
+  // A send the raw peer never acks: the refusal must fail it.
+  Status seen = internal_error("never fired");
+  bool fired = false;
+  Bytes msg{1, 2, 3};
+  sock_->post_send(0, 1, as_span(msg), 1, [&](Status s) {
+    fired = true;
+    seen = std::move(s);
+  });
+  // 1024 whole-segment GETs ask for 64 MiB of replies, four times the cap
+  // at the default 4 MiB budget; the count is bounded so that a node
+  // without the cap queues them all and its run_until times out.
+  constexpr std::uint64_t kGets = 1024;
+  std::uint64_t asked = 0;
+  Bytes pending;
+  const Status status = sock_->run_until(0, [&] {
+    if (fired) return true;
+    if (pending.empty() && asked < kGets) {
+      for (int i = 0; i < 64; ++i) {
+        const Bytes get = raw_frame(kRawGet, /*src=*/1, /*cid=*/++asked, {},
+                                    rkey, 0, segment.size());
+        pending.insert(pending.end(), get.begin(), get.end());
+      }
+    }
+    if (!pending.empty()) {
+      const ssize_t n = ::send(raw_fd_, pending.data(), pending.size(),
+                               MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (n > 0) pending.erase(pending.begin(), pending.begin() + n);
+    }
+    return false;
+  });
+  ASSERT_TRUE(status.is_ok()) << status.to_string();
+  EXPECT_EQ(seen.code(), ErrorCode::kUnavailable) << seen.to_string();
+  EXPECT_EQ(sock_->stats().control_overflows, 1u);
+  EXPECT_EQ(sock_->stats().disconnects, 1u);
 }
 
 }  // namespace
