@@ -210,26 +210,26 @@ void Runtime::record_batch_flush(std::int64_t first_queued_ns) {
       .record(waited > 0 ? static_cast<std::uint64_t>(waited) : 0);
 }
 
-void Runtime::dispatch_frame_bytes(fabric::NodeId dst, ByteSpan bytes,
+void Runtime::dispatch_frame_bytes(fabric::NodeId dst, Bytes bytes,
                                    fabric::CompletionFn on_complete) {
   if (options_.batch.max_frames > 1) {
-    enqueue_batched_frame(dst, bytes, std::move(on_complete));
+    enqueue_batched_frame(dst, std::move(bytes), std::move(on_complete));
   } else {
-    post_wire(dst, bytes, /*fragments=*/1, std::move(on_complete));
+    post_wire(dst, std::move(bytes), /*fragments=*/1, std::move(on_complete));
   }
 }
 
-void Runtime::post_wire(fabric::NodeId dst, ByteSpan bytes,
+void Runtime::post_wire(fabric::NodeId dst, Bytes bytes,
                         std::size_t fragments,
                         fabric::CompletionFn on_complete) {
   if (options_.max_send_retries == 0) {
-    transport_->post_send(node_, dst, bytes, fragments,
+    transport_->post_send(node_, dst, std::move(bytes), fragments,
                           std::move(on_complete));
     return;
   }
-  // Retry needs the bytes to outlive the first attempt; the one copy here
-  // is the entire cost of enabling the knob, shared across all attempts.
-  auto buffer = std::make_shared<const Bytes>(bytes.begin(), bytes.end());
+  // Retry needs the bytes to outlive the first attempt: they stay in one
+  // shared buffer, and each attempt posts a copy of it (the span overload).
+  auto buffer = std::make_shared<const Bytes>(std::move(bytes));
   post_wire_attempt(dst, std::move(buffer), fragments, std::move(on_complete),
                     options_.max_send_retries);
 }
@@ -335,7 +335,7 @@ Status Runtime::send_parts(fabric::NodeId dst, FrameParts parts,
                 static_cast<std::uint32_t>(dst),
                 static_cast<std::uint8_t>(parts.repr), 0);
   }
-  dispatch_frame_bytes(dst, as_span(wire), std::move(on_complete));
+  dispatch_frame_bytes(dst, std::move(wire), std::move(on_complete));
   return Status::ok();
 }
 
@@ -358,7 +358,7 @@ void Runtime::set_batch_options(BatchOptions batch) {
   options_.batch = batch;
 }
 
-void Runtime::enqueue_batched_frame(fabric::NodeId dst, ByteSpan frame_bytes,
+void Runtime::enqueue_batched_frame(fabric::NodeId dst, Bytes frame_bytes,
                                     fabric::CompletionFn on_complete) {
   // The container's part count is a u16 on the wire; an absurd max_frames
   // must flush early rather than overflow the count.
@@ -374,7 +374,7 @@ void Runtime::enqueue_batched_frame(fabric::NodeId dst, ByteSpan frame_bytes,
     if (batch.frames.empty() && options_.metrics != nullptr) {
       batch.first_queued_ns = transport_->now_ns();
     }
-    batch.frames.emplace_back(frame_bytes.begin(), frame_bytes.end());
+    batch.frames.push_back(std::move(frame_bytes));
     batch.completions.push_back(std::move(on_complete));
     if (batch.frames.size() >= max_frames) {
       ++stats_.batch_full_flushes;
@@ -456,7 +456,7 @@ void Runtime::ship_batch(fabric::NodeId dst, std::vector<Bytes> frames,
   if (frames.size() == 1) {
     // A lone frame ships bare: no container overhead, and the receive path
     // is identical to the unbatched protocol.
-    post_wire(dst, as_span(frames.front()), /*fragments=*/1,
+    post_wire(dst, std::move(frames.front()), /*fragments=*/1,
               std::move(completions.front()));
     return;
   }
@@ -465,7 +465,7 @@ void Runtime::ship_batch(fabric::NodeId dst, std::vector<Bytes> frames,
     // Unreachable with the enqueue-side u16 cap, but never drop frames on
     // a codec refusal — ship them individually instead.
     for (std::size_t i = 0; i < frames.size(); ++i) {
-      post_wire(dst, as_span(frames[i]), /*fragments=*/1,
+      post_wire(dst, std::move(frames[i]), /*fragments=*/1,
                 std::move(completions[i]));
     }
     return;
@@ -474,7 +474,7 @@ void Runtime::ship_batch(fabric::NodeId dst, std::vector<Bytes> frames,
   stats_.frames_coalesced += frames.size();
   // Retried as one unit: a failed container was not delivered at all (the
   // shim discards mangled frames whole), so re-shipping repeats no part.
-  post_wire(dst, as_span(*container), frames.size(),
+  post_wire(dst, std::move(*container), frames.size(),
             [completions = std::move(completions)](Status status) {
               for (const fabric::CompletionFn& fn : completions) {
                 if (fn) fn(status);
@@ -589,7 +589,7 @@ Status Runtime::process_frame(ByteSpan data, fabric::NodeId source) {
     parts.code_only = true;
     TC_ASSIGN_OR_RETURN(Bytes frame,
                         Frame::encode(parts, /*include_code=*/true));
-    post_wire(source, as_span(frame), /*fragments=*/1, {});
+    post_wire(source, std::move(frame), /*fragments=*/1, {});
     ++stats_.frames_sent_full;
     stats_.code_bytes_sent += parts.code_archive.size();
     return Status::ok();
@@ -651,7 +651,7 @@ Status Runtime::process_ifunc_frame(ByteSpan data, fabric::NodeId source) {
                            header.origin_node, header.trace});
       }
       if (first_pending) {
-        post_wire(source, as_span(encode_nack_frame(header.ifunc_id)),
+        post_wire(source, encode_nack_frame(header.ifunc_id),
                   /*fragments=*/1, {});
         ++stats_.nacks_sent;
       }
@@ -1244,8 +1244,9 @@ Status Runtime::ctx_reply(ExecContext& ctx, ByteSpan data) {
   ++ctx.replies_issued;
   transport_->execute_on(
       node_, 0,
-      [this, origin = ctx.origin_node, result = std::move(result)] {
-        post_wire(origin, as_span(result), /*fragments=*/1, {});
+      [this, origin = ctx.origin_node,
+       result = std::move(result)]() mutable {
+        post_wire(origin, std::move(result), /*fragments=*/1, {});
       },
       /*scale_cost=*/true);
   return Status::ok();

@@ -391,15 +391,16 @@ class Runtime {
   void send_deferred(fabric::NodeId dst, std::uint64_t ifunc_id,
                      std::uint32_t origin_node, ByteSpan payload,
                      const obs::TraceContext& trace, const char* what);
-  /// Hands encoded frame bytes to the batcher or straight to the transport.
-  /// Both paths copy `bytes` before returning, so views into temporaries
-  /// (e.g. a freshly encoded frame) are safe.
-  void dispatch_frame_bytes(fabric::NodeId dst, ByteSpan bytes,
+  /// Hands an encoded frame to the batcher or straight to the transport;
+  /// either way the buffer moves on, uncopied.
+  void dispatch_frame_bytes(fabric::NodeId dst, Bytes bytes,
                             fabric::CompletionFn on_complete);
   /// The single wire-send chokepoint every runtime send funnels through.
-  /// With max_send_retries == 0 this is exactly transport().post_send;
-  /// otherwise failed completions re-ship the copied bytes with backoff.
-  void post_wire(fabric::NodeId dst, ByteSpan bytes, std::size_t fragments,
+  /// With max_send_retries == 0 this is exactly transport().post_send,
+  /// which takes the buffer; otherwise the bytes are kept in one shared
+  /// buffer and each attempt (failed completions re-ship with backoff)
+  /// posts a copy.
+  void post_wire(fabric::NodeId dst, Bytes bytes, std::size_t fragments,
                  fabric::CompletionFn on_complete);
   void post_wire_attempt(fabric::NodeId dst,
                          std::shared_ptr<const Bytes> buffer,
@@ -407,7 +408,7 @@ class Runtime {
                          fabric::CompletionFn on_complete,
                          std::size_t retries_left);
   /// Queues an encoded frame for coalescing toward `dst` (batching on).
-  void enqueue_batched_frame(fabric::NodeId dst, ByteSpan frame_bytes,
+  void enqueue_batched_frame(fabric::NodeId dst, Bytes frame_bytes,
                              fabric::CompletionFn on_complete);
   /// Ships everything queued for `dst` as one wire message.
   void flush_batch(fabric::NodeId dst);

@@ -113,19 +113,18 @@ void Fabric::sync_to_compute_horizon(NodeId node_id) {
   if (busy > now_) schedule_at(busy, [] {});
 }
 
-void Fabric::post_send(NodeId src, NodeId dst, ByteSpan data,
+void Fabric::post_send(NodeId src, NodeId dst, Bytes data,
                        std::size_t fragments, CompletionFn on_complete) {
   if (!admit_post("post_send", src, dst, on_complete)) return;
   ++stats_.sends;
   stats_.bytes_on_wire += data.size();
 
-  Bytes copy(data.begin(), data.end());
   const VirtTime start =
       reserve_injection_batch(src, dst, data.size(), fragments);
-  const VirtTime arrival = start + link(src, dst).transmit_ns(copy.size());
-  schedule_at(arrival, [this, src, dst, copy = std::move(copy),
+  const VirtTime arrival = start + link(src, dst).transmit_ns(data.size());
+  schedule_at(arrival, [this, src, dst, data = std::move(data),
                         cb = std::move(on_complete)]() mutable {
-    node(dst).worker.deliver_message(std::move(copy), src);
+    node(dst).worker.deliver_message(std::move(data), src);
     if (cb) cb(Status::ok());
   });
 }

@@ -119,18 +119,20 @@ class Fabric final : public Transport {
   bool deterministic() const override { return true; }
 
   // --- data plane -----------------------------------------------------------
-  // Each verb copies its bytes, reserves the src→dst injection channel and
-  // schedules delivery at the modeled arrival time. The delivery events
-  // capture only this Fabric, so a sender may go away while its messages
-  // are still on the wire. Completions fire at arrival. A src or dst that
-  // names no node fails the completion at once with no_such_node() and
-  // posts nothing.
+  // Each verb takes or copies its bytes (post_send moves the buffer it is
+  // handed into the delivery event), reserves the src→dst injection
+  // channel and schedules delivery at the modeled arrival time. The
+  // delivery events capture only this Fabric, so a sender may go away
+  // while its messages are still on the wire. Completions fire at arrival.
+  // A src or dst that names no node fails the completion at once with
+  // no_such_node() and posts nothing.
 
   /// Two-sided send into `dst`'s receive queue. `fragments` > 1 charges
   /// the injection channel for a coalesced message (one per-message gap
   /// plus the link's per-item batch cost per extra fragment).
-  void post_send(NodeId src, NodeId dst, ByteSpan data, std::size_t fragments,
+  void post_send(NodeId src, NodeId dst, Bytes data, std::size_t fragments,
                  CompletionFn on_complete) override;
+  using Transport::post_send;
   /// Active message; the handler runs on `dst` once it is free.
   void post_am(NodeId src, NodeId dst, AmId id, ByteSpan payload,
                CompletionFn on_complete) override;

@@ -209,11 +209,12 @@ Bytes FaultyTransport::shim_frame(std::uint32_t seq, ByteSpan data) const {
   return framed;
 }
 
-void FaultyTransport::post_send(NodeId src, NodeId dst, ByteSpan data,
+void FaultyTransport::post_send(NodeId src, NodeId dst, Bytes data,
                                 std::size_t fragments,
                                 CompletionFn on_complete) {
   if (!config_.enabled()) {
-    inner_->post_send(src, dst, data, fragments, std::move(on_complete));
+    inner_->post_send(src, dst, std::move(data), fragments,
+                      std::move(on_complete));
     return;
   }
   ++stats_.frames_intercepted;
@@ -226,10 +227,10 @@ void FaultyTransport::post_send(NodeId src, NodeId dst, ByteSpan data,
   if (faulted && kind == FaultKind::kTruncate && data.size() < 2) {
     kind = FaultKind::kDrop;
   }
-  Bytes framed = shim_frame(seq, data);
+  Bytes framed = shim_frame(seq, as_span(data));
 
   if (!faulted) {
-    inner_->post_send(src, dst, as_span(framed), fragments,
+    inner_->post_send(src, dst, std::move(framed), fragments,
                       std::move(on_complete));
     return;
   }
@@ -247,14 +248,15 @@ void FaultyTransport::post_send(NodeId src, NodeId dst, ByteSpan data,
       return;
     }
     case FaultKind::kDuplicate: {
-      inner_->post_send(src, dst, as_span(framed), fragments,
+      Bytes copy = framed;
+      inner_->post_send(src, dst, std::move(framed), fragments,
                         std::move(on_complete));
       // The duplicate trails the original; the receiving shim discards it
       // by sequence number, so the runtime above sees the frame once.
       inner_->schedule_after(
           src, config_.dup_delay_ns,
-          [this, src, dst, fragments, copy = framed] {
-            inner_->post_send(src, dst, as_span(copy), fragments, {});
+          [this, src, dst, fragments, copy = std::move(copy)]() mutable {
+            inner_->post_send(src, dst, std::move(copy), fragments, {});
           });
       return;
     }
@@ -263,9 +265,9 @@ void FaultyTransport::post_send(NodeId src, NodeId dst, ByteSpan data,
       // their completions) overtake this frame — the reordering case.
       inner_->schedule_after(
           src, config_.delay_ns,
-          [this, src, dst, fragments, copy = std::move(framed),
+          [this, src, dst, fragments, framed = std::move(framed),
            cb = std::move(on_complete)]() mutable {
-            inner_->post_send(src, dst, as_span(copy), fragments,
+            inner_->post_send(src, dst, std::move(framed), fragments,
                               std::move(cb));
           });
       return;
@@ -279,7 +281,7 @@ void FaultyTransport::post_send(NodeId src, NodeId dst, ByteSpan data,
       const std::size_t keep = kShimHeaderSize + data.size() / 2;
       framed.resize(keep);
       inner_->post_send(
-          src, dst, as_span(framed), fragments,
+          src, dst, std::move(framed), fragments,
           [cb = std::move(on_complete)](Status status) {
             if (!cb) return;
             if (status.is_ok()) {

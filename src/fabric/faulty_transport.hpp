@@ -160,8 +160,11 @@ class FaultyTransport final : public Transport {
   bool deterministic() const override { return inner_->deterministic(); }
   std::size_t node_count() const override { return inner_->node_count(); }
 
-  void post_send(NodeId src, NodeId dst, ByteSpan data, std::size_t fragments,
+  /// Faults off: hands `data` to the inner backend as it is. Faults on:
+  /// wraps it in the shim header (one new buffer) and ships that.
+  void post_send(NodeId src, NodeId dst, Bytes data, std::size_t fragments,
                  CompletionFn on_complete) override;
+  using Transport::post_send;
   void post_am(NodeId src, NodeId dst, AmId id, ByteSpan payload,
                CompletionFn on_complete) override {
     inner_->post_am(src, dst, id, payload, std::move(on_complete));

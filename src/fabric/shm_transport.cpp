@@ -35,7 +35,6 @@ void ShmTransport::push_op(NodeId src, NodeId dst, Op op) {
     handle_op(dst, op);
     return;
   }
-  ops_pushed_.fetch_add(1, std::memory_order_relaxed);
   SpscRing<Op>& r = ring(src, dst);
   if (r.try_push(op)) return;
   producer_stalls_.fetch_add(1, std::memory_order_relaxed);
@@ -56,10 +55,12 @@ void ShmTransport::push_op(NodeId src, NodeId dst, Op op) {
   std::uint32_t spins = 0;
   while (!r.try_push(op)) {
     if (stopping()) {
+      ops_unringed_.fetch_add(1, std::memory_order_relaxed);
       ops_dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     if ((++spins & 0x3F) == 0 && now_ns() > deadline) {
+      ops_unringed_.fetch_add(1, std::memory_order_relaxed);
       backpressure_failures_.fetch_add(1, std::memory_order_relaxed);
       fail_op_backpressure(src, dst, op);
       return;
@@ -90,6 +91,21 @@ void ShmTransport::fail_op_backpressure(NodeId src, NodeId dst,
   }
 }
 
+ShmTransport::Stats ShmTransport::stats() const {
+  Stats s;
+  for (const std::unique_ptr<SpscRing<Op>>& r : rings_) {
+    if (r == nullptr) continue;  // loopback has no ring
+    s.ops_pushed += r->pushed();
+    s.ops_drained += r->popped();
+  }
+  s.ops_pushed += ops_unringed_.load(std::memory_order_relaxed);
+  s.producer_stalls = producer_stalls_.load(std::memory_order_relaxed);
+  s.ops_dropped = ops_dropped_.load(std::memory_order_relaxed);
+  s.backpressure_failures =
+      backpressure_failures_.load(std::memory_order_relaxed);
+  return s;
+}
+
 bool ShmTransport::progress(NodeId node) {
   ++g_progress_depth;
   bool did_work = fire_due_timers(node);
@@ -99,7 +115,6 @@ bool ShmTransport::progress(NodeId node) {
     if (src == node) continue;
     SpscRing<Op>& r = ring(src, node);
     while (r.try_pop(op)) {
-      ops_drained_.fetch_add(1, std::memory_order_relaxed);
       handle_op(node, op);
       did_work = true;
     }
@@ -167,7 +182,7 @@ void ShmTransport::handle_op(NodeId node, Op& op) {
   push_op(node, op.src, std::move(ack));
 }
 
-void ShmTransport::post_send(NodeId src, NodeId dst, ByteSpan data,
+void ShmTransport::post_send(NodeId src, NodeId dst, Bytes data,
                              std::size_t fragments,
                              CompletionFn on_complete) {
   if (!admit_post("post_send", src, dst, on_complete)) return;
@@ -175,7 +190,7 @@ void ShmTransport::post_send(NodeId src, NodeId dst, ByteSpan data,
   op.kind = Op::Kind::kSend;
   op.src = src;
   op.fragments = fragments;
-  op.data.assign(data.begin(), data.end());
+  op.data = std::move(data);
   if (on_complete) op.cid = stash_completion(src, dst, std::move(on_complete));
   push_op(src, dst, std::move(op));
 }

@@ -29,6 +29,11 @@
 // Status the socket backend reports when its tx queue is exhausted — so
 // the runtime's max_send_retries policy backs off identically over both
 // wall-clock backends.
+//
+// Counters: ops pushed and drained are the rings' own monotonic indices,
+// summed by stats(), so a push or pop writes nothing outside its ring (no
+// cache line that every progress context writes on every op). A sent
+// frame moves into its ring op and out to the receiver uncopied.
 #pragma once
 
 #include <atomic>
@@ -64,8 +69,11 @@ class ShmTransport final : public WallClockTransport {
   // --- Transport ------------------------------------------------------------
   const char* name() const override { return "shm"; }
 
-  void post_send(NodeId src, NodeId dst, ByteSpan data, std::size_t fragments,
+  /// Moves `data` into the ring op: the receiver's ReceivedMessage holds
+  /// the very buffer the sender handed over.
+  void post_send(NodeId src, NodeId dst, Bytes data, std::size_t fragments,
                  CompletionFn on_complete) override;
+  using Transport::post_send;
   void post_am(NodeId src, NodeId dst, AmId id, ByteSpan payload,
                CompletionFn on_complete) override;
   void post_put(NodeId src, const RemoteAddr& dst, ByteSpan data,
@@ -76,24 +84,18 @@ class ShmTransport final : public WallClockTransport {
   bool progress(NodeId node) override;
 
   struct Stats {
+    /// Non-loopback ops posted: every ring push, plus the ops that never
+    /// entered a ring (dropped at stop, failed under backpressure).
     std::uint64_t ops_pushed = 0;
-    std::uint64_t ops_drained = 0;
+    std::uint64_t ops_drained = 0;      ///< ring pops
     std::uint64_t producer_stalls = 0;  ///< full-ring backpressure events
     std::uint64_t ops_dropped = 0;      ///< posts abandoned during shutdown
     /// Ops abandoned after full_ring_wait_ms; their completions failed
     /// with fabric::backpressure_status().
     std::uint64_t backpressure_failures = 0;
   };
-  Stats stats() const {
-    Stats s;
-    s.ops_pushed = ops_pushed_.load(std::memory_order_relaxed);
-    s.ops_drained = ops_drained_.load(std::memory_order_relaxed);
-    s.producer_stalls = producer_stalls_.load(std::memory_order_relaxed);
-    s.ops_dropped = ops_dropped_.load(std::memory_order_relaxed);
-    s.backpressure_failures =
-        backpressure_failures_.load(std::memory_order_relaxed);
-    return s;
-  }
+  /// A snapshot; safe from any thread while progress contexts run.
+  Stats stats() const;
 
  private:
   /// One wire operation riding a link ring.
@@ -136,9 +138,9 @@ class ShmTransport final : public WallClockTransport {
   ShmTransportOptions options_;
   std::vector<std::unique_ptr<SpscRing<Op>>> rings_;
 
-  std::atomic<std::uint64_t> ops_pushed_{0};
-  std::atomic<std::uint64_t> ops_drained_{0};
   std::atomic<std::uint64_t> producer_stalls_{0};
+  /// Ops push_op gave up on before they entered a ring (stop, backpressure).
+  std::atomic<std::uint64_t> ops_unringed_{0};
   std::atomic<std::uint64_t> ops_dropped_{0};
   std::atomic<std::uint64_t> backpressure_failures_{0};
 };

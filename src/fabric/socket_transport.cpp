@@ -35,6 +35,8 @@ constexpr std::size_t kMaxFrameBytes = 64 * 1024 * 1024;
 constexpr std::size_t kControlQueueFactor = 4;
 // Frames one sendmsg gathers; a longer queue takes more than one call.
 constexpr std::size_t kMaxGather = 64;
+// Bytes one read pass takes from a link: a single recv of at most this.
+constexpr std::size_t kReadBytes = 64 * 1024;
 
 void put_u16(Bytes& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
@@ -63,6 +65,14 @@ std::uint64_t get_u64(const std::uint8_t* p) {
   std::uint64_t v = 0;
   for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
   return v;
+}
+
+// Adds `n` to one of a node's counters. Only the node's progress context
+// writes them, so a relaxed load and store do without a locked
+// read-modify-write; stats() may read them from any thread.
+void bump(std::atomic<std::uint64_t>& counter, std::uint64_t n = 1) {
+  counter.store(counter.load(std::memory_order_relaxed) + n,
+                std::memory_order_relaxed);
 }
 
 Status errno_status(const std::string& what) {
@@ -157,8 +167,8 @@ SocketTransport::SocketTransport(std::size_t node_count, NodeId self,
                                  SocketTransportOptions options)
     : WallClockTransport(node_count, self, options.run_until_timeout_ms),
       options_(options),
-      self_(self) {
-  links_.resize(node_count);
+      self_(self),
+      links_(node_count) {
   for (NodeId node = 0; node < node_count; ++node) {
     if (is_local(node)) links_[node].to.resize(node_count);
   }
@@ -410,14 +420,15 @@ Status SocketTransport::send_frame(NodeId node, NodeId peer, Bytes wire,
   }
   link.tx_queued += wire.size();
   link.tx.push_back(std::move(wire));
-  frames_sent_.fetch_add(1, std::memory_order_relaxed);
+  bump(links.frames_sent);
   // Inside frame handling the frame waits for read_link's flush_queued.
   if (!links.handling) flush_link(node, peer);
   return Status::ok();
 }
 
 bool SocketTransport::flush_link(NodeId node, NodeId peer) {
-  Link& link = links_[node].to[peer];
+  NodeLinks& links = links_[node];
+  Link& link = links.to[peer];
   if (!link.connected) return false;
   bool wrote = false;
   iovec iov[kMaxGather];
@@ -437,9 +448,8 @@ bool SocketTransport::flush_link(NodeId node, NodeId peer) {
     const ssize_t n = ::sendmsg(link.fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
       wrote = true;
-      writes_.fetch_add(1, std::memory_order_relaxed);
-      bytes_sent_.fetch_add(static_cast<std::uint64_t>(n),
-                            std::memory_order_relaxed);
+      bump(links.writes);
+      bump(links.bytes_sent, static_cast<std::uint64_t>(n));
       link.tx_queued -= static_cast<std::size_t>(n);
       // Retire the frames the kernel took whole; a frame it took part of
       // stays at the front with tx_front_off marking where to resume, so
@@ -484,45 +494,32 @@ bool SocketTransport::read_link(NodeId node, NodeId peer) {
   NodeLinks& links = links_[node];
   Link& link = links.to[peer];
   if (!link.connected) return false;
-  bool any = false;
-  bool eof = false;
-  bool err = false;
-  std::uint8_t buf[64 * 1024];
-  for (;;) {
-    const ssize_t n = ::recv(link.fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      any = true;
-      bytes_received_.fetch_add(static_cast<std::uint64_t>(n),
-                                std::memory_order_relaxed);
-      link.rx.insert(link.rx.end(), buf, buf + n);
-      if (static_cast<std::size_t>(n) < sizeof(buf)) break;
-    } else if (n == 0) {
-      eof = true;
-      break;
-    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      break;
-    } else if (errno == EINTR) {
-      continue;
-    } else {
-      err = true;
-      break;
-    }
-  }
-  // Deliver every complete frame that arrived before a disconnect; only a
-  // partial tail is discarded (and counted) by disconnect_link. What the
-  // handlers post meanwhile is queued, and leaves in one gathered write
-  // per link as soon as the read's frames are handled.
-  if (any) {
+  // One recv per pass: a peer that writes as fast as this node reads
+  // cannot hold the progress context here, and rx never holds more than
+  // one partial frame plus one buffer. What is left in the kernel waits
+  // for the next pass, behind the node's timers and other links.
+  std::uint8_t buf[kReadBytes];
+  ssize_t n = ::recv(link.fd, buf, sizeof(buf), 0);
+  while (n < 0 && errno == EINTR) n = ::recv(link.fd, buf, sizeof(buf), 0);
+  if (n > 0) {
+    bump(links.bytes_received, static_cast<std::uint64_t>(n));
+    link.rx.insert(link.rx.end(), buf, buf + n);
+    // What the handlers post meanwhile is queued, and leaves in one
+    // gathered write per link as soon as the read's frames are handled.
     links.handling = true;
     parse_frames(node, peer, link);
     links.handling = false;
     flush_queued(node);
+    return true;
   }
-  if (!link.connected) return any;
-  if (eof || err) {
-    disconnect_link(node, peer, eof ? "peer closed" : "read failed");
+  // Every complete frame before an EOF or error was handled by an earlier
+  // pass; disconnect_link discards (and counts) a partial tail.
+  if (n == 0) {
+    disconnect_link(node, peer, "peer closed");
+  } else if (errno != EAGAIN && errno != EWOULDBLOCK) {
+    disconnect_link(node, peer, "read failed");
   }
-  return any;
+  return false;
 }
 
 void SocketTransport::parse_frames(NodeId node, NodeId peer, Link& link) {
@@ -558,7 +555,7 @@ void SocketTransport::parse_frames(NodeId node, NodeId peer, Link& link) {
     frame.f2 = get_u64(p + 32);
     frame.payload.assign(p + kHeaderBytes, p + len);
     off += 4 + len;
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
+    bump(links_[node].frames_received);
     handle_frame(node, std::move(frame));
     // An ack send inside handle_frame may have torn this link down and
     // cleared rx under us.
@@ -693,6 +690,24 @@ void SocketTransport::handle_frame(NodeId node, Frame frame) {
 
 // --- data plane ---------------------------------------------------------------
 
+SocketTransport::Stats SocketTransport::stats() const {
+  Stats s;
+  for (const NodeLinks& links : links_) {
+    s.frames_sent += links.frames_sent.load(std::memory_order_relaxed);
+    s.frames_received += links.frames_received.load(std::memory_order_relaxed);
+    s.bytes_sent += links.bytes_sent.load(std::memory_order_relaxed);
+    s.bytes_received += links.bytes_received.load(std::memory_order_relaxed);
+    s.writes += links.writes.load(std::memory_order_relaxed);
+  }
+  s.partial_writes = partial_writes_.load(std::memory_order_relaxed);
+  s.backpressure_rejects =
+      backpressure_rejects_.load(std::memory_order_relaxed);
+  s.control_overflows = control_overflows_.load(std::memory_order_relaxed);
+  s.disconnects = disconnects_.load(std::memory_order_relaxed);
+  s.rx_partial_discards = rx_partial_discards_.load(std::memory_order_relaxed);
+  return s;
+}
+
 void SocketTransport::post_frame(NodeId src, NodeId dst, Frame frame,
                                  ByteSpan payload) {
   if (src == dst) {
@@ -711,7 +726,7 @@ void SocketTransport::post_frame(NodeId src, NodeId dst, Frame frame,
   }
 }
 
-void SocketTransport::post_send(NodeId src, NodeId dst, ByteSpan data,
+void SocketTransport::post_send(NodeId src, NodeId dst, Bytes data,
                                 std::size_t fragments,
                                 CompletionFn on_complete) {
   if (!admit_post("post_send", src, dst, on_complete)) return;
@@ -722,7 +737,7 @@ void SocketTransport::post_send(NodeId src, NodeId dst, ByteSpan data,
   if (on_complete) {
     frame.cid = stash_completion(src, dst, std::move(on_complete));
   }
-  post_frame(src, dst, std::move(frame), data);
+  post_frame(src, dst, std::move(frame), as_span(data));
 }
 
 void SocketTransport::post_am(NodeId src, NodeId dst, AmId id, ByteSpan payload,

@@ -29,6 +29,11 @@
 // after a short write. Only what is already queued is batched; nothing
 // waits for more. Per-link frame order is the post order either way.
 //
+// A progress pass reads each link with one recv(2) of at most 64 KiB, so a
+// peer that writes as fast as the node reads cannot hold the node's
+// progress context in one link, and a link's receive buffer never holds
+// more than one partial frame plus one read.
+//
 // Flow control is honest: every link owns a bounded tx queue. When a slow
 // consumer lets it fill, new data frames fail their completion with the
 // shared fabric::backpressure_status() instead of blocking — the same
@@ -123,8 +128,10 @@ class SocketTransport final : public WallClockTransport {
   // --- Transport ------------------------------------------------------------
   const char* name() const override { return "socket"; }
 
-  void post_send(NodeId src, NodeId dst, ByteSpan data, std::size_t fragments,
+  /// Frames `data` into the link's wire buffer (the codec copies it).
+  void post_send(NodeId src, NodeId dst, Bytes data, std::size_t fragments,
                  CompletionFn on_complete) override;
+  using Transport::post_send;
   void post_am(NodeId src, NodeId dst, AmId id, ByteSpan payload,
                CompletionFn on_complete) override;
   void post_put(NodeId src, const RemoteAddr& dst, ByteSpan data,
@@ -154,22 +161,9 @@ class SocketTransport final : public WallClockTransport {
     std::uint64_t disconnects = 0;
     std::uint64_t rx_partial_discards = 0;  ///< mid-frame EOF
   };
-  Stats stats() const {
-    Stats s;
-    s.frames_sent = frames_sent_.load(std::memory_order_relaxed);
-    s.frames_received = frames_received_.load(std::memory_order_relaxed);
-    s.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
-    s.bytes_received = bytes_received_.load(std::memory_order_relaxed);
-    s.writes = writes_.load(std::memory_order_relaxed);
-    s.partial_writes = partial_writes_.load(std::memory_order_relaxed);
-    s.backpressure_rejects =
-        backpressure_rejects_.load(std::memory_order_relaxed);
-    s.control_overflows = control_overflows_.load(std::memory_order_relaxed);
-    s.disconnects = disconnects_.load(std::memory_order_relaxed);
-    s.rx_partial_discards =
-        rx_partial_discards_.load(std::memory_order_relaxed);
-    return s;
-  }
+  /// A snapshot; safe from any thread while progress contexts run. The
+  /// per-frame and per-syscall counters are kept per node and summed here.
+  Stats stats() const;
 
  private:
   /// Frame kinds on the wire. Wire layout (little-endian):
@@ -207,12 +201,21 @@ class SocketTransport final : public WallClockTransport {
     std::size_t tx_queued = 0;     ///< total unwritten bytes across tx
   };
   /// One local node's links, owned by its progress context (cache-line
-  /// aligned: each node's context writes `handling` on every read).
+  /// aligned: each node's context writes `handling` and the counters on
+  /// every read or write, and no other context writes this line).
   struct alignas(64) NodeLinks {
     std::vector<Link> to;  ///< to[peer]; to[node] unused
     /// True while read_link handles a read's frames: send_frame queues
     /// instead of writing, and flush_queued writes once they are handled.
     bool handling = false;
+    /// This node's share of Stats. Only the node's progress context writes
+    /// them, with a relaxed load and store; stats() reads them from any
+    /// thread.
+    std::atomic<std::uint64_t> frames_sent{0};
+    std::atomic<std::uint64_t> frames_received{0};
+    std::atomic<std::uint64_t> bytes_sent{0};
+    std::atomic<std::uint64_t> bytes_received{0};
+    std::atomic<std::uint64_t> writes{0};
   };
 
   SocketTransport(std::size_t node_count, NodeId self,
@@ -246,7 +249,8 @@ class SocketTransport final : public WallClockTransport {
 
   SocketTransportOptions options_;
   NodeId self_ = kAllLocal;
-  /// links_[node].to[peer]; only local nodes have links.
+  /// links_[node].to[peer]; only local nodes have links. Sized once at
+  /// construction (NodeLinks holds atomics, which do not move).
   std::vector<NodeLinks> links_;
   /// Process-mode barrier state (self_'s progress context only).
   std::unordered_map<std::uint64_t, std::size_t> barrier_arrivals_;
@@ -261,11 +265,6 @@ class SocketTransport final : public WallClockTransport {
   int listen_fd_ = -1;
   std::string listen_unix_path_;
 
-  std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> frames_received_{0};
-  std::atomic<std::uint64_t> bytes_sent_{0};
-  std::atomic<std::uint64_t> bytes_received_{0};
-  std::atomic<std::uint64_t> writes_{0};
   std::atomic<std::uint64_t> partial_writes_{0};
   std::atomic<std::uint64_t> backpressure_rejects_{0};
   std::atomic<std::uint64_t> control_overflows_{0};

@@ -3,7 +3,8 @@
 // src's progress context, the consumer is dst's progress context, which is
 // exactly the SPSC discipline. Indices are monotonically increasing
 // (wrapping through the power-of-two mask), release/acquire pairs on the
-// indices publish the slot contents.
+// indices publish the slot contents. The indices double as the ring's
+// traffic counters (pushed/popped), so counting costs no extra write.
 #pragma once
 
 #include <atomic>
@@ -55,6 +56,11 @@ class SpscRing {
     return head_.load(std::memory_order_relaxed) ==
            tail_.load(std::memory_order_acquire);
   }
+
+  /// Items ever pushed / popped: the monotonic indices themselves, read
+  /// relaxed from any thread (a snapshot for statistics, no ordering).
+  std::size_t pushed() const { return tail_.load(std::memory_order_relaxed); }
+  std::size_t popped() const { return head_.load(std::memory_order_relaxed); }
 
  private:
   std::size_t mask_ = 0;

@@ -96,8 +96,18 @@ class Transport {
   /// Two-sided eager send into `dst`'s receive queue. `fragments` > 1
   /// declares a coalesced message carrying that many logical frames (the
   /// occupancy accounting of batch containers; delivery is unaffected).
-  virtual void post_send(NodeId src, NodeId dst, ByteSpan data,
+  /// Takes the bytes it ships: a backend that delivers the buffer as it is
+  /// (sim, shm) moves it to the receiver, so a caller that hands over a
+  /// freshly encoded frame pays no copy.
+  virtual void post_send(NodeId src, NodeId dst, Bytes data,
                          std::size_t fragments, CompletionFn on_complete) = 0;
+  /// post_send for a caller that holds only a view: the one copy is made
+  /// here. Backends bring it into scope with `using Transport::post_send;`.
+  void post_send(NodeId src, NodeId dst, ByteSpan data, std::size_t fragments,
+                 CompletionFn on_complete) {
+    post_send(src, dst, Bytes(data.begin(), data.end()), fragments,
+              std::move(on_complete));
+  }
   /// Active message dispatched to `dst`'s registered handler for `id`.
   virtual void post_am(NodeId src, NodeId dst, AmId id, ByteSpan payload,
                        CompletionFn on_complete) = 0;

@@ -357,24 +357,29 @@ Status WorkloadEngine::issue_lookup(Lane& lane, std::uint64_t index) {
     lane.issue_ns[index] = cluster_->transport().now_ns();
   }
   const std::uint64_t key = (*lane.queries)[index];
-  ByteWriter w;
-  w.reserve(4 * sizeof(std::uint64_t));  // both payloads are four words
+  // Both payloads are four little-endian words, built on the stack.
+  std::uint8_t payload[4 * sizeof(std::uint64_t)] = {};
+  const auto put = [&payload](std::size_t word, std::uint64_t v) {
+    for (std::size_t i = 0; i < sizeof(v); ++i) {
+      payload[word * sizeof(v) + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  };
   fabric::NodeId dst = 0;
   if (config_.workload == Workload::kHashProbe) {
     const std::uint64_t slot = hash_.start_slot(key);
-    w.u64(key);
-    w.u64(slot);
-    w.u64(hash_.capacity());  // probe budget: at most one full cycle
-    w.u64(index);             // routing tag
+    put(0, key);
+    put(1, slot);
+    put(2, hash_.capacity());  // probe budget: at most one full cycle
+    put(3, index);             // routing tag
     dst = cluster_->server_nodes()[slot / hash_.buckets_per_shard()];
   } else {
-    w.u64(key);
-    w.u64(0);  // the descent starts at the head node
-    w.u64(ShardedOrderedIndex::kLevels - 1);
-    w.u64(index);
+    put(0, key);
+    put(1, 0);  // the descent starts at the head node
+    put(2, ShardedOrderedIndex::kLevels - 1);
+    put(3, index);
     dst = cluster_->server_nodes()[0];  // node 0 lives on server 0
   }
-  return send_payload(lane, dst, as_span(w.bytes()));
+  return send_payload(lane, dst, payload);
 }
 
 void WorkloadEngine::on_lookup_reply(Lane& lane, std::uint64_t tag,

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <deque>
@@ -505,6 +506,78 @@ TEST_F(SocketHostilePeer, GetFloodPastTheControlCapDisconnects) {
   EXPECT_EQ(seen.code(), ErrorCode::kUnavailable) << seen.to_string();
   EXPECT_EQ(sock_->stats().control_overflows, 1u);
   EXPECT_EQ(sock_->stats().disconnects, 1u);
+}
+
+TEST_F(SocketHostilePeer, OneProgressPassReadsAtMostOneBuffer) {
+  // A peer that writes as fast as node 0 reads must not hold node 0's
+  // progress context in one link: a pass takes one recv of at most 64 KiB,
+  // and later passes deliver the rest, in order.
+  constexpr std::size_t kReadBytes = 64 * 1024;
+  constexpr std::size_t kFrames = 64;
+  Bytes stream;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    const Bytes frame = raw_frame(kRawSend, /*src=*/1, /*cid=*/0,
+                                  Bytes(4096, static_cast<std::uint8_t>(i)));
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  ASSERT_GT(stream.size(), 3 * kReadBytes);
+  // One blocking send per frame from a helper thread, which blocks once
+  // the socket buffer is full and resumes as node 0 reads.
+  const std::size_t frame_bytes = stream.size() / kFrames;
+  std::atomic<std::size_t> written{0};
+  std::thread writer([&] {
+    for (std::size_t off = 0; off < stream.size();) {
+      const ssize_t n =
+          ::send(raw_fd_, stream.data() + off,
+                 std::min(frame_bytes, stream.size() - off), MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return;
+      off += static_cast<std::size_t>(n);
+      written.store(off, std::memory_order_release);
+    }
+  });
+  // A failed assertion must not leave the writer blocked in send.
+  struct Joiner {
+    std::thread& thread;
+    int fd;
+    ~Joiner() {
+      if (!thread.joinable()) return;
+      ::shutdown(fd, SHUT_RDWR);
+      thread.join();
+    }
+  } joiner{writer, raw_fd_};
+  // Let the writer fill the socket before node 0 progresses: wait until it
+  // is done or has stalled on a full buffer.
+  std::size_t seen = 0;
+  for (int quiet = 0; quiet < 20 && seen < stream.size();) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const std::size_t now = written.load(std::memory_order_acquire);
+    quiet = now == seen ? quiet + 1 : 0;
+    seen = now;
+  }
+  ASSERT_GT(seen, 2 * kReadBytes) << "the socket buffer took too little";
+
+  const std::uint64_t before = sock_->stats().bytes_received;
+  (void)sock_->progress(0);
+  const std::uint64_t first_pass = sock_->stats().bytes_received - before;
+  EXPECT_GT(first_pass, 0u);
+  EXPECT_LE(first_pass, kReadBytes);
+
+  std::vector<Bytes> delivered;
+  const Status status = sock_->run_until(0, [&] {
+    while (auto msg = sock_->try_recv(0)) {
+      delivered.push_back(std::move(msg->data));
+    }
+    return delivered.size() == kFrames;
+  });
+  ASSERT_TRUE(status.is_ok()) << status.to_string();
+  writer.join();
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(delivered[i], Bytes(4096, static_cast<std::uint8_t>(i)))
+        << "frame " << i;
+  }
+  EXPECT_EQ(sock_->stats().frames_received, kFrames);
+  EXPECT_EQ(sock_->stats().disconnects, 0u);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Transport conformance suite — the reusable TEST_P bodies every
 // fabric::Transport backend must pass, parameterized over a backend
 // factory. The contract under test is the part of fabric::Transport the
-// protocol layers rely on: per-link FIFO ordering of two-sided sends, AM
-// dispatch (including miss reporting), PUT/GET visibility into registered
-// windows, segment publication, and the runtime-level NACK redelivery
-// protocol riding on all of it.
+// protocol layers rely on: per-link FIFO ordering of two-sided sends (and
+// the same bytes from both post_send overloads), AM dispatch (including
+// miss reporting), PUT/GET visibility into registered windows, segment
+// publication, and the runtime-level NACK redelivery protocol riding on
+// all of it.
 //
 // Usage (one instantiation per test binary; separate binaries, so the
 // header-defined TEST_P bodies never collide):
@@ -141,6 +142,28 @@ TEST_P(TransportConformance, SendCompletionReportsDelivery) {
   auto delivered = transport_->try_recv(2);
   ASSERT_TRUE(delivered.has_value());
   EXPECT_EQ(delivered->data, msg);
+}
+
+TEST_P(TransportConformance, SpanAndBufferSendsDeliverIdenticalBytes) {
+  // post_send takes the buffer it ships; the span overload copies once for
+  // a caller that holds only a view. Both must put the same bytes on the
+  // wire.
+  Bytes original(300);
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    original[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  transport_->post_send(0, 1, as_span(original), 1, {});
+  transport_->post_send(0, 1, Bytes(original), 1, {});
+  std::vector<Bytes> delivered;
+  drive_until([&]() -> bool {
+    while (auto msg = transport_->try_recv(1)) {
+      delivered.push_back(std::move(msg->data));
+    }
+    return delivered.size() == 2;
+  });
+  ASSERT_EQ(delivered.size(), 2u);
+  EXPECT_EQ(delivered[0], original) << "span overload";
+  EXPECT_EQ(delivered[1], original) << "buffer overload";
 }
 
 TEST_P(TransportConformance, AmDispatchesToRegisteredHandler) {

@@ -11,7 +11,10 @@
 // CI ThreadSanitizer job is aimed at.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "fabric/fabric.hpp"
@@ -129,6 +132,10 @@ TEST(ShmTransportThreaded, FullRingFailsCompletionWithBackpressure) {
   ASSERT_TRUE(saw_reject);
   EXPECT_TRUE(fabric::is_backpressure(rejected)) << rejected.to_string();
   EXPECT_GE(shm.stats().backpressure_failures, 1u);
+  // ops_pushed is the rings' tail indices plus the ops push_op gave up on:
+  // the four that filled the ring and the one that failed.
+  EXPECT_EQ(shm.stats().ops_pushed, 5u);
+  EXPECT_EQ(shm.stats().ops_drained, 0u);
 
   // Recovery: drain the consumer first (push_op can only drain the
   // *producer's* rings while blocked), then the same post completes OK.
@@ -150,6 +157,114 @@ TEST(ShmTransportThreaded, FullRingFailsCompletionWithBackpressure) {
   }
   ASSERT_TRUE(ok_fired);
   EXPECT_TRUE(ok_status.is_ok()) << ok_status.to_string();
+}
+
+TEST(ShmTransportThreaded, OpDroppedAtStopStillCountsAsPushed) {
+  // Node 0's progress thread posts into a full ring from a timer and
+  // blocks; stopping the threads makes it drop the op, which never
+  // entered a ring but still counts in ops_pushed.
+  fabric::ShmTransportOptions options;
+  options.ring_capacity = 4;
+  options.full_ring_wait_ms = 60'000;
+  fabric::ShmTransport shm(2, options);
+  Bytes payload{0x5A};
+  for (int i = 0; i < 4; ++i) shm.post_send(0, 1, as_span(payload), 1, {});
+  shm.schedule_after(0, 0, [&shm, &payload] {
+    shm.post_send(0, 1, as_span(payload), 1, {});
+  });
+  shm.start_progress_threads({0});
+  for (int spin = 0; spin < 10'000 && shm.stats().producer_stalls == 0;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(shm.stats().producer_stalls, 1u);
+  shm.stop_progress_threads();
+  const fabric::ShmTransport::Stats stats = shm.stats();
+  EXPECT_EQ(stats.ops_dropped, 1u);
+  EXPECT_EQ(stats.ops_pushed, 5u);
+  EXPECT_EQ(stats.ops_drained, 0u);
+}
+
+TEST(ShmTransportStats, RingIndicesCountEveryNonLoopbackOp) {
+  // N fire-and-forget sends on every directed link of a 4-node cluster,
+  // loopback included. Once quiet, every ring op was pushed and popped
+  // once; loopback ops never touch a ring and count in neither.
+  constexpr std::size_t kNodes = 4;
+  constexpr std::size_t kPerLink = 50;
+  fabric::ShmTransport shm(kNodes);
+  Bytes payload{1, 2, 3};
+  for (fabric::NodeId src = 0; src < kNodes; ++src) {
+    for (fabric::NodeId dst = 0; dst < kNodes; ++dst) {
+      for (std::size_t i = 0; i < kPerLink; ++i) {
+        shm.post_send(src, dst, as_span(payload), 1, {});
+      }
+    }
+  }
+  std::size_t received = 0;
+  for (int spin = 0; spin < 1'000'000 && received < kNodes * kNodes * kPerLink;
+       ++spin) {
+    for (fabric::NodeId node = 0; node < kNodes; ++node) {
+      (void)shm.progress(node);
+      while (shm.try_recv(node).has_value()) ++received;
+    }
+  }
+  ASSERT_EQ(received, kNodes * kNodes * kPerLink);
+  const fabric::ShmTransport::Stats stats = shm.stats();
+  const std::uint64_t non_loopback = kNodes * (kNodes - 1) * kPerLink;
+  EXPECT_EQ(stats.ops_pushed, non_loopback);
+  EXPECT_EQ(stats.ops_drained, non_loopback);
+}
+
+TEST(ShmTransportThreaded, StatsReadWhileProgressThreadsPushAndPop) {
+  // stats() sums the rings' indices while their producers and consumers
+  // run (the read the TSan job checks). Each counter only grows, and once
+  // every send's ack is back both read sends plus acks.
+  constexpr std::size_t kNodes = 4;
+  constexpr int kSends = 3000;
+  fabric::ShmTransport shm(kNodes);
+  shm.start_progress_threads({1, 2, 3});
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    fabric::ShmTransport::Stats last;
+    while (!done.load(std::memory_order_acquire)) {
+      const fabric::ShmTransport::Stats now = shm.stats();
+      EXPECT_GE(now.ops_pushed, last.ops_pushed);
+      EXPECT_GE(now.ops_drained, last.ops_drained);
+      last = now;
+    }
+  });
+  Bytes payload{7};
+  int acked = 0;
+  for (int i = 0; i < kSends; ++i) {
+    const fabric::NodeId dst = 1 + static_cast<fabric::NodeId>(i % 3);
+    shm.post_send(0, dst, as_span(payload), 1, [&](Status s) {
+      EXPECT_TRUE(s.is_ok()) << s.to_string();
+      ++acked;
+    });
+    (void)shm.progress(0);
+  }
+  const Status acks = shm.run_until(0, [&] { return acked == kSends; });
+  done.store(true, std::memory_order_release);
+  reader.join();
+  shm.stop_progress_threads();
+  ASSERT_TRUE(acks.is_ok()) << acks.to_string();
+  const fabric::ShmTransport::Stats stats = shm.stats();
+  EXPECT_EQ(stats.ops_pushed, 2u * kSends);
+  EXPECT_EQ(stats.ops_drained, 2u * kSends);
+}
+
+TEST(ShmTransport, PostSendHandsTheBufferToTheReceiver) {
+  // The ring op takes the sender's buffer: the receiver gets the very heap
+  // allocation that was posted, not a copy.
+  fabric::ShmTransport shm(2);
+  Bytes frame(256, 0xAB);
+  const std::uint8_t* sent = frame.data();
+  shm.post_send(0, 1, std::move(frame), 1, {});
+  (void)shm.progress(1);
+  std::optional<fabric::ReceivedMessage> msg = shm.try_recv(1);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->data.data(), sent);
+  EXPECT_EQ(msg->data, Bytes(256, 0xAB));
 }
 
 }  // namespace
