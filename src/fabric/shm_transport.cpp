@@ -1,6 +1,8 @@
 #include "fabric/shm_transport.hpp"
 
 #include <cstring>
+#include <limits>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -32,7 +34,7 @@ ShmTransport::~ShmTransport() { stop_progress_threads(); }
 void ShmTransport::push_op(NodeId src, NodeId dst, Op op) {
   if (src == dst) {
     // Loopback: no wire, the initiator's context is the target's context.
-    handle_op(dst, op);
+    handle_op(dst, src, op);
     return;
   }
   SpscRing<Op>& r = ring(src, dst);
@@ -115,7 +117,7 @@ bool ShmTransport::progress(NodeId node) {
     if (src == node) continue;
     SpscRing<Op>& r = ring(src, node);
     while (r.try_pop(op)) {
-      handle_op(node, op);
+      handle_op(node, src, op);
       did_work = true;
     }
   }
@@ -123,15 +125,15 @@ bool ShmTransport::progress(NodeId node) {
   return did_work;
 }
 
-void ShmTransport::handle_op(NodeId node, Op& op) {
+void ShmTransport::handle_op(NodeId node, NodeId src, Op& op) {
   NodeState& state = node_state(node);
   Status status;
   switch (op.kind) {
     case Op::Kind::kSend:
-      state.worker.deliver_message(std::move(op.data), op.src);
+      state.worker.deliver_message(std::move(op.data), src);
       break;
     case Op::Kind::kAm:
-      status = state.worker.deliver_am(op.am_id, std::move(op.data), op.src);
+      status = state.worker.deliver_am(op.am_id, std::move(op.data), src);
       break;
     case Op::Kind::kPut: {
       std::lock_guard lock(state.mem_mu);
@@ -147,7 +149,6 @@ void ShmTransport::handle_op(NodeId node, Op& op) {
     case Op::Kind::kGet: {
       Op ack;
       ack.kind = Op::Kind::kGetAck;
-      ack.src = node;
       ack.cid = op.cid;
       {
         std::lock_guard lock(state.mem_mu);
@@ -155,20 +156,20 @@ void ShmTransport::handle_op(NodeId node, Op& op) {
         if (source.is_ok()) {
           ack.data.assign(*source, *source + op.length);
         } else {
-          ack.status = source.status();
+          encode_ack_status(source.status(), ack.code, ack.data);
         }
       }
-      push_op(node, op.src, std::move(ack));
+      push_op(node, src, std::move(ack));
       return;
     }
     case Op::Kind::kAck:
-      complete(node, op.cid, std::move(op.status));
+      complete(node, op.cid, acked_status(op.code, op.data));
       return;
     case Op::Kind::kGetAck:
-      if (op.status.is_ok()) {
+      if (op.code == 0) {
         complete_get(node, op.cid, std::move(op.data));
       } else {
-        complete_get(node, op.cid, std::move(op.status));
+        complete_get(node, op.cid, acked_status(op.code, op.data));
       }
       return;
   }
@@ -176,20 +177,17 @@ void ShmTransport::handle_op(NodeId node, Op& op) {
   if (op.cid == 0) return;
   Op ack;
   ack.kind = Op::Kind::kAck;
-  ack.src = node;
   ack.cid = op.cid;
-  ack.status = std::move(status);
-  push_op(node, op.src, std::move(ack));
+  encode_ack_status(status, ack.code, ack.data);
+  push_op(node, src, std::move(ack));
 }
 
 void ShmTransport::post_send(NodeId src, NodeId dst, Bytes data,
-                             std::size_t fragments,
+                             std::size_t /*fragments*/,
                              CompletionFn on_complete) {
   if (!admit_post("post_send", src, dst, on_complete)) return;
   Op op;
   op.kind = Op::Kind::kSend;
-  op.src = src;
-  op.fragments = fragments;
   op.data = std::move(data);
   if (on_complete) op.cid = stash_completion(src, dst, std::move(on_complete));
   push_op(src, dst, std::move(op));
@@ -200,7 +198,6 @@ void ShmTransport::post_am(NodeId src, NodeId dst, AmId id, ByteSpan payload,
   if (!admit_post("post_am", src, dst, on_complete)) return;
   Op op;
   op.kind = Op::Kind::kAm;
-  op.src = src;
   op.am_id = id;
   op.data.assign(payload.begin(), payload.end());
   if (on_complete) op.cid = stash_completion(src, dst, std::move(on_complete));
@@ -212,7 +209,6 @@ void ShmTransport::post_put(NodeId src, const RemoteAddr& dst, ByteSpan data,
   if (!admit_post("post_put", src, dst.node, on_complete)) return;
   Op op;
   op.kind = Op::Kind::kPut;
-  op.src = src;
   op.rkey = dst.rkey;
   op.offset = dst.offset;
   op.data.assign(data.begin(), data.end());
@@ -225,12 +221,19 @@ void ShmTransport::post_put(NodeId src, const RemoteAddr& dst, ByteSpan data,
 void ShmTransport::post_get(NodeId src, const RemoteAddr& addr,
                             std::size_t length, GetCompletionFn on_complete) {
   if (!admit_post("post_get", src, addr.node, on_complete)) return;
+  if (length > std::numeric_limits<std::uint32_t>::max()) {
+    // The op's length field is 32 bits: a longer GET enters no ring.
+    if (on_complete) {
+      on_complete(out_of_range("post_get: length " + std::to_string(length) +
+                               " exceeds the shm op's 32-bit length"));
+    }
+    return;
+  }
   Op op;
   op.kind = Op::Kind::kGet;
-  op.src = src;
   op.rkey = addr.rkey;
   op.offset = addr.offset;
-  op.length = length;
+  op.length = static_cast<std::uint32_t>(length);
   op.cid = stash_get_completion(src, addr.node, std::move(on_complete));
   push_op(src, addr.node, std::move(op));
 }

@@ -34,6 +34,15 @@
 // summed by stats(), so a push or pop writes nothing outside its ring (no
 // cache line that every progress context writes on every op). A sent
 // frame moves into its ring op and out to the receiver uncopied.
+//
+// The op: 56 bytes, so a ring slot (the op plus the ring's sequence word)
+// is exactly one cache line and a hop moves one line each way. The ring
+// names the link, so the op carries no source, and post_send's fragment
+// count is not carried (nothing here reads it). An ack carries a one-byte
+// ErrorCode and, on error, its message in `data`: the encoding the socket
+// backend's acks use (encode_ack_status / acked_status). The AM id is a
+// u16 and the GET length a u32; a longer GET fails kOutOfRange at post
+// time and enters no ring.
 #pragma once
 
 #include <atomic>
@@ -48,7 +57,9 @@ namespace tc::fabric {
 
 struct ShmTransportOptions {
   /// Slots per directed link (rounded up to a power of two). Sized so the
-  /// async windows of every initiator fit without producer stalls.
+  /// async windows of every initiator fit without producer stalls. A slot
+  /// is one 64-byte cache line: the default ring holds 512 KiB per
+  /// directed link.
   std::size_t ring_capacity = 8192;
   /// Safety net for run_until: give up after this much wall time.
   std::int64_t run_until_timeout_ms = 30'000;
@@ -98,7 +109,8 @@ class ShmTransport final : public WallClockTransport {
   Stats stats() const;
 
  private:
-  /// One wire operation riding a link ring.
+  /// One wire operation riding a link ring; 56 bytes, which SpscRing's
+  /// one-line slot asserts (see the header).
   struct Op {
     enum class Kind : std::uint8_t {
       kSend,    ///< two-sided eager message
@@ -109,14 +121,12 @@ class ShmTransport final : public WallClockTransport {
       kGetAck,  ///< completion + data for kGet
     };
     Kind kind = Kind::kSend;
-    NodeId src = 0;
+    std::uint8_t code = 0;  ///< ErrorCode of an ack; its message is `data`
     AmId am_id = 0;
-    std::size_t fragments = 1;
+    std::uint32_t length = 0;
     RKey rkey = 0;
     std::uint64_t offset = 0;
-    std::size_t length = 0;
     std::uint64_t cid = 0;  ///< 0 = fire-and-forget
-    Status status;
     Bytes data;
   };
 
@@ -133,7 +143,8 @@ class ShmTransport final : public WallClockTransport {
   /// cannot reach — those are dropped and counted; the peer's watchdog
   /// (run_until timeout) surfaces the loss.
   void fail_op_backpressure(NodeId src, NodeId dst, const Op& op);
-  void handle_op(NodeId node, Op& op);
+  /// Runs `op`, which `src` sent to `node` (loopback: src == node).
+  void handle_op(NodeId node, NodeId src, Op& op);
 
   ShmTransportOptions options_;
   std::vector<std::unique_ptr<SpscRing<Op>>> rings_;

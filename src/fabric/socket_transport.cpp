@@ -602,11 +602,6 @@ void SocketTransport::reply(NodeId node, NodeId peer, Frame frame) {
 
 void SocketTransport::handle_frame(NodeId node, Frame frame) {
   NodeState& state = node_state(node);
-  // An ack's code + message payload, back as the Status it carries.
-  const auto carried = [&frame] {
-    return Status(static_cast<ErrorCode>(frame.code),
-                  std::string(frame.payload.begin(), frame.payload.end()));
-  };
   Status status;
   switch (frame.kind) {
     case FrameKind::kSend:
@@ -638,22 +633,20 @@ void SocketTransport::handle_frame(NodeId node, Frame frame) {
         if (source.is_ok()) {
           ack.payload.assign(*source, *source + frame.f2);
         } else {
-          ack.code = static_cast<std::uint8_t>(source.status().code());
-          ack.payload.assign(source.status().message().begin(),
-                             source.status().message().end());
+          encode_ack_status(source.status(), ack.code, ack.payload);
         }
       }
       reply(node, frame.src, std::move(ack));
       return;
     }
     case FrameKind::kAck:
-      complete(node, frame.cid, frame.code == 0 ? Status::ok() : carried());
+      complete(node, frame.cid, acked_status(frame.code, frame.payload));
       return;
     case FrameKind::kGetAck:
       if (frame.code == 0) {
         complete_get(node, frame.cid, std::move(frame.payload));
       } else {
-        complete_get(node, frame.cid, carried());
+        complete_get(node, frame.cid, acked_status(frame.code, frame.payload));
       }
       return;
     case FrameKind::kSegment: {
@@ -681,10 +674,7 @@ void SocketTransport::handle_frame(NodeId node, Frame frame) {
   ack.kind = FrameKind::kAck;
   ack.src = node;
   ack.cid = frame.cid;
-  ack.code = static_cast<std::uint8_t>(status.code());
-  if (!status.is_ok()) {
-    ack.payload.assign(status.message().begin(), status.message().end());
-  }
+  encode_ack_status(status, ack.code, ack.payload);
   reply(node, frame.src, std::move(ack));
 }
 

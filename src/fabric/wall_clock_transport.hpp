@@ -33,6 +33,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -41,6 +42,24 @@
 #include "fabric/transport.hpp"
 
 namespace tc::fabric {
+
+/// How both wall-clock wires carry an ack's Status: the ErrorCode in one
+/// byte and, on error, the message as the ack's data bytes (an OK GET ack
+/// carries the bytes read there instead). `code` is 0 for OK.
+inline void encode_ack_status(const Status& status, std::uint8_t& code,
+                              Bytes& data) {
+  code = static_cast<std::uint8_t>(status.code());
+  if (!status.is_ok()) {
+    data.assign(status.message().begin(), status.message().end());
+  }
+}
+
+/// The Status an ack carries, back from its code and data bytes.
+inline Status acked_status(std::uint8_t code, const Bytes& data) {
+  if (code == 0) return Status::ok();
+  return Status(static_cast<ErrorCode>(code),
+                std::string(data.begin(), data.end()));
+}
 
 class WallClockTransport : public Transport {
  public:

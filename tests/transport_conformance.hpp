@@ -201,6 +201,8 @@ TEST_P(TransportConformance, AmToUnregisteredIdReportsMiss) {
   });
   drive_until([&] { return completed; });
   EXPECT_EQ(status.code(), ErrorCode::kNotFound);
+  // The message rides the ack back from the target's Worker::deliver_am.
+  EXPECT_EQ(status.message(), "no AM handler for id 99");
 }
 
 TEST_P(TransportConformance, PutThenGetObservesWrittenBytes) {
@@ -235,6 +237,9 @@ TEST_P(TransportConformance, OutOfBoundsOneSidedAccessFaults) {
   std::vector<std::uint8_t> window(16, 0);
   auto region = transport_->register_window(1, window.data(), window.size());
   ASSERT_TRUE(region.is_ok());
+  // The target's MemoryDomain::translate refuses both, and its message
+  // rides the ack back unchanged.
+  const std::string fault = "remote access [12, 20) exceeds region 16";
 
   StatusOr<Bytes> got = Status::ok();
   bool done = false;
@@ -246,6 +251,41 @@ TEST_P(TransportConformance, OutOfBoundsOneSidedAccessFaults) {
   drive_until([&] { return done; });
   EXPECT_FALSE(got.is_ok());
   EXPECT_EQ(got.status().code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(got.status().message(), fault);
+
+  const Bytes data(8, 0xEE);
+  Status put = Status::ok();
+  done = false;
+  transport_->post_put(2, region->remote_addr(1, /*offset=*/12), as_span(data),
+                       [&](Status s) {
+                         put = std::move(s);
+                         done = true;
+                       });
+  drive_until([&] { return done; });
+  EXPECT_EQ(put.code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(put.message(), fault);
+  EXPECT_EQ(window, std::vector<std::uint8_t>(16, 0)) << "a faulted PUT wrote";
+}
+
+// A GET longer than 4 GiB, which no window here can serve, fails
+// kOutOfRange on every backend: shm refuses it at post time (its ring op's
+// length is 32 bits), sim and socket at the target's translate.
+TEST_P(TransportConformance, GetLongerThanFourGibFailsOutOfRange) {
+  std::vector<std::uint8_t> window(64, 0x11);
+  auto region = transport_->register_window(1, window.data(), window.size());
+  ASSERT_TRUE(region.is_ok()) << region.status().to_string();
+
+  StatusOr<Bytes> got = Bytes{};
+  bool done = false;
+  transport_->post_get(0, region->remote_addr(1), (std::size_t{1} << 32) + 8,
+                       [&](StatusOr<Bytes> r) {
+                         got = std::move(r);
+                         done = true;
+                       });
+  drive_until([&] { return done; });
+  ASSERT_FALSE(got.is_ok()) << "read " << got->size() << " bytes";
+  EXPECT_EQ(got.status().code(), ErrorCode::kOutOfRange)
+      << got.status().to_string();
 }
 
 TEST_P(TransportConformance, ExposedSegmentPublishesOnce) {

@@ -84,6 +84,28 @@ TEST(SpscRing, FillDrainWrapAround) {
     int out = -1;
     EXPECT_FALSE(ring.try_pop(out));  // empty
   }
+  // A full ring the consumer then frees one slot of: the producer's cached
+  // head says full, so the push must re-read head_ to find the slot, and
+  // the push after it is refused again.
+  for (int i = 0; i < 4; ++i) {
+    int v = 100 + i;
+    EXPECT_TRUE(ring.try_push(v));
+  }
+  int overflow = 99;
+  EXPECT_FALSE(ring.try_push(overflow));
+  int out = -1;
+  EXPECT_TRUE(ring.try_pop(out));
+  EXPECT_EQ(out, 100);
+  int next = 104;
+  EXPECT_TRUE(ring.try_push(next));
+  EXPECT_FALSE(ring.try_push(overflow));
+  for (int want = 101; want <= 104; ++want) {
+    EXPECT_TRUE(ring.try_pop(out));
+    EXPECT_EQ(out, want);
+  }
+  EXPECT_FALSE(ring.try_pop(out));
+  EXPECT_EQ(ring.pushed(), 17u);
+  EXPECT_EQ(ring.popped(), 17u);
 }
 
 TEST(SpscRing, ConcurrentProducerConsumerKeepsOrder) {
@@ -104,6 +126,34 @@ TEST(SpscRing, ConcurrentProducerConsumerKeepsOrder) {
     }
   }
   producer.join();
+}
+
+TEST(SpscRing, MovedBuffersArriveIntactAcrossWraps) {
+  // Heap buffers through a ring small enough to fill and wrap constantly:
+  // a slot overwritten before the consumer vacated it, or an item read
+  // before the producer published it, shows as a wrong length or byte
+  // here (and as a race under TSan, a use-after-free under ASan).
+  constexpr std::size_t kItems = 200'000;
+  fabric::SpscRing<Bytes> ring(8);
+  std::thread producer([&] {
+    for (std::size_t i = 0; i < kItems; ++i) {
+      Bytes item(i % 97, static_cast<std::uint8_t>(i & 0xFF));
+      while (!ring.try_push(item)) std::this_thread::yield();
+    }
+  });
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < kItems;) {
+    Bytes out;
+    if (!ring.try_pop(out)) continue;
+    if (out != Bytes(i % 97, static_cast<std::uint8_t>(i & 0xFF))) {
+      if (++bad <= 5) ADD_FAILURE() << "item " << i << " arrived damaged";
+    }
+    ++i;
+  }
+  producer.join();
+  EXPECT_EQ(bad, 0u);
+  EXPECT_EQ(ring.pushed(), kItems);
+  EXPECT_EQ(ring.popped(), kItems);
 }
 
 // --- shm-specific threaded coverage ------------------------------------------
@@ -251,6 +301,20 @@ TEST(ShmTransportThreaded, StatsReadWhileProgressThreadsPushAndPop) {
   const fabric::ShmTransport::Stats stats = shm.stats();
   EXPECT_EQ(stats.ops_pushed, 2u * kSends);
   EXPECT_EQ(stats.ops_drained, 2u * kSends);
+}
+
+TEST(ShmTransport, GetPastTheOpLengthFieldFailsAtPost) {
+  // The ring op's GET length is 32 bits: a longer GET completes with
+  // kOutOfRange inside post_get, before any progress, and pushes nothing.
+  fabric::ShmTransport shm(2);
+  auto window = shm.allocate_window(1, 64);
+  ASSERT_TRUE(window.is_ok()) << window.status().to_string();
+  std::optional<Status> status;
+  shm.post_get(0, window->remote_addr(1), (std::size_t{1} << 32) + 8,
+               [&](StatusOr<Bytes> r) { status = r.status(); });
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->code(), ErrorCode::kOutOfRange) << status->to_string();
+  EXPECT_EQ(shm.stats().ops_pushed, 0u);
 }
 
 TEST(ShmTransport, PostSendHandsTheBufferToTheReceiver) {

@@ -11,10 +11,13 @@
 # because a run's numbers move with the length of its arguments (a longer
 # --git-rev or --trace-out shifted probe_portable_shm p50 by ~12%). Writes
 # DIR/parent.json and DIR/change.json as run.sh result sets ({"runs":[…]},
-# pair i at index i) and judges them with `tc_bench --compare`, whose exit
-# status this script returns. Run length: BENCHMARK.json's run_seconds
-# unless --seconds is given. DIR defaults to a new directory under
-# ${TMPDIR:-/tmp}.
+# pair i at index i), prints for every end-to-end metric how many pairs
+# each side read better (one "wins METRIC …" line each, in
+# BENCHMARK.json's direction; a tie counts for neither side, and a pair
+# with a missing run is reported and counts for neither), and judges the
+# sets with `tc_bench --compare`, whose exit status this script returns.
+# Run length: BENCHMARK.json's run_seconds unless --seconds is given. DIR
+# defaults to a new directory under ${TMPDIR:-/tmp}.
 set -euo pipefail
 
 usage() {
@@ -94,5 +97,45 @@ result_set() {
 result_set a > "$out/parent.json"
 result_set b > "$out/change.json"
 echo "result sets: $out/parent.json $out/change.json" >&2
+
+# The pairs each side read better, per end-to-end metric: the count the
+# nine-in-ten rule for a claimed gain is judged on.
+python3 - "$out" "$pairs" <<'EOF' || echo "$0: could not count wins" >&2
+import json, os, sys
+
+out, pairs = sys.argv[1], int(sys.argv[2])
+with open(os.path.join(out, "BENCHMARK.json")) as f:
+    end_to_end = json.load(f)["end_to_end"]
+
+def metrics(side, pair):
+    try:
+        with open(os.path.join(out, side, "run-%d.json" % pair)) as f:
+            return json.load(f)["metrics"]
+    except (OSError, ValueError, KeyError):
+        return None
+
+complete = []
+for pair in range(pairs):
+    parent, change = metrics("a", pair), metrics("b", pair)
+    missing = [side for side, run in (("parent", parent), ("change", change))
+               if run is None]
+    if missing:
+        print("pair %d: no %s run, counts for neither side"
+              % (pair + 1, " and no ".join(missing)))
+    else:
+        complete.append((parent, change))
+
+for metric in end_to_end:
+    name, higher = metric["name"], metric["better"] == "higher"
+    won = {"change": 0, "parent": 0}
+    for parent, change in complete:
+        if name in parent and name in change:
+            a, b = parent[name]["value"], change[name]["value"]
+            if a != b:
+                won["change" if (b > a) == higher else "parent"] += 1
+    print("wins %s (%s is better): change %d, parent %d, neither %d of %d"
+          " pairs" % (name, metric["better"], won["change"], won["parent"],
+                      pairs - won["change"] - won["parent"], pairs))
+EOF
 exec "$out/b/tc_bench" --compare "$out/parent.json" "$out/change.json" \
   --benchmark "$out/BENCHMARK.json"
