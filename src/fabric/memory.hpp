@@ -33,8 +33,9 @@ struct MemRegion {
   }
 };
 
-/// Per-node registry of exposed memory. Not thread-safe: the fabric is a
-/// single-threaded discrete-event simulation by design (determinism).
+/// Per-node registry of exposed memory. Not synchronized: the sim calls it
+/// from its one event loop, and the wall-clock backends hold
+/// NodeState::mem_mu around every call.
 class MemoryDomain {
  public:
   /// Registers [base, base+length) for remote access and mints an rkey.

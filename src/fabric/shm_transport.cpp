@@ -1,5 +1,6 @@
 #include "fabric/shm_transport.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -14,6 +15,10 @@ namespace {
 // wait (posting from inside a handler — the dedicated progress loop will
 // resume draining as soon as the handler returns).
 thread_local int g_progress_depth = 0;
+
+// A GET reply this short rides in its ack op's rkey and offset words, which
+// an ack never reads, so the target allocates no reply buffer.
+constexpr std::size_t kInlineGetBytes = 16;
 }  // namespace
 
 ShmTransport::ShmTransport(std::size_t node_count, ShmTransportOptions options)
@@ -85,10 +90,12 @@ void ShmTransport::fail_op_backpressure(NodeId src, NodeId dst,
       ops_dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     case Op::Kind::kGet:
-      complete_get(src, op.cid, backpressure_status(src, dst));
+      complete_get(src, dst, op.cid, backpressure_status(src, dst));
       return;
     default:
-      if (op.cid != 0) complete(src, op.cid, backpressure_status(src, dst));
+      if (op.cid != 0) {
+        complete(src, dst, op.cid, backpressure_status(src, dst));
+      }
       return;
   }
 }
@@ -126,6 +133,8 @@ bool ShmTransport::progress(NodeId node) {
 }
 
 void ShmTransport::handle_op(NodeId node, NodeId src, Op& op) {
+  static_assert(sizeof(op.rkey) + sizeof(op.offset) == kInlineGetBytes,
+                "an inline GET reply fills the ack's address words");
   NodeState& state = node_state(node);
   Status status;
   switch (op.kind) {
@@ -150,26 +159,38 @@ void ShmTransport::handle_op(NodeId node, NodeId src, Op& op) {
       Op ack;
       ack.kind = Op::Kind::kGetAck;
       ack.cid = op.cid;
+      ack.length = op.length;
       {
         std::lock_guard lock(state.mem_mu);
         auto source = state.memory.translate(op.rkey, op.offset, op.length);
-        if (source.is_ok()) {
-          ack.data.assign(*source, *source + op.length);
-        } else {
+        if (!source.is_ok()) {
           encode_ack_status(source.status(), ack.code, ack.data);
+        } else if (op.length <= kInlineGetBytes) {
+          std::uint8_t words[kInlineGetBytes] = {};
+          std::copy_n(*source, op.length, words);
+          std::memcpy(&ack.rkey, words, sizeof(ack.rkey));
+          std::memcpy(&ack.offset, words + sizeof(ack.rkey),
+                      sizeof(ack.offset));
+        } else {
+          ack.data.assign(*source, *source + op.length);
         }
       }
       push_op(node, src, std::move(ack));
       return;
     }
     case Op::Kind::kAck:
-      complete(node, op.cid, acked_status(op.code, op.data));
+      complete(node, src, op.cid, acked_status(op.code, op.data));
       return;
     case Op::Kind::kGetAck:
-      if (op.code == 0) {
-        complete_get(node, op.cid, std::move(op.data));
+      if (op.code != 0) {
+        complete_get(node, src, op.cid, acked_status(op.code, op.data));
+      } else if (op.length <= kInlineGetBytes) {
+        std::uint8_t words[kInlineGetBytes];
+        std::memcpy(words, &op.rkey, sizeof(op.rkey));
+        std::memcpy(words + sizeof(op.rkey), &op.offset, sizeof(op.offset));
+        complete_get(node, src, op.cid, Bytes(words, words + op.length));
       } else {
-        complete_get(node, op.cid, acked_status(op.code, op.data));
+        complete_get(node, src, op.cid, std::move(op.data));
       }
       return;
   }

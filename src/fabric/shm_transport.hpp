@@ -40,9 +40,13 @@
 // names the link, so the op carries no source, and post_send's fragment
 // count is not carried (nothing here reads it). An ack carries a one-byte
 // ErrorCode and, on error, its message in `data`: the encoding the socket
-// backend's acks use (encode_ack_status / acked_status). The AM id is a
-// u16 and the GET length a u32; a longer GET fails kOutOfRange at post
-// time and enters no ring.
+// backend's acks use (encode_ack_status / acked_status). A GET ack's
+// `length` is the reply's; a reply of at most 16 bytes travels in the
+// ack's `rkey` and `offset` words, which an ack never reads, so the target
+// allocates no reply buffer (verbs' inline data, UCX's short ops). A
+// longer reply moves in `data`, as does an error ack's message. The AM id
+// is a u16 and the GET length a u32; a longer GET fails kOutOfRange at
+// post time and enters no ring.
 #pragma once
 
 #include <atomic>
@@ -123,7 +127,8 @@ class ShmTransport final : public WallClockTransport {
     Kind kind = Kind::kSend;
     std::uint8_t code = 0;  ///< ErrorCode of an ack; its message is `data`
     AmId am_id = 0;
-    std::uint32_t length = 0;
+    std::uint32_t length = 0;  ///< kGet: bytes asked; kGetAck: bytes read
+    /// kPut/kGet: the target address. kGetAck: a short reply's bytes.
     RKey rkey = 0;
     std::uint64_t offset = 0;
     std::uint64_t cid = 0;  ///< 0 = fire-and-forget

@@ -640,13 +640,15 @@ void SocketTransport::handle_frame(NodeId node, Frame frame) {
       return;
     }
     case FrameKind::kAck:
-      complete(node, frame.cid, acked_status(frame.code, frame.payload));
+      complete(node, frame.src, frame.cid,
+               acked_status(frame.code, frame.payload));
       return;
     case FrameKind::kGetAck:
       if (frame.code == 0) {
-        complete_get(node, frame.cid, std::move(frame.payload));
+        complete_get(node, frame.src, frame.cid, std::move(frame.payload));
       } else {
-        complete_get(node, frame.cid, acked_status(frame.code, frame.payload));
+        complete_get(node, frame.src, frame.cid,
+                     acked_status(frame.code, frame.payload));
       }
       return;
     case FrameKind::kSegment: {
@@ -710,9 +712,9 @@ void SocketTransport::post_frame(NodeId src, NodeId dst, Frame frame,
                              /*control=*/false);
   if (posted.is_ok() || frame.cid == 0) return;
   if (frame.kind == FrameKind::kGet) {
-    complete_get(src, frame.cid, std::move(posted));
+    complete_get(src, dst, frame.cid, std::move(posted));
   } else {
-    complete(src, frame.cid, std::move(posted));
+    complete(src, dst, frame.cid, std::move(posted));
   }
 }
 

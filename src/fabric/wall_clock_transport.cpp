@@ -91,9 +91,7 @@ std::uint64_t WallClockTransport::stash_completion(NodeId node, NodeId dst,
                                                    CompletionFn cb) {
   NodeState& state = node_state(node);
   std::lock_guard lock(state.completions_mu);
-  const std::uint64_t cid = state.next_cid++;
-  state.completions.emplace(cid, Pending<CompletionFn>{std::move(cb), dst});
-  return cid;
+  return state.completions.stash(dst, std::move(cb));
 }
 
 std::uint64_t WallClockTransport::stash_get_completion(NodeId node,
@@ -101,36 +99,28 @@ std::uint64_t WallClockTransport::stash_get_completion(NodeId node,
                                                        GetCompletionFn cb) {
   NodeState& state = node_state(node);
   std::lock_guard lock(state.completions_mu);
-  const std::uint64_t cid = state.next_cid++;
-  state.get_completions.emplace(cid,
-                                Pending<GetCompletionFn>{std::move(cb), dst});
-  return cid;
+  return state.get_completions.stash(dst, std::move(cb));
 }
 
-void WallClockTransport::complete(NodeId node, std::uint64_t cid,
+void WallClockTransport::complete(NodeId node, NodeId from, std::uint64_t cid,
                                   Status status) {
   NodeState& state = node_state(node);
   CompletionFn cb;
   {
     std::lock_guard lock(state.completions_mu);
-    auto it = state.completions.find(cid);
-    if (it == state.completions.end()) return;
-    cb = std::move(it->second.fn);
-    state.completions.erase(it);
+    cb = state.completions.take(cid, from);
   }
   if (cb) cb(std::move(status));
 }
 
-void WallClockTransport::complete_get(NodeId node, std::uint64_t cid,
+void WallClockTransport::complete_get(NodeId node, NodeId from,
+                                      std::uint64_t cid,
                                       StatusOr<Bytes> result) {
   NodeState& state = node_state(node);
   GetCompletionFn cb;
   {
     std::lock_guard lock(state.completions_mu);
-    auto it = state.get_completions.find(cid);
-    if (it == state.get_completions.end()) return;
-    cb = std::move(it->second.fn);
-    state.get_completions.erase(it);
+    cb = state.get_completions.take(cid, from);
   }
   if (cb) cb(std::move(result));
 }
@@ -142,16 +132,8 @@ void WallClockTransport::fail_completions_to(NodeId node, NodeId peer,
   std::vector<GetCompletionFn> get_cbs;
   {
     std::lock_guard lock(state.completions_mu);
-    std::erase_if(state.completions, [&](auto& entry) {
-      if (entry.second.dst != peer) return false;
-      cbs.push_back(std::move(entry.second.fn));
-      return true;
-    });
-    std::erase_if(state.get_completions, [&](auto& entry) {
-      if (entry.second.dst != peer) return false;
-      get_cbs.push_back(std::move(entry.second.fn));
-      return true;
-    });
+    state.completions.take_all_to(peer, cbs);
+    state.get_completions.take_all_to(peer, get_cbs);
   }
   for (auto& cb : cbs) {
     if (cb) cb(status);

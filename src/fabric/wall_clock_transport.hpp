@@ -6,9 +6,8 @@
 // is the role UCX's worker layer plays above every wire transport:
 //
 //  * per-node state: the Worker (AM table + receive queue), registered
-//    windows and the exposed segment under one mutex, a cid-keyed
-//    completion table that records each op's destination, and armed
-//    timers;
+//    windows and the exposed segment under one mutex, the completion
+//    tables that record each op's destination, and armed timers;
 //  * completion bookkeeping: stash_* on post, complete/complete_get when
 //    the ack arrives, fail_completions_to when a peer is gone;
 //  * wall-clock time: now_ns, schedule_after and fire_due_timers;
@@ -21,6 +20,18 @@
 // Nodes this process does not host (socket process mode) have no state
 // here: the node-local verbs refuse them with kInvalidArgument or answer
 // empty, and a backend answers remote lookups itself.
+//
+// Completion tables: a node keeps one slot table per ack kind (acks of
+// send/AM/PUT, GET acks), a vector of slots plus a free list. A cid is
+// (generation << 32) | (slot index + 1), so it is never 0, which means
+// fire-and-forget. When an op completes or fails, its slot's generation
+// goes up and the slot is freed. An ack completes an op only when the
+// cid's slot is in use, its generation matches and the ack came from the
+// peer the op was sent to; anything else (an unknown or stale cid, a
+// replayed ack whose slot a newer op now holds, another peer's guess) is
+// ignored. A table grows to the most ops ever outstanding at once on its
+// node and allocates nothing after that. Callbacks run outside the
+// table's mutex.
 //
 // Destruction: progress threads call the derived progress(), so every
 // derived destructor must call stop_progress_threads() first.
@@ -35,7 +46,7 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "fabric/memory.hpp"
@@ -125,10 +136,70 @@ class WallClockTransport : public Transport {
     std::int64_t deadline_ns;
     std::function<void()> fn;
   };
+
+  /// One kind of pending completion on a node (see the header): slots
+  /// plus a free list, cid = (generation << 32) | (index + 1). Not
+  /// synchronized; NodeState::completions_mu guards it.
   template <typename Fn>
-  struct Pending {
-    Fn fn;
-    NodeId dst = 0;  ///< where the op went: fail fast if that peer is gone
+  class CompletionTable {
+   public:
+    /// Holds `fn` for an op sent to `dst`; returns the op's cid.
+    std::uint64_t stash(NodeId dst, Fn fn) {
+      std::uint32_t index;
+      if (free_.empty()) {
+        index = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+      } else {
+        index = free_.back();
+        free_.pop_back();
+      }
+      Slot& slot = slots_[index];
+      slot.fn = std::move(fn);
+      slot.dst = dst;
+      slot.busy = true;
+      return (std::uint64_t{slot.generation} << 32) | (index + 1);
+    }
+
+    /// Frees and returns the callback `cid` names, if an ack from `from`
+    /// may complete it; otherwise an empty Fn, and nothing changes.
+    Fn take(std::uint64_t cid, NodeId from) {
+      // A cid of 0 wraps to an index past any table.
+      const std::uint64_t index = (cid & 0xFFFF'FFFF) - 1;
+      if (index >= slots_.size()) return nullptr;
+      const Slot& slot = slots_[index];
+      if (!slot.busy || slot.generation != cid >> 32 || slot.dst != from) {
+        return nullptr;
+      }
+      return release(index);
+    }
+
+    /// Frees every slot still waiting on `peer`, appending its callback.
+    void take_all_to(NodeId peer, std::vector<Fn>& fns) {
+      for (std::size_t index = 0; index < slots_.size(); ++index) {
+        if (slots_[index].busy && slots_[index].dst == peer) {
+          fns.push_back(release(index));
+        }
+      }
+    }
+
+   private:
+    struct Slot {
+      Fn fn;
+      NodeId dst = 0;  ///< where the op went: its acks come from there
+      std::uint32_t generation = 0;
+      bool busy = false;
+    };
+
+    Fn release(std::size_t index) {
+      Slot& slot = slots_[index];
+      slot.busy = false;
+      ++slot.generation;
+      free_.push_back(static_cast<std::uint32_t>(index));
+      return std::exchange(slot.fn, nullptr);
+    }
+
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> free_;
   };
 
   struct NodeState {
@@ -138,13 +209,11 @@ class WallClockTransport : public Transport {
     mutable std::mutex mem_mu;
     MemoryDomain memory;
     std::optional<MemRegion> exposed;
-    /// Pending completion callbacks, keyed by cid; guarded so a context
-    /// handoff between driving threads is safe.
+    /// Pending completion callbacks, one table per ack kind; guarded so a
+    /// context handoff between driving threads is safe.
     std::mutex completions_mu;
-    std::uint64_t next_cid = 1;
-    std::unordered_map<std::uint64_t, Pending<CompletionFn>> completions;
-    std::unordered_map<std::uint64_t, Pending<GetCompletionFn>>
-        get_completions;
+    CompletionTable<CompletionFn> completions;
+    CompletionTable<GetCompletionFn> get_completions;
     /// Armed deadlines, fired by this node's progress context.
     std::mutex timers_mu;
     std::vector<Timer> timers;
@@ -169,10 +238,13 @@ class WallClockTransport : public Transport {
   std::uint64_t stash_completion(NodeId node, NodeId dst, CompletionFn cb);
   std::uint64_t stash_get_completion(NodeId node, NodeId dst,
                                      GetCompletionFn cb);
-  /// Removes and invokes the completion stashed under `cid`, if any (a
-  /// completion already failed by fail_completions_to is gone).
-  void complete(NodeId node, std::uint64_t cid, Status status);
-  void complete_get(NodeId node, std::uint64_t cid, StatusOr<Bytes> result);
+  /// Removes and invokes the completion stashed under `cid` by an op that
+  /// `node` sent to `from`, if any. An ack from any other node, and a cid
+  /// already completed or failed, is ignored. A completion that fails
+  /// locally passes the op's own destination as `from`.
+  void complete(NodeId node, NodeId from, std::uint64_t cid, Status status);
+  void complete_get(NodeId node, NodeId from, std::uint64_t cid,
+                    StatusOr<Bytes> result);
   /// Fails every completion `node` still waits on from `peer`.
   void fail_completions_to(NodeId node, NodeId peer, const Status& status);
 

@@ -349,15 +349,23 @@ TEST(SocketTransport, KillConnectionFailsPendingCompletionsWithUnavailable) {
 }
 
 // --- hostile peer ----------------------------------------------------------
-// A raw client speaking the codec by hand plays node 1 of a process-mode
-// pair: it completes the bootstrap hello honestly, then forges the `src` of
-// a frame header. The receiver must treat the link as the sender and
-// disconnect on the lie — no thread fork, so the sanitizer jobs run it.
+// Raw clients speaking the codec by hand play every node but node 0 of a
+// process-mode cluster: each completes the bootstrap hello honestly, then
+// forges frames. The receiver must treat the link as the sender and ignore
+// or disconnect on the lie — no thread fork, so the sanitizer jobs run it.
 
 void put_le(Bytes& out, std::uint64_t value, int bytes) {
   for (int i = 0; i < bytes; ++i) {
     out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
   }
+}
+
+std::uint64_t get_le(const std::uint8_t* in, int bytes) {
+  std::uint64_t value = 0;
+  for (int i = 0; i < bytes; ++i) {
+    value |= static_cast<std::uint64_t>(in[i]) << (8 * i);
+  }
+  return value;
 }
 
 // [u32 length][u8 kind][u8 code][u16 am_id][u32 src][u64 cid][u64 f0..f2]
@@ -376,63 +384,143 @@ Bytes raw_frame(std::uint8_t kind, std::uint32_t src, std::uint64_t cid,
   return out;
 }
 
+/// A frame as a raw client reads it off its link.
+struct RawFrame {
+  std::uint8_t kind = 0;
+  std::uint32_t src = 0;
+  std::uint64_t cid = 0;
+  std::uint64_t f0 = 0, f1 = 0, f2 = 0;
+  Bytes payload;
+};
+
 constexpr std::uint8_t kRawHello = 1;
 constexpr std::uint8_t kRawSend = 2;
 constexpr std::uint8_t kRawGet = 5;  // f0 = rkey, f1 = offset, f2 = length
+constexpr std::uint8_t kRawGetAck = 7;
 
 class SocketHostilePeer : public ::testing::Test {
  protected:
-  // Brings up node 0 of 2 in process mode with the raw client as node 1.
-  void SetUp() override {
+  void SetUp() override { bring_up(2); }
+
+  // Brings up node 0 of `nodes` in process mode with a raw client as every
+  // other node; raw_fds_[i] is node i's end of its link to node 0.
+  void bring_up(std::size_t nodes) {
     path_ = "/tmp/tc_hostile_" + std::to_string(::getpid()) + "_" +
             ::testing::UnitTest::GetInstance()->current_test_info()->name() +
             ".sock";
     ::unlink(path_.c_str());
-    // create_process blocks until node 1 says hello, so the raw client
-    // dials from a thread; it retries until node 0 has bound its path.
-    std::thread dialer([this] {
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(10);
-      while (std::chrono::steady_clock::now() < deadline) {
-        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, path_.c_str(), sizeof(addr.sun_path) - 1);
-        if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)) == 0) {
-          raw_fd_ = fd;
-          write_raw(raw_frame(kRawHello, /*src=*/1, 0, {}));
-          return;
-        }
-        ::close(fd);
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-    });
+    raw_fds_.assign(nodes, -1);
+    // create_process blocks until every peer says hello, so the raw
+    // clients dial from threads; each retries until node 0 has bound its
+    // path.
+    std::vector<std::thread> dialers;
+    std::vector<std::string> endpoints{"unix:" + path_};
+    for (std::uint32_t peer = 1; peer < nodes; ++peer) {
+      endpoints.push_back("unix:" + path_ + ".peer" + std::to_string(peer));
+      dialers.emplace_back([this, peer] { dial(peer); });
+    }
     fabric::SocketTransportOptions options;
     options.connect_timeout_ms = 10'000;
     options.run_until_timeout_ms = 10'000;
-    auto sock_or = fabric::SocketTransport::create_process(
-        2, 0, {"unix:" + path_, "unix:" + path_ + ".peer"}, options);
-    dialer.join();
+    auto sock_or =
+        fabric::SocketTransport::create_process(nodes, 0, endpoints, options);
+    for (std::thread& dialer : dialers) dialer.join();
     ASSERT_TRUE(sock_or.is_ok()) << sock_or.status().to_string();
-    ASSERT_GE(raw_fd_, 0);
+    for (std::uint32_t peer = 1; peer < nodes; ++peer) {
+      ASSERT_GE(raw_fds_[peer], 0) << "raw node " << peer << " never dialed";
+    }
     sock_ = std::move(*sock_or);
   }
 
   void TearDown() override {
     sock_.reset();
-    if (raw_fd_ >= 0) ::close(raw_fd_);
+    for (int fd : raw_fds_) {
+      if (fd >= 0) ::close(fd);
+    }
     ::unlink(path_.c_str());
   }
 
-  void write_raw(const Bytes& bytes) {
-    ASSERT_EQ(::send(raw_fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(bytes.size()));
+  void write_raw(const Bytes& bytes, std::uint32_t from = 1) {
+    ASSERT_EQ(
+        ::send(raw_fds_[from], bytes.data(), bytes.size(), MSG_NOSIGNAL),
+        static_cast<ssize_t>(bytes.size()));
+  }
+
+  // Reads the next frame node 0 wrote to raw node `peer` (blocking, with
+  // the receive timeout dial() sets).
+  RawFrame read_raw(std::uint32_t peer) {
+    RawFrame frame;
+    std::uint8_t header[44];
+    if (!read_exact(raw_fds_[peer], header, sizeof(header))) {
+      ADD_FAILURE() << "raw node " << peer << " read no frame";
+      return frame;
+    }
+    frame.kind = header[4];
+    frame.src = static_cast<std::uint32_t>(get_le(header + 8, 4));
+    frame.cid = get_le(header + 12, 8);
+    frame.f0 = get_le(header + 20, 8);
+    frame.f1 = get_le(header + 28, 8);
+    frame.f2 = get_le(header + 36, 8);
+    frame.payload.resize(get_le(header, 4) - 40);
+    if (!read_exact(raw_fds_[peer], frame.payload.data(),
+                    frame.payload.size())) {
+      ADD_FAILURE() << "raw node " << peer << " read a truncated frame";
+    }
+    return frame;
+  }
+
+  // Drives node 0 until it has parsed `frames` more frames than it had
+  // when `before` was read.
+  void handle_frames(std::uint64_t before, std::uint64_t frames = 1) {
+    const Status status = sock_->run_until(0, [&] {
+      return sock_->stats().frames_received >= before + frames;
+    });
+    ASSERT_TRUE(status.is_ok()) << status.to_string();
   }
 
   std::string path_;
-  int raw_fd_ = -1;
+  std::vector<int> raw_fds_;
   std::unique_ptr<fabric::SocketTransport> sock_;
+
+ private:
+  void dial(std::uint32_t self) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (std::chrono::steady_clock::now() < deadline) {
+      const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      sockaddr_un addr{};
+      addr.sun_family = AF_UNIX;
+      std::strncpy(addr.sun_path, path_.c_str(), sizeof(addr.sun_path) - 1);
+      if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                    sizeof(addr)) == 0) {
+        timeval timeout{};
+        timeout.tv_sec = 10;
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+        raw_fds_[self] = fd;
+        const Bytes hello = raw_frame(kRawHello, self, 0, {});
+        (void)::send(fd, hello.data(), hello.size(), MSG_NOSIGNAL);
+        return;
+      }
+      ::close(fd);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+
+  static bool read_exact(int fd, std::uint8_t* out, std::size_t length) {
+    for (std::size_t got = 0; got < length;) {
+      const ssize_t n = ::recv(fd, out + got, length - got, 0);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return false;
+      got += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+};
+
+// Node 0 of 3, with raw clients as nodes 1 and 2.
+class SocketHostileMesh : public SocketHostilePeer {
+ protected:
+  void SetUp() override { bring_up(3); }
 };
 
 TEST_F(SocketHostilePeer, OutOfRangeSourceDisconnectsTheLink) {
@@ -462,6 +550,85 @@ TEST_F(SocketHostilePeer, ForgedSelfSourceCannotCompleteTheReceiversOps) {
   EXPECT_EQ(seen.code(), ErrorCode::kUnavailable) << seen.to_string();
   EXPECT_EQ(sock_->stats().disconnects, 1u);
   EXPECT_FALSE(sock_->try_recv(0).has_value()) << "forged frame delivered";
+}
+
+TEST_F(SocketHostileMesh, GetAckFromAnotherPeerCannotCompleteTheGet) {
+  // Node 0 reads 8 bytes from node 2; raw node 2 learns the GET's cid from
+  // the frame.
+  int fired = 0;
+  StatusOr<Bytes> got = internal_error("never fired");
+  sock_->post_get(0, fabric::RemoteAddr{2, /*rkey=*/5, /*offset=*/0}, 8,
+                  [&](StatusOr<Bytes> r) {
+                    ++fired;
+                    got = std::move(r);
+                  });
+  const RawFrame get = read_raw(2);
+  ASSERT_EQ(get.kind, kRawGet);
+  ASSERT_EQ(get.f2, 8u);
+
+  // Node 1 acks that cid with forged bytes on its own, honest link: the
+  // frame is well formed, but the GET did not go to node 1.
+  std::uint64_t before = sock_->stats().frames_received;
+  write_raw(raw_frame(kRawGetAck, /*src=*/1, get.cid, Bytes(8, 0xBA)), 1);
+  handle_frames(before);
+  EXPECT_EQ(fired, 0) << "node 1's ack completed a GET sent to node 2";
+
+  // Node 2's own ack completes it, once; a second copy is ignored.
+  const Bytes served{1, 2, 3, 4, 5, 6, 7, 8};
+  before = sock_->stats().frames_received;
+  write_raw(raw_frame(kRawGetAck, /*src=*/2, get.cid, served), 2);
+  write_raw(raw_frame(kRawGetAck, /*src=*/2, get.cid, Bytes(8, 0xCC)), 2);
+  handle_frames(before, 2);
+  EXPECT_EQ(fired, 1);
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  EXPECT_EQ(*got, served);
+  EXPECT_EQ(sock_->stats().disconnects, 0u);
+}
+
+TEST_F(SocketHostilePeer, ReplayedGetAckCannotCompleteTheOpReusingItsSlot) {
+  int a_fired = 0;
+  StatusOr<Bytes> a = internal_error("never fired");
+  sock_->post_get(0, fabric::RemoteAddr{1, /*rkey=*/5, /*offset=*/0}, 8,
+                  [&](StatusOr<Bytes> r) {
+                    ++a_fired;
+                    a = std::move(r);
+                  });
+  const RawFrame get_a = read_raw(1);
+  ASSERT_EQ(get_a.kind, kRawGet);
+  const Bytes bytes_a(8, 0xAA);
+  write_raw(raw_frame(kRawGetAck, /*src=*/1, get_a.cid, bytes_a));
+  ASSERT_TRUE(sock_->run_until(0, [&] { return a_fired > 0; }).is_ok());
+  ASSERT_TRUE(a.is_ok()) << a.status().to_string();
+  EXPECT_EQ(*a, bytes_a);
+
+  // B takes the slot A freed, under a new generation.
+  int b_fired = 0;
+  StatusOr<Bytes> b = internal_error("never fired");
+  sock_->post_get(0, fabric::RemoteAddr{1, /*rkey=*/5, /*offset=*/8}, 8,
+                  [&](StatusOr<Bytes> r) {
+                    ++b_fired;
+                    b = std::move(r);
+                  });
+  const RawFrame get_b = read_raw(1);
+  ASSERT_EQ(get_b.kind, kRawGet);
+  ASSERT_EQ(get_b.cid & 0xFFFF'FFFF, get_a.cid & 0xFFFF'FFFF)
+      << "B did not reuse A's slot";
+  ASSERT_NE(get_b.cid, get_a.cid);
+
+  // The peer replays A's ack: B must stay pending.
+  const std::uint64_t before = sock_->stats().frames_received;
+  write_raw(raw_frame(kRawGetAck, /*src=*/1, get_a.cid, bytes_a));
+  handle_frames(before);
+  EXPECT_EQ(b_fired, 0) << "A's replayed ack completed B";
+
+  const Bytes bytes_b(8, 0xBB);
+  write_raw(raw_frame(kRawGetAck, /*src=*/1, get_b.cid, bytes_b));
+  ASSERT_TRUE(sock_->run_until(0, [&] { return b_fired > 0; }).is_ok());
+  EXPECT_EQ(a_fired, 1);
+  EXPECT_EQ(b_fired, 1);
+  ASSERT_TRUE(b.is_ok()) << b.status().to_string();
+  EXPECT_EQ(*b, bytes_b);
+  EXPECT_EQ(sock_->stats().disconnects, 0u);
 }
 
 TEST_F(SocketHostilePeer, GetFloodPastTheControlCapDisconnects) {
@@ -496,7 +663,7 @@ TEST_F(SocketHostilePeer, GetFloodPastTheControlCapDisconnects) {
       }
     }
     if (!pending.empty()) {
-      const ssize_t n = ::send(raw_fd_, pending.data(), pending.size(),
+      const ssize_t n = ::send(raw_fds_[1], pending.data(), pending.size(),
                                MSG_DONTWAIT | MSG_NOSIGNAL);
       if (n > 0) pending.erase(pending.begin(), pending.begin() + n);
     }
@@ -528,7 +695,7 @@ TEST_F(SocketHostilePeer, OneProgressPassReadsAtMostOneBuffer) {
   std::thread writer([&] {
     for (std::size_t off = 0; off < stream.size();) {
       const ssize_t n =
-          ::send(raw_fd_, stream.data() + off,
+          ::send(raw_fds_[1], stream.data() + off,
                  std::min(frame_bytes, stream.size() - off), MSG_NOSIGNAL);
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) return;
@@ -545,7 +712,7 @@ TEST_F(SocketHostilePeer, OneProgressPassReadsAtMostOneBuffer) {
       ::shutdown(fd, SHUT_RDWR);
       thread.join();
     }
-  } joiner{writer, raw_fd_};
+  } joiner{writer, raw_fds_[1]};
   // Let the writer fill the socket before node 0 progresses: wait until it
   // is done or has stalled on a full buffer.
   std::size_t seen = 0;

@@ -238,7 +238,8 @@ TEST_P(TransportConformance, OutOfBoundsOneSidedAccessFaults) {
   auto region = transport_->register_window(1, window.data(), window.size());
   ASSERT_TRUE(region.is_ok());
   // The target's MemoryDomain::translate refuses both, and its message
-  // rides the ack back unchanged.
+  // rides the ack back unchanged: the 8-byte GET's error ack must not be
+  // read as an inline reply on shm.
   const std::string fault = "remote access [12, 20) exceeds region 16";
 
   StatusOr<Bytes> got = Status::ok();
@@ -265,6 +266,61 @@ TEST_P(TransportConformance, OutOfBoundsOneSidedAccessFaults) {
   EXPECT_EQ(put.code(), ErrorCode::kOutOfRange);
   EXPECT_EQ(put.message(), fault);
   EXPECT_EQ(window, std::vector<std::uint8_t>(16, 0)) << "a faulted PUT wrote";
+}
+
+// Shm carries a GET reply of at most 16 bytes in its ack op and a longer
+// one in a buffer; every length on either side of that boundary reads
+// exactly the window's bytes.
+TEST_P(TransportConformance, GetsAcrossTheInlineBoundaryReadExactBytes) {
+  std::vector<std::uint8_t> window(80);
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    window[i] = static_cast<std::uint8_t>(i + 1);
+  }
+  auto region = transport_->register_window(1, window.data(), window.size());
+  ASSERT_TRUE(region.is_ok()) << region.status().to_string();
+
+  constexpr std::size_t kOffset = 3;
+  const std::vector<std::size_t> lengths{0, 1, 7, 8, 15, 16, 17, 24, 64};
+  std::vector<StatusOr<Bytes>> got(lengths.size(), internal_error("pending"));
+  std::size_t done = 0;
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    transport_->post_get(0, region->remote_addr(1, kOffset), lengths[i],
+                         [&, i](StatusOr<Bytes> r) {
+                           got[i] = std::move(r);
+                           ++done;
+                         });
+  }
+  drive_until([&] { return done == lengths.size(); });
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    ASSERT_TRUE(got[i].is_ok())
+        << lengths[i] << "-byte GET: " << got[i].status().to_string();
+    const auto first = window.begin() + kOffset;
+    EXPECT_EQ(*got[i], Bytes(first, first + static_cast<std::ptrdiff_t>(
+                                                lengths[i])))
+        << lengths[i] << "-byte GET";
+  }
+}
+
+// A failed GET short enough for shm to carry inline still returns the
+// target's error, with translate's message in place of reply bytes.
+TEST_P(TransportConformance, GetWithUnknownRkeyFailsNotFound) {
+  std::vector<std::uint8_t> window(16, 0x5A);
+  auto region = transport_->register_window(1, window.data(), window.size());
+  ASSERT_TRUE(region.is_ok()) << region.status().to_string();
+
+  const fabric::RKey unknown = region->rkey + 1000;
+  StatusOr<Bytes> got = Bytes{};
+  bool done = false;
+  transport_->post_get(0, fabric::RemoteAddr{1, unknown, 0}, 16,
+                       [&](StatusOr<Bytes> r) {
+                         got = std::move(r);
+                         done = true;
+                       });
+  drive_until([&] { return done; });
+  ASSERT_FALSE(got.is_ok()) << "read " << got->size() << " bytes";
+  EXPECT_EQ(got.status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(got.status().message(),
+            "translate: unknown rkey " + std::to_string(unknown));
 }
 
 // A GET longer than 4 GiB, which no window here can serve, fails

@@ -369,6 +369,47 @@ TEST(DapcBackendEquivalence, MultiInitiatorWindowedMatchesAcrossBackends) {
   EXPECT_EQ(result->values, reference);
 }
 
+TEST(DapcBackendEquivalence, WindowedGetChasesMatchAcrossBackends) {
+  // M = 2 initiators × W = 4 client-driven GET walks over 3 servers: on
+  // the wall-clock backends each initiator thread keeps several GETs in
+  // its own completion table at once, and the values must still be the
+  // sim's.
+  DapcConfig config = small_config();
+  config.window = 4;
+  config.initiators = 2;
+  std::vector<std::uint64_t> reference;
+  {
+    hetsim::ClusterConfig sim_config;
+    sim_config.platform = hetsim::Platform::kThorXeon;
+    sim_config.server_count = 3;
+    sim_config.client_count = 2;
+    auto sim_cluster = hetsim::Cluster::create(sim_config);
+    ASSERT_TRUE(sim_cluster.is_ok());
+    auto driver = DapcDriver::create(**sim_cluster, ChaseMode::kGet, config);
+    ASSERT_TRUE(driver.is_ok()) << driver.status().to_string();
+    auto result = (*driver)->run();
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+    EXPECT_EQ(result->completed, 2 * config.chases);
+    EXPECT_EQ(result->correct, result->completed);
+    reference = result->values;
+  }
+  for (hetsim::Backend backend :
+       {hetsim::Backend::kShm, hetsim::Backend::kSocket}) {
+    auto wall_cluster = small_wall_cluster(backend, 3, /*clients=*/2);
+    auto driver = DapcDriver::create(*wall_cluster, ChaseMode::kGet, config);
+    ASSERT_TRUE(driver.is_ok()) << driver.status().to_string();
+    auto result = (*driver)->run();
+    ASSERT_TRUE(result.is_ok()) << hetsim::backend_name(backend) << ": "
+                                << result.status().to_string();
+    EXPECT_TRUE(result->wall_clock);
+    EXPECT_EQ(result->completed, 2 * config.chases)
+        << hetsim::backend_name(backend);
+    EXPECT_EQ(result->correct, result->completed)
+        << hetsim::backend_name(backend);
+    EXPECT_EQ(result->values, reference) << hetsim::backend_name(backend);
+  }
+}
+
 TEST(DapcMultiInitiator, SimStaysDeterministicWithConcurrentInitiators) {
   // M > 1 on the simulated backend interleaves in virtual time; two runs
   // must agree on every value *and* on the virtual-time clock.
